@@ -5,9 +5,9 @@ literals per clause, first-UIP clause learning with recursive minimization,
 VSIDS decision scores with deterministic index tie-breaking, saved phases,
 Luby restarts, and LBD-based deletion of learned clauses.
 
-Everything is deterministic for a fixed (heuristic, seed, phase hints) triple:
-ties in the decision heap break on variable index, restarts follow the Luby
-sequence, and wall-clock budgets can only turn a would-be answer into
+Everything is deterministic for a fixed (heuristic, seed) pair and sequence of
+calls: ties in the decision heap break on variable index, restarts follow the
+Luby sequence, and wall-clock budgets can only turn a would-be answer into
 "unknown", never change it.
 
 Literal coding: variable v (1-based) maps to literal codes 2v (positive) and
@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 _UNDEF = 0
 _TRUE = 1
@@ -48,7 +48,15 @@ def _luby(i: int) -> int:
 
 
 class Engine:
-    """One-shot CDCL solver over integer-coded clauses."""
+    """CDCL solver over integer-coded clauses.
+
+    A formula can grow between solves: add_vars and add_clauses extend it at
+    decision level 0, which is how a search reuses one engine for every box
+    size. Each solve starts from the state a fresh engine would have (zero
+    activities, no learnt clauses, conflicts counted from zero) but keeps the
+    clauses, the level-0 facts and the saved phases; after a satisfiable
+    solve the phases are that model, so the next solve starts from it.
+    """
 
     def __init__(
         self,
@@ -57,35 +65,31 @@ class Engine:
         *,
         heuristic: str = "vsids",
         seed: int | None = None,
-        phase_hints: Mapping[int, bool] | None = None,
     ) -> None:
         if heuristic not in ("vsids", "fixed"):
             raise ValueError(f"unknown heuristic {heuristic!r}")
-        self.n = num_vars
+        self.n = 0
         self.heuristic = heuristic
-        self.rng = random.Random(seed) if seed is not None else None
-        nlits = 2 * num_vars + 2
-        self.val = bytearray(nlits)
-        self.watches: list[list[_Clause]] = [[] for _ in range(nlits)]
-        self.level = [0] * (num_vars + 1)
-        self.reason: list[_Clause | None] = [None] * (num_vars + 1)
+        self.seed = seed
+        self.rng: random.Random | None = None
+        self.val = bytearray(2)
+        self.watches: list[list[_Clause]] = [[], []]
+        self.level = [0]
+        self.reason: list[_Clause | None] = [None]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activity = [0.0] * (num_vars + 1)
+        self.activity = [0.0]
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = []
-        self.phase = bytearray(num_vars + 1)  # 1 -> decide positive first
-        if phase_hints:
-            for v, positive in phase_hints.items():
-                if 1 <= v <= num_vars and positive:
-                    self.phase[v] = 1
+        self.phase = bytearray(1)  # 1 -> decide positive first
         self.clauses: list[_Clause] = []
         self.learnts: list[_Clause] = []
         self.ok = True
         self.conflicts = 0
-        self._seen = bytearray(num_vars + 1)
+        self._seen = bytearray(1)
         self._fixed_cursor = 1
+        self.add_vars(num_vars)
 
         units: list[int] = []
         dedup: set[tuple[int, ...]] = set()
@@ -103,16 +107,77 @@ class Engine:
             if len(lits) == 1:
                 units.append(lits[0])
             else:
-                c = _Clause(lits, learnt=False)
-                self.clauses.append(c)
-                self.watches[lits[0]].append(c)
-                self.watches[lits[1]].append(c)
+                self._attach(lits)
         for lit in units:
             if self.val[lit] == _FALSE:
                 self.ok = False
                 return
             if self.val[lit] == _UNDEF:
                 self._enqueue(lit, None)
+
+    # -- growing the formula -----------------------------------------------
+
+    def add_vars(self, count: int) -> None:
+        """Append count fresh variables, numbered after the existing ones."""
+        self.n += count
+        self.val.extend(bytes(2 * count))
+        self.watches.extend([] for _ in range(2 * count))
+        self.level.extend([0] * count)
+        self.reason.extend([None] * count)
+        self.activity.extend([0.0] * count)
+        self.phase.extend(bytes(count))
+        self._seen.extend(bytes(count))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add clauses over existing variables between solves.
+
+        The engine first returns to decision level 0. Level-0 facts only ever
+        follow from the clauses, which only grow, so a literal false at level 0
+        is dropped and a clause already true at level 0 is not stored.
+        """
+        self._backtrack(0)
+        val = self.val
+        for signed in clauses:
+            if not self.ok:
+                return
+            lits: list[int] = []
+            for l in signed:
+                lit = 2 * l if l > 0 else -2 * l + 1
+                if val[lit] == _TRUE or lit ^ 1 in lits:
+                    break  # satisfied at level 0, or a tautology
+                if val[lit] == _UNDEF and lit not in lits:
+                    lits.append(lit)
+            else:
+                if not lits:
+                    self.ok = False
+                elif len(lits) == 1:
+                    self._enqueue(lits[0], None)
+                else:
+                    lits.sort()
+                    self._attach(lits)
+
+    def _attach(self, lits: list[int]) -> None:
+        c = _Clause(lits, learnt=False)
+        self.clauses.append(c)
+        self.watches[lits[0]].append(c)
+        self.watches[lits[1]].append(c)
+
+    def _start_solve(self) -> None:
+        """Reset the per-solve search state to that of a fresh engine; the
+        clauses, level-0 facts and saved phases stay."""
+        self._backtrack(0)
+        if self.learnts:
+            for c in self.learnts:
+                c.deleted = True
+            self.learnts = []
+            self.watches = [[c for c in ws if not c.deleted] for ws in self.watches]
+        for lit in self.trail:
+            self.reason[lit >> 1] = None
+        self.activity = [0.0] * (self.n + 1)
+        self.var_inc = 1.0
+        self.conflicts = 0
+        self.rng = random.Random(self.seed) if self.seed is not None else None
+        self._fixed_cursor = 1
 
     # -- assignment primitives -------------------------------------------
 
@@ -369,9 +434,11 @@ class Engine:
     ) -> tuple[str, list[bool] | None]:
         """Run the search to an answer or a budget. Returns ("sat", model) with
         model indexed by variable, ("unsat", None), or ("unknown", None)."""
+        self._start_solve()
         if not self.ok:
             return "unsat", None
         if self._propagate() is not None:
+            self.ok = False
             return "unsat", None
         if self.heuristic == "vsids":
             self._rebuild_heap()
@@ -388,6 +455,7 @@ class Engine:
             if confl is not None:
                 self.conflicts += 1
                 if not self.trail_lim:
+                    self.ok = False
                     return "unsat", None
                 learnt, bj, lbd = self._analyze(confl)
                 self._backtrack(bj)

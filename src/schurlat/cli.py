@@ -69,8 +69,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--symmetry-break", action="store_true",
                    help="add the unit clause fixing the color of (1,...,1); "
                         "a sound extension of the default encoding")
-    p.add_argument("--no-warm-start", action="store_true",
-                   help="do not seed decision phases from the previous level")
     p.add_argument("--no-escalate", action="store_true",
                    help="never fall back to the other engine on Unknown")
 
@@ -88,7 +86,6 @@ def _engine_config(args) -> search.EngineConfig:
         budget=budget,
         seed=args.seed,
         symmetry_break=args.symmetry_break,
-        warm_start=not args.no_warm_start,
         escalate=not args.no_escalate,
     )
 

@@ -14,17 +14,25 @@ exactly-one-color clauses first (points row-major, color pairs lexicographic),
 then per-tuple clauses in family order, each tuple contributing its r-1
 negative clauses (color 1 .. r-1) followed by one positive clause. Literals
 inside a clause ascend.
+
+Row-major numbering depends on N, so a search that walks N upward numbers its
+variables by shell instead (encode_shell): points ordered by their largest
+coordinate, row-major within a shell, var(p, m) = bases[p] + m. Then the
+formula for N+1 is the formula for N plus the clauses of one shell. That
+numbering is internal to searches; encode, var_index and every DIMACS file
+stay row-major.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, IntegrityError
 from .lattice import (
     Coloring,
     Point,
+    SchurTuple,
     TupleFamily,
     box_points,
     enumerate_tuples,
@@ -105,17 +113,33 @@ def var_point_color(v: int, meta: EncodingMeta) -> tuple[Point, int]:
     return point_from_index(pm + 1, meta.n, meta.d), m + 1
 
 
-def encode_distinctness(meta: EncodingMeta) -> list[Clause]:
-    """At-most-one-color clauses: for each point and each color pair i < j <= r-1,
-    the 2-clause (not phi_i(p) or not phi_j(p)). Empty for r <= 2."""
+def _distinctness_clauses(bases: Iterable[int], r: int) -> list[Clause]:
     clauses: list[Clause] = []
-    r = meta.r
-    for p in box_points(meta.n, meta.d):
-        base = (point_index(p, meta.n) - 1) * (r - 1)
+    for base in bases:
         for i in range(1, r):
             for j in range(i + 1, r):
                 clauses.append((-(base + i), -(base + j)))
     return clauses
+
+
+def _tuple_clauses(
+    tuples: Iterable[SchurTuple], bases: Mapping[Point, int], r: int
+) -> list[Clause]:
+    clauses: list[Clause] = []
+    for t in tuples:
+        offsets = [bases[p] for p in t.distinct_points()]
+        for i in range(1, r):
+            clauses.append(tuple(-(b + i) for b in offsets))
+        clauses.append(tuple(b + i for b in offsets for i in range(1, r)))
+    return clauses
+
+
+def encode_distinctness(meta: EncodingMeta) -> list[Clause]:
+    """At-most-one-color clauses: for each point and each color pair i < j <= r-1,
+    the 2-clause (not phi_i(p) or not phi_j(p)). Empty for r <= 2."""
+    return _distinctness_clauses(
+        (i * (meta.r - 1) for i in range(meta.num_points)), meta.r
+    )
 
 
 def encode_tuple_clauses(family: TupleFamily, meta: EncodingMeta) -> list[Clause]:
@@ -131,15 +155,22 @@ def encode_tuple_clauses(family: TupleFamily, meta: EncodingMeta) -> list[Clause
             f"family over [{family.n}]^{family.d} does not match meta "
             f"[{meta.n}]^{meta.d}"
         )
-    clauses: list[Clause] = []
-    r = meta.r
-    for t in family.tuples:
-        bases = [
-            (point_index(p, meta.n) - 1) * (r - 1) for p in t.distinct_points()
-        ]
-        for i in range(1, r):
-            clauses.append(tuple(-(b + i) for b in bases))
-        clauses.append(tuple(b + i for b in bases for i in range(1, r)))
+    bases = {p: i * (meta.r - 1) for i, p in enumerate(box_points(meta.n, meta.d))}
+    return _tuple_clauses(family.tuples, bases, meta.r)
+
+
+def encode_shell(
+    points: Sequence[Point],
+    tuples: Iterable[SchurTuple],
+    bases: Mapping[Point, int],
+    r: int,
+) -> list[Clause]:
+    """The clauses a search adds when its box grows by one shell: distinctness
+    for the shell's points, then the clauses of the tuples whose total lies in
+    the shell. bases maps every point seen so far to its variable offset
+    (var(p, m) = bases[p] + m), so the numbering does not depend on N."""
+    clauses = _distinctness_clauses((bases[p] for p in points), r)
+    clauses.extend(_tuple_clauses(tuples, bases, r))
     return clauses
 
 
@@ -176,13 +207,21 @@ def encode(
     return CnfFormula(meta.num_vars, tuple(clauses), meta)
 
 
-def decode_model(assignment: Mapping[int, bool], meta: EncodingMeta) -> Coloring:
-    """Read a satisfying assignment back into a coloring: the color of p is the
-    unique m with phi_m(p) true, or r if all are false."""
+def decode_model(
+    assignment: Mapping[int, bool],
+    meta: EncodingMeta,
+    *,
+    bases: Mapping[Point, int] | None = None,
+) -> Coloring:
+    """Read a satisfying assignment back into a row-major coloring: the color
+    of p is the unique m with phi_m(p) true, or r if all are false.
+
+    bases gives each point's variable offset when the assignment uses a
+    search's shell numbering (see encode_shell) instead of row-major."""
     r = meta.r
     colors = []
-    for pm in range(meta.num_points):
-        base = pm * (r - 1)
+    for pm, p in enumerate(box_points(meta.n, meta.d)):
+        base = pm * (r - 1) if bases is None else bases[p]
         color = r
         for m in range(1, r):
             try:
@@ -192,8 +231,8 @@ def decode_model(assignment: Mapping[int, bool], meta: EncodingMeta) -> Coloring
             if value:
                 if color != r:
                     raise IntegrityError(
-                        f"point {point_from_index(pm + 1, meta.n, meta.d)} has two "
-                        f"colors ({color} and {m}); distinctness violated"
+                        f"point {p} has two colors ({color} and {m}); "
+                        f"distinctness violated"
                     )
                 color = m
         colors.append(color)

@@ -207,6 +207,75 @@ class Violation:
 
 # -- the tuple family --------------------------------------------------------
 
+def shell_points(s: int, d: int) -> list[Point]:
+    """The points of [s]^d whose largest coordinate is s, in row-major order.
+
+    Shell s is what [s-1]^d gains to become [s]^d; shell 1 is the single
+    point (1, ..., 1). The shells 1..n partition [n]^d.
+    """
+    return [p for p in box_points(s, d) if max(p) == s]
+
+
+def _check_family_params(d: int, k: int, j: int) -> None:
+    if k < 3:
+        raise InputError(f"need k >= 3, got k={k}")
+    if not 1 <= j <= min(d, k - 1):
+        raise InputError(f"j={j} outside [1, min(d={d}, k-1={k - 1})]")
+
+
+def _shell_tuples(
+    s: int, d: int, k: int, j: int, allow_repeated_summands: bool
+) -> list[SchurTuple]:
+    """The tuples whose total lies in shell s, sorted by (total, summands).
+
+    Each total of the shell is split into k-1 non-decreasing summands (strictly
+    increasing when repeats are not allowed), smallest summand first, so the
+    work is proportional to the tuples found rather than to the box.
+    """
+    found: list[SchurTuple] = []
+    strict = not allow_repeated_summands
+
+    def split(total: Point, chosen: list[Point], rest: Point, m: int) -> None:
+        last = chosen[-1] if chosen else None
+        if m == 1:
+            # rest is the last summand; last is set because k - 1 >= 2.
+            if rest > last or (rest == last and not strict):
+                summands = (*chosen, rest)
+                if rank(summands) >= j:
+                    found.append(SchurTuple(summands, total))
+            return
+        # Each of the m summands left is at least 1 per coordinate, and the
+        # m-1 after x are lexicographically >= x, so m * x[0] <= rest[0].
+        ranges = [range(1, c - m + 2) for c in rest]
+        ranges[0] = range(last[0] if last else 1, rest[0] // m + 1)
+        for x in itertools.product(*ranges):
+            if last is not None and (x < last or (strict and x == last)):
+                continue
+            chosen.append(x)
+            split(total, chosen, tuple(a - b for a, b in zip(rest, x)), m - 1)
+            chosen.pop()
+
+    for total in shell_points(s, d):
+        if min(total) >= k - 1:
+            split(total, [], total, k - 1)
+    return found
+
+
+def enumerate_shell(
+    s: int, d: int, k: int, j: int, *, allow_repeated_summands: bool = True
+) -> tuple[SchurTuple, ...]:
+    """The j-nondegenerate Schur k-tuples whose total lies in shell s.
+
+    A summand is dominated by the total, so these are exactly the tuples of
+    [s]^d that are not tuples of [s-1]^d: the family of [n]^d is the disjoint
+    union of the shells 1..n. Order: lexicographic on (total, summands).
+    """
+    if s < 1 or d < 1:
+        raise InputError(f"need s >= 1 and d >= 1, got s={s} d={d}")
+    _check_family_params(d, k, j)
+    return tuple(_shell_tuples(s, d, k, j, allow_repeated_summands))
+
+
 def enumerate_tuples(
     n: int, d: int, k: int, j: int, *, allow_repeated_summands: bool = True
 ) -> TupleFamily:
@@ -216,38 +285,17 @@ def enumerate_tuples(
     componentwise sum stays inside the box and whose summands have rank >= j.
     Repeated summands (e.g. x + x = z) are permitted by default; pass
     allow_repeated_summands=False to restrict to distinct summands.
+    The family is the union of the shells 1..n (see enumerate_shell).
     Output order is deterministic: lexicographic on (total, summands).
     """
     if n < 1 or d < 1:
         raise InputError(f"need n >= 1 and d >= 1, got n={n} d={d}")
-    if k < 3:
-        raise InputError(f"need k >= 3, got k={k}")
-    if not 1 <= j <= min(d, k - 1):
-        raise InputError(f"j={j} outside [1, min(d={d}, k-1={k - 1})]")
-
-    pts = list(box_points(n, d))
-    found: list[SchurTuple] = []
-    num_summands = k - 1
-
-    def extend(start: int, chosen: list[Point], partial: Point) -> None:
-        remaining = num_summands - len(chosen)
-        if remaining == 0:
-            if rank(chosen) >= j:
-                found.append(SchurTuple(tuple(chosen), partial))
-            return
-        slack = remaining - 1  # later summands contribute at least 1 per coordinate
-        for idx in range(start, len(pts)):
-            p = pts[idx]
-            if partial[0] + p[0] + slack > n:
-                break  # first coordinate is non-decreasing along pts
-            s = tuple(a + b for a, b in zip(partial, p))
-            if any(c + slack > n for c in s):
-                continue
-            chosen.append(p)
-            extend(idx if allow_repeated_summands else idx + 1, chosen, s)
-            chosen.pop()
-
-    extend(0, [], (0,) * d)
+    _check_family_params(d, k, j)
+    found = [
+        t
+        for s in range(1, n + 1)
+        for t in _shell_tuples(s, d, k, j, allow_repeated_summands)
+    ]
     found.sort(key=lambda t: (t.total, t.summands))
     return TupleFamily(n, d, k, j, tuple(found))
 
@@ -260,13 +308,18 @@ def verify_free(coloring: Coloring, family: TupleFamily) -> Violation | None:
             f"coloring is over [{coloring.n}]^{coloring.d}, "
             f"family over [{family.n}]^{family.d}"
         )
-    color_of = coloring.color_of
-    for t in family.tuples:
-        c0 = color_of(t.summands[0])
-        if color_of(t.total) != c0:
-            continue
-        if all(color_of(p) == c0 for p in t.summands[1:]):
-            return Violation(t, c0)
+    color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
+    try:
+        for t in family.tuples:
+            c0 = color_of[t.summands[0]]
+            if color_of[t.total] != c0:
+                continue
+            if all(color_of[p] == c0 for p in t.summands[1:]):
+                return Violation(t, c0)
+    except KeyError as e:
+        raise InputError(
+            f"family point {e.args[0]} outside [{coloring.n}]^{coloring.d}"
+        ) from None
     return None
 
 

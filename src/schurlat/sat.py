@@ -12,10 +12,10 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from . import cdcl
-from .encoder import CnfFormula
+from .encoder import Clause, CnfFormula
 from .errors import InputError, IntegrityError, ParseError
 
 INTERNAL_SOLVER_NAME = "schurlat-cdcl"
@@ -60,12 +60,15 @@ SolveResult = Sat | Unsat | Unknown
 def check_model(formula: CnfFormula, model: Mapping[int, bool]) -> bool:
     """Independent clause evaluator: true iff the model satisfies every clause.
     Variables absent from the model count as false."""
-    for clause in formula.clauses:
-        for lit in clause:
-            value = model.get(abs(lit), False)
-            if value == (lit > 0):
-                break
-        else:
+    return _satisfies(formula.clauses, model)
+
+
+def _satisfies(clauses: Iterable[Clause], model: Mapping[int, bool]) -> bool:
+    true = {v if value else -v for v, value in model.items()}
+    for clause in clauses:
+        if true.isdisjoint(clause) and not any(
+            lit < 0 and -lit not in model for lit in clause
+        ):
             return False
     return True
 
@@ -76,21 +79,21 @@ def solve_internal(
     *,
     heuristic: str = "vsids",
     seed: int | None = None,
-    phase_hints: Mapping[int, bool] | None = None,
 ) -> SolveResult:
-    """Decide a formula with the embedded CDCL engine.
+    """Decide a formula with a fresh embedded CDCL engine.
 
     Sound and complete within budget; deterministic for fixed keyword options.
-    phase_hints biases initial decision polarity per variable (a warm start);
-    it never affects which answer is returned, only how fast.
     """
-    engine = cdcl.Engine(
-        formula.num_vars,
-        formula.clauses,
-        heuristic=heuristic,
-        seed=seed,
-        phase_hints=phase_hints,
-    )
+    engine = cdcl.Engine(formula.num_vars, formula.clauses, heuristic=heuristic, seed=seed)
+    return solve_engine(engine, formula.clauses, budget)
+
+
+def solve_engine(
+    engine: cdcl.Engine, clauses: Sequence[Clause], budget: Budget | None = None
+) -> SolveResult:
+    """Run an engine that holds exactly `clauses`, which may have been added
+    across several calls. A model is checked against every clause before it is
+    returned."""
     status, raw = engine.solve(
         max_seconds=budget.seconds if budget else None,
         max_conflicts=budget.conflicts if budget else None,
@@ -105,8 +108,8 @@ def solve_internal(
             parts.append(f"{budget.conflicts} conflicts")
         return Unknown(f"internal solver budget exhausted ({', '.join(parts)})")
     assert raw is not None
-    model = {v: raw[v] for v in range(1, formula.num_vars + 1)}
-    if not check_model(formula, model):
+    model = {v: raw[v] for v in range(1, engine.n + 1)}
+    if not _satisfies(clauses, model):
         raise IntegrityError("internal solver returned a model that fails the formula")
     return Sat(model)
 

@@ -15,29 +15,33 @@ import itertools
 import json
 import os
 import shlex
+import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from . import sat
+from . import cdcl, sat
 from .encoder import (
+    Clause,
     CnfFormula,
     EncodingMeta,
     decode_model,
-    encode_distinctness,
-    encode_tuple_clauses,
-    var_index,
+    encode,
+    encode_shell,
 )
 from .errors import InputError, IntegrityError, ParseError, SizeError
 from .lattice import (
     Coloring,
+    Point,
+    SchurTuple,
     TupleFamily,
     Violation,
-    box_points,
+    enumerate_shell,
     enumerate_tuples,
     point_index,
+    shell_points,
     verify_free,
 )
 
@@ -134,8 +138,7 @@ class EngineConfig:
     engine selects the primary decision procedure; on an Unknown outcome the
     other one is tried as well (when available) before giving up, unless
     escalate is disabled. symmetry_break adds the documented unit-clause
-    extension to the encoding; warm_start seeds decision phases from the
-    previous level's certificate during searches.
+    extension to the encoding.
     """
 
     engine: str = "internal"
@@ -143,7 +146,6 @@ class EngineConfig:
     budget: sat.Budget | None = None
     seed: int | None = None
     symmetry_break: bool = False
-    warm_start: bool = True
     heuristic: str = "vsids"
     escalate: bool = True
 
@@ -159,9 +161,7 @@ class EngineConfig:
 
 
 def _solve_with_config(
-    formula: CnfFormula,
-    config: EngineConfig,
-    phase_hints: dict[int, bool] | None,
+    formula: CnfFormula, config: EngineConfig
 ) -> tuple[sat.SolveResult, str]:
     """Run the configured engine, escalating to the other one on Unknown.
     Returns the result and the name of the engine that produced it."""
@@ -173,7 +173,6 @@ def _solve_with_config(
                 config.budget,
                 heuristic=config.heuristic,
                 seed=config.seed,
-                phase_hints=phase_hints,
             )
             return result, sat.INTERNAL_SOLVER_NAME
         command = config.external_command()
@@ -211,7 +210,6 @@ def probe(
     r: int,
     config: EngineConfig | None = None,
     *,
-    phase_hints: dict[int, bool] | None = None,
     family: TupleFamily | None = None,
 ) -> ProbeOutcome:
     """Decide whether some r-coloring of [n]^d avoids every j-nondegenerate
@@ -222,22 +220,33 @@ def probe(
         family = enumerate_tuples(n, d, k, j)
     elif (family.n, family.d, family.k, family.j) != (n, d, k, j):
         raise InputError("supplied family does not match the probe parameters")
-    meta = EncodingMeta(n, d, r, k, j)
-    clauses = encode_distinctness(meta)
-    clauses.extend(encode_tuple_clauses(family, meta))
-    if config.symmetry_break and r >= 2:
-        clauses.append((var_index((1,) * d, 1, meta),))
-    formula = CnfFormula(meta.num_vars, tuple(clauses), meta)
+    formula = encode(n, d, k, j, r, family=family,
+                     fix_first_point_color=config.symmetry_break and r >= 2)
 
     t0 = time.monotonic()
-    result, solver = _solve_with_config(formula, config, phase_hints)
+    result, solver = _solve_with_config(formula, config)
     wall_ms = int((time.monotonic() - t0) * 1000)
+    return _outcome(result, solver, wall_ms, family, r, config.seed)
 
+
+def _outcome(
+    result: sat.SolveResult,
+    solver: str,
+    wall_ms: int,
+    family: TupleFamily,
+    r: int,
+    seed: int | None,
+    bases: dict[Point, int] | None = None,
+) -> ProbeOutcome:
+    """Turn a solver answer for the family's box into a probe outcome. A model
+    is decoded to a row-major coloring (through bases when it uses a search's
+    shell numbering) and must be free of the whole family."""
     if isinstance(result, sat.Unknown):
         return result
     if isinstance(result, sat.Unsat):
-        return NotColorable(UnsatRecord(n, solver, wall_ms))
-    coloring = decode_model(result.model, meta)
+        return NotColorable(UnsatRecord(family.n, solver, wall_ms))
+    meta = EncodingMeta(family.n, family.d, r, family.k, family.j)
+    coloring = decode_model(result.model, meta, bases=bases)
     violation = verify_free(coloring, family)
     if violation is not None:
         raise IntegrityError(
@@ -245,23 +254,60 @@ def probe(
             f"in color {violation.color}; encoder and solver disagree"
         )
     cert = Certificate(
-        d, j, k, r, n, coloring,
-        Provenance(solver, config.seed, wall_ms, _utc_now()),
+        family.d, family.j, family.k, r, family.n, coloring,
+        Provenance(solver, seed, wall_ms, _utc_now()),
     )
     return Colorable(cert)
 
 
-def _warm_hints(cert: Certificate, meta: EncodingMeta) -> dict[int, bool]:
-    """Decision-phase seeds for a bigger box from a smaller box's certificate."""
-    hints: dict[int, bool] = {}
-    r = meta.r
-    if r < 2:
-        return hints
-    for p in box_points(cert.n, cert.d):
-        color = cert.coloring.color_of(p)
-        if color < r:
-            hints[(point_index(p, meta.n) - 1) * (r - 1) + color] = True
-    return hints
+class _Ascent:
+    """One internal engine and one formula that grow shell by shell.
+
+    Variables are numbered by shell (encode_shell), so the formula of [n+1]^d
+    is the formula of [n]^d plus the clauses of shell n+1, and the engine that
+    decided level n decides level n+1 after those clauses are added. Each
+    solve starts afresh except for the clauses, level-0 facts and saved
+    phases, so the last level's model seeds the next level's decisions.
+    """
+
+    def __init__(self, d: int, k: int, j: int, r: int, config: EngineConfig) -> None:
+        self.d, self.k, self.j, self.r = d, k, j, r
+        self.config = config
+        self.n = 0
+        self.bases: dict[Point, int] = {}
+        self.tuples: list[SchurTuple] = []
+        self.clauses: list[Clause] = []
+        self.engine = cdcl.Engine(0, (), heuristic=config.heuristic, seed=config.seed)
+
+    def _grow(self, n: int) -> None:
+        d, r = self.d, self.r
+        for s in range(self.n + 1, n + 1):
+            points = shell_points(s, d)
+            first = len(self.bases)
+            for i, p in enumerate(points):
+                self.bases[p] = (first + i) * (r - 1)
+            shell = enumerate_shell(s, d, self.k, self.j)
+            clauses = encode_shell(points, shell, self.bases, r)
+            if s == 1 and self.config.symmetry_break and r >= 2:
+                clauses.append((self.bases[(1,) * d] + 1,))
+            self.engine.add_vars(len(points) * (r - 1))
+            self.engine.add_clauses(clauses)
+            self.tuples.extend(shell)
+            self.clauses.extend(clauses)
+        self.n = n
+
+    def probe(self, n: int) -> ProbeOutcome:
+        """probe(n, ...) for an n above every level decided so far."""
+        if n <= self.n:
+            raise InputError(f"ascent is at N={self.n}; cannot probe N={n}")
+        self._grow(n)
+        t0 = time.monotonic()
+        result = sat.solve_engine(self.engine, self.clauses, self.config.budget)
+        wall_ms = int((time.monotonic() - t0) * 1000)
+        # Shell order rather than enumerate_tuples' order; the same tuples.
+        family = TupleFamily(n, self.d, self.k, self.j, tuple(self.tuples))
+        return _outcome(result, sat.INTERNAL_SOLVER_NAME, wall_ms, family, self.r,
+                        self.config.seed, self.bases)
 
 
 class _ProbeRunner:
@@ -287,13 +333,11 @@ class _ProbeRunner:
         self.statuses: list[tuple[int, str]] = []
         self.best_cert: Certificate | None = None
         self.records: dict[int, UnsatRecord] = {}
+        self.ascent: _Ascent | None = None
 
     def run(self, n: int) -> ProbeOutcome:
-        hints = None
-        if self.config.warm_start and self.best_cert is not None and self.best_cert.n < n:
-            hints = _warm_hints(self.best_cert, EncodingMeta(n, self.d, self.r))
         t0 = time.monotonic()
-        outcome = probe(n, self.d, self.k, self.j, self.r, self.config, phase_hints=hints)
+        outcome = self._probe(n)
         wall_ms = int((time.monotonic() - t0) * 1000)
         if isinstance(outcome, Colorable):
             status, solver = "colorable", outcome.certificate.provenance.solver
@@ -317,6 +361,24 @@ class _ProbeRunner:
             )
         if self.progress is not None:
             self.progress(n, status)
+        return outcome
+
+    def _probe(self, n: int) -> ProbeOutcome:
+        """Levels above the ascent's go to the shared engine; every other
+        level (descents, bisection steps, the external engine) and the
+        escalation after an Unknown use the per-level probe."""
+        config = self.config
+        if config.engine != "internal" or (self.ascent is not None and n <= self.ascent.n):
+            return probe(n, self.d, self.k, self.j, self.r, config)
+        if self.ascent is None:
+            self.ascent = _Ascent(self.d, self.k, self.j, self.r, config)
+        outcome = self.ascent.probe(n)
+        if (isinstance(outcome, sat.Unknown) and config.escalate
+                and config.external_command() is not None):
+            external = replace(config, engine="external", escalate=False)
+            fallback = probe(n, self.d, self.k, self.j, self.r, external)
+            if not isinstance(fallback, sat.Unknown):
+                return fallback
         return outcome
 
     def inconclusive(self) -> Inconclusive:
@@ -360,7 +422,10 @@ def find_schur_number(
     carry a verified certificate at value-1 and a refutation at value.
     LowerBound(v) means every level through v was proven colorable (the number
     is >= v+1). Any Unknown halts the search as Inconclusive; an Unknown is
-    never converted into a bound.
+    never converted into a bound. With the internal engine, every level above
+    the ones decided so far is decided by one shared engine whose formula
+    grows shell by shell; each level's model is still checked, decoded and
+    verified against the level's whole family.
 
     binary=True bisects instead (exploratory; sound by restriction
     monotonicity, but intermediate levels are skipped, not certified).
@@ -490,11 +555,24 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def save_certificate(cert: Certificate, directory: str | Path) -> Path:
-    """Write the certificate JSON into the directory; returns the path."""
+    """Write the certificate JSON into the directory; returns the path.
+
+    The file is written under a temporary name in the same directory and then
+    renamed over the target, so a crash or a failed write never leaves a
+    partial certificate behind (a previous one at the same path survives)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / certificate_filename(cert)
-    path.write_text(json.dumps(certificate_to_json(cert), indent=1) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(certificate_to_json(cert), indent=1) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

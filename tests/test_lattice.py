@@ -18,8 +18,10 @@ from schurlat.errors import InputError
 from schurlat.lattice import (
     Coloring,
     SchurTuple,
+    TupleFamily,
     box_points,
     det,
+    enumerate_shell,
     enumerate_tuples,
     induced_coloring,
     is_j_nondegenerate,
@@ -27,6 +29,7 @@ from schurlat.lattice import (
     point_from_index,
     point_index,
     rank,
+    shell_points,
     vector_sum,
     verify_free,
 )
@@ -223,6 +226,55 @@ class TestEnumerateTuples:
             enumerate_tuples(0, 2, 3, 1)
 
 
+class TestShells:
+    def test_shell_points_partition_the_box(self):
+        for n, d in [(5, 1), (4, 2), (3, 3)]:
+            shells = [shell_points(s, d) for s in range(1, n + 1)]
+            assert shell_points(1, d) == [(1,) * d]
+            for s, pts in enumerate(shells, start=1):
+                assert pts == sorted(pts)
+                assert all(max(p) == s for p in pts)
+                assert len(pts) == s**d - (s - 1) ** d
+            assert sorted(p for pts in shells for p in pts) == list(box_points(n, d))
+
+    @pytest.mark.parametrize(
+        "n, d, k, j",
+        [(6, 1, 3, 1), (5, 1, 4, 1), (4, 2, 3, 1), (4, 2, 3, 2), (3, 2, 4, 2),
+         (3, 3, 3, 2)],
+    )
+    @pytest.mark.parametrize("repeats", [True, False])
+    def test_shells_partition_the_family(self, n, d, k, j, repeats):
+        shells = [
+            enumerate_shell(s, d, k, j, allow_repeated_summands=repeats)
+            for s in range(1, n + 1)
+        ]
+        for s, shell in enumerate(shells, start=1):
+            assert all(max(t.total) == s for t in shell)
+            keys = [(t.total, t.summands) for t in shell]
+            assert keys == sorted(keys)
+        union = [(t.summands, t.total) for shell in shells for t in shell]
+        assert len(set(union)) == len(union)  # disjoint
+        family = as_tuples(
+            enumerate_tuples(n, d, k, j, allow_repeated_summands=repeats)
+        )
+        assert sorted(union, key=lambda pair: (pair[1], pair[0])) == family
+        expected = oracle_tuple_family(n, d, k, j)
+        if not repeats:
+            expected = [
+                (summands, total) for summands, total in expected
+                if len(set(summands)) == len(summands)
+            ]
+        assert family == expected
+
+    def test_shell_validation(self):
+        with pytest.raises(InputError):
+            enumerate_shell(0, 2, 3, 1)
+        with pytest.raises(InputError):
+            enumerate_shell(3, 2, 2, 1)
+        with pytest.raises(InputError):
+            enumerate_shell(3, 2, 3, 3)
+
+
 def free_three_box() -> Coloring:
     """[3]^2 colored 1 at (1,1) and (3,3), else 2; free for j=2 by hand check."""
     return Coloring.from_function(
@@ -246,6 +298,11 @@ class TestVerifyFree:
     def test_empty_family_always_free(self):
         fam = enumerate_tuples(2, 2, 3, 2)
         assert verify_free(Coloring.constant(2, 2, 2), fam) is None
+
+    def test_tuple_outside_the_box(self):
+        stray = TupleFamily(2, 1, 3, 1, (SchurTuple(((1,), (2,)), (3,)),))
+        with pytest.raises(InputError):
+            verify_free(Coloring.constant(2, 1, 2), stray)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from conftest import oracle_truth_table_sat
-from schurlat.encoder import CnfFormula, encode
+from schurlat import cdcl
+from schurlat.encoder import CnfFormula, encode, encode_shell
+from schurlat.lattice import enumerate_shell, shell_points
 from schurlat.errors import InputError, IntegrityError, ParseError
 from schurlat.sat import (
     Budget,
@@ -17,6 +19,7 @@ from schurlat.sat import (
     parse_solver_output,
     read_dimacs,
     solve,
+    solve_engine,
     solve_external,
     solve_internal,
     write_dimacs,
@@ -123,6 +126,83 @@ class TestSolveInternal:
                 assert result == Unsat()
             else:
                 assert isinstance(result, Sat) and check_model(f, result.model)
+
+
+def grow_to_14(engine: cdcl.Engine) -> None:
+    """Add the clauses of [14]^1 beyond those of [13]^1, three colors. In one
+    dimension the shell numbering is the row-major one."""
+    bases = {(x,): (x - 1) * 2 for x in range(1, 15)}
+    engine.add_vars(2)
+    engine.add_clauses(
+        encode_shell(shell_points(14, 1), enumerate_shell(14, 1, 3, 1), bases, 3)
+    )
+
+
+class TestIncrementalEngine:
+    def test_growing_matches_truth_tables(self):
+        # Random formulas fed in chunks, with variables added on the way; after
+        # every chunk the answer must match the truth table of the prefix.
+        rng = random.Random(20031)
+        for _ in range(60):
+            f = random_formula(rng)
+            engine = cdcl.Engine(0, ())
+            added: list[tuple[int, ...]] = []
+            cuts = sorted(rng.randint(0, len(f.clauses)) for _ in range(3))
+            for lo, hi in zip([0] + cuts, cuts + [len(f.clauses)]):
+                chunk = f.clauses[lo:hi]
+                need = max([abs(l) for c in added + list(chunk) for l in c], default=0)
+                engine.add_vars(need - engine.n)
+                engine.add_clauses(chunk)
+                added.extend(chunk)
+                expected = oracle_truth_table_sat(engine.n, added)
+                result = solve_engine(engine, added)
+                if expected is None:
+                    assert result == Unsat()
+                else:
+                    assert isinstance(result, Sat)
+                    assert check_model(CnfFormula(engine.n, tuple(added)), result.model)
+
+    def test_level_zero_facts_simplify_added_clauses(self):
+        engine = cdcl.Engine(2, [(1,)])
+        assert engine.solve()[0] == "sat"
+        engine.add_clauses([(1, 2)])  # already true at level 0: not stored
+        assert engine.clauses == []
+        engine.add_clauses([(-1, 2)])  # -1 is false at level 0: unit 2
+        assert engine.solve() == ("sat", [False, True, True])
+        engine.add_clauses([(-2, -1)])  # both false: the formula is refuted
+        assert engine.solve() == ("unsat", None)
+        assert not engine.ok
+
+    def test_new_variables_take_part(self):
+        engine = cdcl.Engine(1, [(1,)])
+        assert engine.solve() == ("sat", [False, True])
+        engine.add_vars(2)
+        engine.add_clauses([(-1, -2), (2, 3)])
+        assert engine.solve() == ("sat", [False, True, False, True])
+
+    def test_empty_clause_refutes(self):
+        engine = cdcl.Engine(1, ())
+        engine.add_clauses([()])
+        assert engine.solve() == ("unsat", None)
+
+    def test_each_solve_counts_only_its_own_conflicts(self):
+        f = encode(13, 1, 3, 1, 3)
+        engine = cdcl.Engine(f.num_vars, f.clauses)
+        assert engine.solve()[0] == "sat"
+        assert engine.conflicts > 0 and engine.learnts
+        # The saved phases are the model, so the second solve needs no conflict.
+        assert engine.solve()[0] == "sat"
+        assert engine.conflicts == 0 and engine.learnts == []
+        grow_to_14(engine)
+        assert engine.solve() == ("unsat", None)
+        refutation = engine.conflicts
+        assert refutation > 0
+        # The same refutation fits a budget of exactly its own conflicts.
+        again = cdcl.Engine(f.num_vars, f.clauses)
+        again.solve()
+        grow_to_14(again)
+        assert again.solve(max_conflicts=refutation) == ("unsat", None)
+        assert again.conflicts == refutation
 
 
 class TestDimacs:

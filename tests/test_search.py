@@ -2,9 +2,11 @@
 
 import csv
 import json
+import os
 
 import pytest
 
+from schurlat import cdcl
 from schurlat.errors import InputError, ParseError, SizeError
 from schurlat.lattice import Coloring, enumerate_tuples, verify_free
 from schurlat.sat import Budget, Unknown
@@ -194,6 +196,70 @@ class TestFindSchurNumber:
             find_schur_number(1, 3, 1, 2, n_start=5, n_max=4)
 
 
+class TestAscent:
+    """Linear searches decide every level above the first with one engine
+    whose formula grows shell by shell."""
+
+    @pytest.mark.parametrize(
+        "d, k, j, r, n_max",
+        [(1, 3, 1, 2, 8), (1, 3, 1, 3, 5), (2, 3, 2, 2, 3), (2, 3, 1, 2, 3)],
+    )
+    def test_matches_per_level_probes_and_oracle(self, tmp_path, d, k, j, r, n_max):
+        out = find_schur_number(d, k, j, r, n_start=1, n_max=n_max, cert_dir=tmp_path)
+        colorable = [
+            isinstance(probe(n, d, k, j, r), Colorable) for n in range(1, n_max + 1)
+        ]
+        oracle = [
+            brute_force_oracle(n, d, k, j, r) is not None for n in range(1, n_max + 1)
+        ]
+        assert colorable == oracle
+        if all(colorable):
+            assert isinstance(out, LowerBound) and out.value == n_max
+        else:
+            assert isinstance(out, Exact) and out.value == colorable.index(False) + 1
+        top = out.value if isinstance(out, LowerBound) else out.value - 1
+        certs = sorted(tmp_path.glob("*.cert.json"))
+        assert sorted(load_certificate(p).n for p in certs) == list(range(1, top + 1))
+        for path in certs:
+            assert verify_certificate(load_certificate(path)) is None
+
+    def test_conflict_budget_applies_per_level(self, monkeypatch):
+        per_level = []
+        solve = cdcl.Engine.solve
+
+        def counting_solve(engine, **kwargs):
+            result = solve(engine, **kwargs)
+            per_level.append(engine.conflicts)
+            return result
+
+        monkeypatch.setattr(cdcl.Engine, "solve", counting_solve)
+        assert find_schur_number(1, 3, 1, 3).value == 14
+        budget = max(per_level) + 1
+        assert budget < sum(per_level)  # a whole-search budget would run out
+        config = EngineConfig(budget=Budget(conflicts=budget), escalate=False)
+        out = find_schur_number(1, 3, 1, 3, config=config)
+        assert isinstance(out, Exact) and out.value == 14
+
+    def test_symmetry_break(self):
+        out = find_schur_number(2, 3, 2, 2, config=EngineConfig(symmetry_break=True))
+        assert isinstance(out, Exact) and out.value == 7
+        assert out.witness.coloring.color_of((1, 1)) == 1
+
+    def test_escalation_keeps_the_search_going(self, internal_solver_cmd):
+        # One conflict is too few for N=13 and N=14 of the three-color search:
+        # the external solver answers those levels, the shared engine the rest.
+        statuses = []
+        config = EngineConfig(budget=Budget(conflicts=1),
+                              solver_command=tuple(internal_solver_cmd))
+        out = find_schur_number(1, 3, 1, 3, n_start=12, config=config,
+                                progress=lambda n, status: statuses.append(n))
+        assert isinstance(out, Exact) and out.value == 14
+        assert statuses == [12, 13, 14]
+        assert out.witness.provenance.solver.startswith("external:")
+        assert out.refutation.solver.startswith("external:")
+        assert verify_certificate(out.witness) is None
+
+
 class TestCertificates:
     def test_round_trip(self, tmp_path):
         out = probe(4, 1, 3, 1, 2)
@@ -202,6 +268,23 @@ class TestCertificates:
         assert path.name == certificate_filename(out.certificate)
         loaded = load_certificate(path)
         assert loaded == out.certificate
+
+    def test_failed_write_leaves_no_partial_certificate(self, tmp_path, monkeypatch):
+        cert = make_cert(2, 2, 2, 3, 2)
+        path = save_certificate(cert, tmp_path)
+        before = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_certificate(make_cert(2, 2, 2, 3, 2, Coloring(2, 2, 2, (1, 2, 2, 1))),
+                             tmp_path)
+        with pytest.raises(OSError, match="disk full"):
+            save_certificate(make_cert(3, 2, 2, 3, 2), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_bytes() == before
 
     def test_schema_fields(self, tmp_path):
         cert = make_cert(2, 2, 2, 3, 2)
