@@ -5,10 +5,11 @@ literals per clause, first-UIP clause learning with recursive minimization,
 VSIDS decision scores with deterministic index tie-breaking, saved phases,
 Luby restarts, and LBD-based deletion of learned clauses.
 
-Everything is deterministic for a fixed (heuristic, seed) pair and sequence of
-calls: ties in the decision heap break on variable index, restarts follow the
-Luby sequence, and wall-clock budgets can only turn a would-be answer into
-"unknown", never change it.
+Everything is deterministic for a fixed sequence of calls: ties in the
+decision heap break on variable index, restarts follow the Luby sequence, and
+wall-clock budgets can only turn a would-be answer into "unknown", never
+change it. Every clause, whether given to the constructor or added between
+solves, is loaded by add_clauses.
 
 Literal coding: variable v (1-based) maps to literal codes 2v (positive) and
 2v+1 (negative); code^1 negates.
@@ -17,7 +18,6 @@ Literal coding: variable v (1-based) maps to literal codes 2v (positive) and
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from typing import Iterable, Sequence
 
@@ -58,20 +58,8 @@ class Engine:
     solve the phases are that model, so the next solve starts from it.
     """
 
-    def __init__(
-        self,
-        num_vars: int,
-        clauses: Iterable[Sequence[int]],
-        *,
-        heuristic: str = "vsids",
-        seed: int | None = None,
-    ) -> None:
-        if heuristic not in ("vsids", "fixed"):
-            raise ValueError(f"unknown heuristic {heuristic!r}")
+    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]) -> None:
         self.n = 0
-        self.heuristic = heuristic
-        self.seed = seed
-        self.rng: random.Random | None = None
         self.val = bytearray(2)
         self.watches: list[list[_Clause]] = [[], []]
         self.level = [0]
@@ -88,32 +76,9 @@ class Engine:
         self.ok = True
         self.conflicts = 0
         self._seen = bytearray(1)
-        self._fixed_cursor = 1
+        self._mark = bytearray(2)  # per literal: already in the clause being loaded
         self.add_vars(num_vars)
-
-        units: list[int] = []
-        dedup: set[tuple[int, ...]] = set()
-        for signed in clauses:
-            lits = sorted({2 * l if l > 0 else -2 * l + 1 for l in signed})
-            if any(lits[i] ^ 1 == lits[i + 1] for i in range(len(lits) - 1)):
-                continue  # tautology
-            key = tuple(lits)
-            if key in dedup:
-                continue
-            dedup.add(key)
-            if not lits:
-                self.ok = False
-                return
-            if len(lits) == 1:
-                units.append(lits[0])
-            else:
-                self._attach(lits)
-        for lit in units:
-            if self.val[lit] == _FALSE:
-                self.ok = False
-                return
-            if self.val[lit] == _UNDEF:
-                self._enqueue(lit, None)
+        self.add_clauses(clauses)
 
     # -- growing the formula -----------------------------------------------
 
@@ -127,34 +92,44 @@ class Engine:
         self.activity.extend([0.0] * count)
         self.phase.extend(bytes(count))
         self._seen.extend(bytes(count))
+        self._mark.extend(bytes(2 * count))
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
-        """Add clauses over existing variables between solves.
+        """Add clauses over existing variables; the only way clauses enter.
 
         The engine first returns to decision level 0. Level-0 facts only ever
         follow from the clauses, which only grow, so a literal false at level 0
-        is dropped and a clause already true at level 0 is not stored.
+        is dropped, a repeated literal is kept once, and a clause already true
+        at level 0 or holding a literal and its negation is not stored. The
+        work per clause is linear in its length.
         """
         self._backtrack(0)
         val = self.val
+        mark = self._mark
         for signed in clauses:
             if not self.ok:
                 return
             lits: list[int] = []
+            drop = False
             for l in signed:
                 lit = 2 * l if l > 0 else -2 * l + 1
-                if val[lit] == _TRUE or lit ^ 1 in lits:
-                    break  # satisfied at level 0, or a tautology
-                if val[lit] == _UNDEF and lit not in lits:
+                if val[lit] == _TRUE or mark[lit ^ 1]:
+                    drop = True  # satisfied at level 0, or a tautology
+                    break
+                if val[lit] == _UNDEF and not mark[lit]:
+                    mark[lit] = 1
                     lits.append(lit)
+            for lit in lits:
+                mark[lit] = 0
+            if drop:
+                continue
+            if not lits:
+                self.ok = False
+            elif len(lits) == 1:
+                self._enqueue(lits[0], None)
             else:
-                if not lits:
-                    self.ok = False
-                elif len(lits) == 1:
-                    self._enqueue(lits[0], None)
-                else:
-                    lits.sort()
-                    self._attach(lits)
+                lits.sort()
+                self._attach(lits)
 
     def _attach(self, lits: list[int]) -> None:
         c = _Clause(lits, learnt=False)
@@ -176,8 +151,6 @@ class Engine:
         self.activity = [0.0] * (self.n + 1)
         self.var_inc = 1.0
         self.conflicts = 0
-        self.rng = random.Random(self.seed) if self.seed is not None else None
-        self._fixed_cursor = 1
 
     # -- assignment primitives -------------------------------------------
 
@@ -195,7 +168,6 @@ class Engine:
         limit = self.trail_lim[target_level]
         heap = self.heap
         activity = self.activity
-        vsids = self.heuristic == "vsids"
         for i in range(len(self.trail) - 1, limit - 1, -1):
             lit = self.trail[i]
             v = lit >> 1
@@ -203,12 +175,10 @@ class Engine:
             self.val[lit] = _UNDEF
             self.val[lit ^ 1] = _UNDEF
             self.reason[v] = None
-            if vsids:
-                heapq.heappush(heap, (-activity[v], v))
+            heapq.heappush(heap, (-activity[v], v))
         del self.trail[limit:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
-        self._fixed_cursor = 1
 
     # -- propagation -------------------------------------------------------
 
@@ -267,8 +237,6 @@ class Engine:
     def _bump(self, v: int) -> None:
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
-        if self.heuristic != "vsids":
-            return
         if act > 1e100:
             scale = 1e-100
             for u in range(1, self.n + 1):
@@ -401,27 +369,19 @@ class Engine:
     def _decide(self) -> int:
         """Next decision literal, or 0 when every variable is assigned."""
         val = self.val
-        if self.heuristic == "fixed":
-            v = self._fixed_cursor
-            while v <= self.n and val[2 * v] != _UNDEF:
-                v += 1
-            self._fixed_cursor = v
-            if v > self.n:
+        heap = self.heap
+        activity = self.activity
+        v = 0
+        while heap:
+            negact, u = heapq.heappop(heap)
+            if val[2 * u] == _UNDEF and -negact == activity[u]:
+                v = u
+                break
+        if not v:
+            self._rebuild_heap()
+            if not self.heap:
                 return 0
-        else:
-            heap = self.heap
-            activity = self.activity
-            v = 0
-            while heap:
-                negact, u = heapq.heappop(heap)
-                if val[2 * u] == _UNDEF and -negact == activity[u]:
-                    v = u
-                    break
-            if not v:
-                self._rebuild_heap()
-                if not self.heap:
-                    return 0
-                _, v = heapq.heappop(self.heap)
+            _, v = heapq.heappop(self.heap)
         return 2 * v + (0 if self.phase[v] else 1)
 
     # -- main loop --------------------------------------------------------------------
@@ -440,8 +400,7 @@ class Engine:
         if self._propagate() is not None:
             self.ok = False
             return "unsat", None
-        if self.heuristic == "vsids":
-            self._rebuild_heap()
+        self._rebuild_heap()
 
         deadline = time.monotonic() + max_seconds if max_seconds is not None else None
         restart_count = 0
@@ -479,9 +438,6 @@ class Engine:
                 restart_count += 1
                 restart_limit = 100 * _luby(restart_count + 1)
                 conflicts_at_restart = self.conflicts
-                if self.rng is not None and self.rng.random() < 0.02:
-                    v = self.rng.randint(1, self.n)
-                    self.phase[v] ^= 1
                 self._backtrack(0)
 
             if len(self.learnts) >= max_learnts:

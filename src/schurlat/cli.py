@@ -65,7 +65,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="external solver command (else $SCHUR_SOLVER)")
     p.add_argument("--budget-s", type=float, default=None, metavar="S",
                    help="per-solve wall-clock budget in seconds")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--symmetry-break", action="store_true",
                    help="add the unit clause fixing the color of (1,...,1); "
                         "a sound extension of the default encoding")
@@ -78,13 +77,12 @@ def _effective_j(args) -> int:
 
 
 def _engine_config(args) -> search.EngineConfig:
-    budget = Budget(seconds=args.budget_s) if args.budget_s else None
+    budget = Budget(seconds=args.budget_s) if args.budget_s is not None else None
     command = tuple(shlex.split(args.solver_cmd)) if args.solver_cmd else None
     return search.EngineConfig(
         engine=args.engine,
         solver_command=command,
         budget=budget,
-        seed=args.seed,
         symmetry_break=args.symmetry_break,
         escalate=not args.no_escalate,
     )
@@ -121,7 +119,6 @@ def cmd_search(args) -> int:
         cert_dir=out_dir,
         ledger_path=ledger,
         progress=progress,
-        binary=args.binary,
     )
     if isinstance(outcome, search.Exact):
         print(f"Exact {outcome.value}")
@@ -262,8 +259,6 @@ def build_parser() -> _Parser:
     _add_engine_flags(p)
     p.add_argument("--n-start", type=int, default=2)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--binary", action="store_true",
-                   help="bisect instead of certifying every level")
     p.add_argument("--out", default=None, help="certificate directory (default ./certificates)")
     p.add_argument("--ledger", default=None, help="results CSV (default <out>/results.csv)")
     p.add_argument("-q", "--quiet", action="store_true")

@@ -73,18 +73,12 @@ def _satisfies(clauses: Iterable[Clause], model: Mapping[int, bool]) -> bool:
     return True
 
 
-def solve_internal(
-    formula: CnfFormula,
-    budget: Budget | None = None,
-    *,
-    heuristic: str = "vsids",
-    seed: int | None = None,
-) -> SolveResult:
+def solve_internal(formula: CnfFormula, budget: Budget | None = None) -> SolveResult:
     """Decide a formula with a fresh embedded CDCL engine.
 
-    Sound and complete within budget; deterministic for fixed keyword options.
+    Sound and complete within budget, and deterministic.
     """
-    engine = cdcl.Engine(formula.num_vars, formula.clauses, heuristic=heuristic, seed=seed)
+    engine = cdcl.Engine(formula.num_vars, formula.clauses)
     return solve_engine(engine, formula.clauses, budget)
 
 
@@ -262,16 +256,3 @@ def solve_external(
             f"external solver {argv[0]!r} returned a model that fails the formula"
         )
     return result
-
-
-def solve(
-    formula: CnfFormula,
-    budget: Budget | None = None,
-    *,
-    command: str | Sequence[str] | None = None,
-    **internal_options,
-) -> SolveResult:
-    """Dispatch to solve_external when a command is given, else solve_internal."""
-    if command is not None:
-        return solve_external(formula, command, budget)
-    return solve_internal(formula, budget, **internal_options)

@@ -52,6 +52,9 @@ LEDGER_FIELDS = ["d", "j", "k", "r", "n", "outcome", "solver", "wall_ms"]
 
 @dataclass(frozen=True)
 class Provenance:
+    """Where a certificate came from. seed is kept for certificate schema v1:
+    the engine takes no seed, so new certificates record None."""
+
     solver: str
     seed: int | None
     wall_ms: int
@@ -144,9 +147,7 @@ class EngineConfig:
     engine: str = "internal"
     solver_command: tuple[str, ...] | None = None
     budget: sat.Budget | None = None
-    seed: int | None = None
     symmetry_break: bool = False
-    heuristic: str = "vsids"
     escalate: bool = True
 
     def __post_init__(self) -> None:
@@ -168,13 +169,7 @@ def _solve_with_config(
 
     def run(engine: str) -> tuple[sat.SolveResult, str]:
         if engine == "internal":
-            result = sat.solve_internal(
-                formula,
-                config.budget,
-                heuristic=config.heuristic,
-                seed=config.seed,
-            )
-            return result, sat.INTERNAL_SOLVER_NAME
+            return sat.solve_internal(formula, config.budget), sat.INTERNAL_SOLVER_NAME
         command = config.external_command()
         if command is None:
             raise InputError(
@@ -226,7 +221,7 @@ def probe(
     t0 = time.monotonic()
     result, solver = _solve_with_config(formula, config)
     wall_ms = int((time.monotonic() - t0) * 1000)
-    return _outcome(result, solver, wall_ms, family, r, config.seed)
+    return _outcome(result, solver, wall_ms, family, r)
 
 
 def _outcome(
@@ -235,7 +230,6 @@ def _outcome(
     wall_ms: int,
     family: TupleFamily,
     r: int,
-    seed: int | None,
     bases: dict[Point, int] | None = None,
 ) -> ProbeOutcome:
     """Turn a solver answer for the family's box into a probe outcome. A model
@@ -255,7 +249,7 @@ def _outcome(
         )
     cert = Certificate(
         family.d, family.j, family.k, r, family.n, coloring,
-        Provenance(solver, seed, wall_ms, _utc_now()),
+        Provenance(solver, None, wall_ms, _utc_now()),
     )
     return Colorable(cert)
 
@@ -277,7 +271,7 @@ class _Ascent:
         self.bases: dict[Point, int] = {}
         self.tuples: list[SchurTuple] = []
         self.clauses: list[Clause] = []
-        self.engine = cdcl.Engine(0, (), heuristic=config.heuristic, seed=config.seed)
+        self.engine = cdcl.Engine(0, ())
 
     def _grow(self, n: int) -> None:
         d, r = self.d, self.r
@@ -307,12 +301,12 @@ class _Ascent:
         # Shell order rather than enumerate_tuples' order; the same tuples.
         family = TupleFamily(n, self.d, self.k, self.j, tuple(self.tuples))
         return _outcome(result, sat.INTERNAL_SOLVER_NAME, wall_ms, family, self.r,
-                        self.config.seed, self.bases)
+                        self.bases)
 
 
 class _ProbeRunner:
-    """Shared bookkeeping for the search strategies: runs probes, records
-    statuses, appends ledger rows, and persists certificates."""
+    """Bookkeeping for a search: runs probes, records statuses, appends
+    ledger rows, and persists certificates."""
 
     def __init__(
         self,
@@ -332,7 +326,6 @@ class _ProbeRunner:
         self.progress = progress
         self.statuses: list[tuple[int, str]] = []
         self.best_cert: Certificate | None = None
-        self.records: dict[int, UnsatRecord] = {}
         self.ascent: _Ascent | None = None
 
     def run(self, n: int) -> ProbeOutcome:
@@ -347,7 +340,6 @@ class _ProbeRunner:
                 save_certificate(outcome.certificate, self.cert_dir)
         elif isinstance(outcome, NotColorable):
             status, solver = "not-colorable", outcome.record.solver
-            self.records[n] = outcome.record
         else:
             status, solver = f"unknown: {outcome.reason}", ""
         self.statuses.append((n, status))
@@ -365,8 +357,8 @@ class _ProbeRunner:
 
     def _probe(self, n: int) -> ProbeOutcome:
         """Levels above the ascent's go to the shared engine; every other
-        level (descents, bisection steps, the external engine) and the
-        escalation after an Unknown use the per-level probe."""
+        level (descents, the external engine) and the escalation after an
+        Unknown use the per-level probe."""
         config = self.config
         if config.engine != "internal" or (self.ascent is not None and n <= self.ascent.n):
             return probe(n, self.d, self.k, self.j, self.r, config)
@@ -384,18 +376,18 @@ class _ProbeRunner:
     def inconclusive(self) -> Inconclusive:
         return Inconclusive(tuple(self.statuses))
 
-    def descend_to_boundary(self, n_failed: int) -> SearchOutcome:
+    def descend_to_boundary(self, refuted: NotColorable) -> SearchOutcome:
         """Walk downward from a refuted level until a colorable one is found.
         Needed when the very first probe is NotColorable: the exact value may
         sit below the requested starting point."""
-        m = n_failed - 1
+        m = refuted.record.n - 1
         while m >= 1:
             outcome = self.run(m)
             if isinstance(outcome, Colorable):
-                value = m + 1
-                return Exact(value, outcome.certificate, self.records[value])
+                return Exact(m + 1, outcome.certificate, refuted.record)
             if isinstance(outcome, sat.Unknown):
                 return self.inconclusive()
+            refuted = outcome
             m -= 1
         raise IntegrityError("[1]^d has an empty tuple family and must be colorable")
 
@@ -412,11 +404,10 @@ def find_schur_number(
     cert_dir: str | Path | None = None,
     ledger_path: str | Path | None = None,
     progress: Callable[[int, str], None] | None = None,
-    binary: bool = False,
 ) -> SearchOutcome:
     """Determine the modified Schur number exactly, or bound it.
 
-    Linear ascent from n_start (default: certified mode, every level proven).
+    Linear ascent from n_start, proving every level on the way.
     The first NotColorable level is the exact value; if the very first probe
     refutes, the walk descends to locate the boundary, so Exact outcomes always
     carry a verified certificate at value-1 and a refutation at value.
@@ -426,9 +417,6 @@ def find_schur_number(
     the ones decided so far is decided by one shared engine whose formula
     grows shell by shell; each level's model is still checked, decoded and
     verified against the level's whole family.
-
-    binary=True bisects instead (exploratory; sound by restriction
-    monotonicity, but intermediate levels are skipped, not certified).
     """
     if n_start < 1:
         raise InputError(f"n_start must be >= 1, got {n_start}")
@@ -436,12 +424,6 @@ def find_schur_number(
         raise InputError(f"n_max={n_max} below n_start={n_start}")
     runner = _ProbeRunner(d, k, j, r, config or EngineConfig(),
                           cert_dir, ledger_path, progress)
-    if binary:
-        return _search_binary(runner, n_start, n_max)
-    return _search_linear(runner, n_start, n_max)
-
-
-def _search_linear(runner: _ProbeRunner, n_start: int, n_max: int | None) -> SearchOutcome:
     n = n_start
     while n_max is None or n <= n_max:
         outcome = runner.run(n)
@@ -452,47 +434,9 @@ def _search_linear(runner: _ProbeRunner, n_start: int, n_max: int | None) -> Sea
             return runner.inconclusive()
         if runner.best_cert is not None and runner.best_cert.n == n - 1:
             return Exact(n, runner.best_cert, outcome.record)
-        return runner.descend_to_boundary(n)
+        return runner.descend_to_boundary(outcome)
     assert runner.best_cert is not None
     return LowerBound(runner.best_cert.n, runner.best_cert)
-
-
-def _search_binary(runner: _ProbeRunner, n_start: int, n_max: int | None) -> SearchOutcome:
-    out = runner.run(n_start)
-    if isinstance(out, sat.Unknown):
-        return runner.inconclusive()
-    if isinstance(out, NotColorable):
-        return runner.descend_to_boundary(n_start)
-    lo = n_start  # largest level known colorable
-    hi: int | None = None  # smallest level known not-colorable
-    step = 1
-    while hi is None:
-        if n_max is not None and lo >= n_max:
-            assert runner.best_cert is not None
-            return LowerBound(runner.best_cert.n, runner.best_cert)
-        candidate = lo + step
-        if n_max is not None:
-            candidate = min(candidate, n_max)
-        out = runner.run(candidate)
-        if isinstance(out, sat.Unknown):
-            return runner.inconclusive()
-        if isinstance(out, Colorable):
-            lo = candidate
-            step *= 2
-        else:
-            hi = candidate
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        out = runner.run(mid)
-        if isinstance(out, sat.Unknown):
-            return runner.inconclusive()
-        if isinstance(out, Colorable):
-            lo = mid
-        else:
-            hi = mid
-    witness = runner.best_cert
-    assert witness is not None and witness.n == lo
-    return Exact(hi, witness, runner.records[hi])
 
 
 def brute_force_oracle(

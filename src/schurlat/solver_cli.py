@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .sat import Budget, Sat, Unknown, Unsat, read_dimacs, solve_internal
 
 
@@ -28,21 +28,23 @@ def main(argv: list[str] | None = None) -> int:
                         help="wall-clock limit in seconds")
     parser.add_argument("--max-conflicts", type=int, default=None, metavar="C",
                         help="conflict limit")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized restart diversification")
     args = parser.parse_args(argv)
+
+    budget = None
+    if args.budget_s is not None or args.max_conflicts is not None:
+        try:
+            budget = Budget(seconds=args.budget_s, conflicts=args.max_conflicts)
+        except InputError as e:
+            parser.error(str(e))
 
     try:
         formula = read_dimacs(Path(args.cnf).read_bytes())
-    except (OSError, ParseError) as e:
+    except (OSError, ParseError, InputError) as e:
         print(f"c error: {e}")
         print("s UNKNOWN")
         return 0
 
-    budget = None
-    if args.budget_s is not None or args.max_conflicts is not None:
-        budget = Budget(seconds=args.budget_s, conflicts=args.max_conflicts)
-    result = solve_internal(formula, budget, seed=args.seed)
+    result = solve_internal(formula, budget)
 
     print(f"c schurlat-solve {__version__}")
     if isinstance(result, Unsat):

@@ -83,6 +83,23 @@ def make_tuple(summands, total) -> SchurTuple:
 
 
 @pytest.fixture
+def solve_conflicts(monkeypatch) -> list[int]:
+    """Engine.conflicts after every Engine.solve call, in call order."""
+    from schurlat import cdcl
+
+    counts: list[int] = []
+    solve = cdcl.Engine.solve
+
+    def counting_solve(engine, **kwargs):
+        result = solve(engine, **kwargs)
+        counts.append(engine.conflicts)
+        return result
+
+    monkeypatch.setattr(cdcl.Engine, "solve", counting_solve)
+    return counts
+
+
+@pytest.fixture
 def internal_solver_cmd() -> list[str]:
     """The bundled DIMACS solver, invoked portably via the interpreter."""
     return [sys.executable, "-m", "schurlat.solver_cli"]

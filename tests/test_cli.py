@@ -147,6 +147,16 @@ class TestSearch:
         assert "N=2: colorable" in err
         assert "N=5: not-colorable" in err
 
+    def test_zero_budget_exits_4(self, tmp_path, capsys):
+        code, _, err = run(
+            ["search", "--d", "1", "--r", "2", "--budget-s", "0",
+             "--out", str(tmp_path), "-q"],
+            capsys,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "budget" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_required_flag_exits_4(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--d", "1", "--out", str(tmp_path)])

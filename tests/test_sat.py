@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -18,7 +19,6 @@ from schurlat.sat import (
     check_model,
     parse_solver_output,
     read_dimacs,
-    solve,
     solve_engine,
     solve_external,
     solve_internal,
@@ -35,6 +35,29 @@ def random_formula(rng: random.Random) -> CnfFormula:
         vs = rng.sample(range(1, num_vars + 1), width)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return CnfFormula(num_vars, tuple(clauses))
+
+
+def messy_clauses(rng: random.Random, f: CnfFormula) -> list[tuple[int, ...]]:
+    """f's clauses as a DIMACS file from elsewhere may give them: duplicate
+    clauses, repeated literals, tautologies, units ahead of the clauses they
+    satisfy or shorten, and now and then the empty clause."""
+    clauses = list(f.clauses)
+    for c in rng.sample(f.clauses, min(3, len(f.clauses))):
+        clauses.append(c)
+        clauses.append(c + c[:1])
+    v = rng.randint(1, f.num_vars)
+    clauses.append((v, -v) if rng.random() < 0.5 else (-v, rng.randint(1, f.num_vars), v))
+    rng.shuffle(clauses)
+    if rng.random() < 0.5:
+        lit = rng.choice(rng.choice(clauses))
+        clauses.insert(0, (lit if rng.random() < 0.5 else -lit,))
+    if rng.random() < 0.05:
+        clauses.insert(rng.randint(0, len(clauses)), ())
+    return clauses
+
+
+def satisfies(clauses, model) -> bool:
+    return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
 
 
 def pigeonhole(holes: int) -> CnfFormula:
@@ -61,18 +84,24 @@ class TestSolveInternal:
     def test_empty_clause_is_unsat(self):
         assert solve_internal(CnfFormula(0, ((),))) == Unsat()
 
-    @pytest.mark.parametrize("heuristic", ["vsids", "fixed"])
-    def test_agrees_with_truth_table_oracle(self, heuristic):
+    def test_agrees_with_truth_table_oracle(self):
+        # Each formula through solve_internal, and a messy copy of it straight
+        # into the engine's loader.
         rng = random.Random(77320)
+        mess = random.Random(5077)
         for _ in range(200):
             f = random_formula(rng)
-            expected = oracle_truth_table_sat(f.num_vars, f.clauses)
-            result = solve_internal(f, heuristic=heuristic)
-            if expected is None:
-                assert result == Unsat()
-            else:
-                assert isinstance(result, Sat)
-                assert check_model(f, result.model)
+            messy = messy_clauses(mess, f)
+            for clauses, result in (
+                (f.clauses, solve_internal(f)),
+                (messy, solve_engine(cdcl.Engine(f.num_vars, messy), messy)),
+            ):
+                expected = oracle_truth_table_sat(f.num_vars, clauses)
+                if expected is None:
+                    assert result == Unsat()
+                else:
+                    assert isinstance(result, Sat)
+                    assert satisfies(clauses, result.model)
 
     def test_model_is_total(self):
         # var 3 is unconstrained but must still be assigned
@@ -92,12 +121,6 @@ class TestSolveInternal:
         b = solve_internal(f)
         assert a == b
 
-    def test_seeded_runs_reproducible(self):
-        f = encode(13, 1, 3, 1, 3)
-        a = solve_internal(f, seed=99)
-        b = solve_internal(f, seed=99)
-        assert a == b
-
     def test_budget_validation(self):
         with pytest.raises(InputError):
             Budget(seconds=0)
@@ -107,7 +130,26 @@ class TestSolveInternal:
     def test_pigeonhole_is_unsat(self):
         # large enough to force restarts and learned-clause churn
         assert solve_internal(pigeonhole(6)) == Unsat()
-        assert solve_internal(pigeonhole(6), heuristic="fixed") == Unsat()
+
+    def test_conflict_counts_are_pinned(self, solve_conflicts):
+        # The engine is deterministic; a change that is not meant to alter its
+        # search must leave these counts as they are.
+        assert solve_internal(encode(14, 1, 3, 1, 3)) == Unsat()
+        assert solve_internal(encode(43, 1, 4, 1, 3)) == Unsat()
+        assert solve_conflicts == [128, 244]
+
+    def test_long_clauses_load_in_linear_time(self):
+        # A loader that scans the clause for each literal takes seconds here.
+        n = 20000
+        clause = tuple(range(1, n + 1))
+        negation = tuple(-v for v in clause)
+        t0 = time.perf_counter()
+        engine = cdcl.Engine(n, [clause, negation, clause + (-n,)])
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0
+        assert engine.ok
+        assert [c.lits for c in engine.clauses] == [  # the tautology is dropped
+            [2 * v for v in clause], [2 * v + 1 for v in clause]]
 
     def test_near_phase_transition_fuzz(self):
         # 3-SAT around clause/variable ratio 4.3, checked against truth tables
@@ -140,27 +182,32 @@ def grow_to_14(engine: cdcl.Engine) -> None:
 
 class TestIncrementalEngine:
     def test_growing_matches_truth_tables(self):
-        # Random formulas fed in chunks, with variables added on the way; after
-        # every chunk the answer must match the truth table of the prefix.
+        # Random formulas, and messy copies of them, fed in chunks with
+        # variables added on the way; after every chunk the answer must match
+        # the truth table of the prefix.
         rng = random.Random(20031)
+        mess = random.Random(3120)
         for _ in range(60):
             f = random_formula(rng)
-            engine = cdcl.Engine(0, ())
-            added: list[tuple[int, ...]] = []
             cuts = sorted(rng.randint(0, len(f.clauses)) for _ in range(3))
-            for lo, hi in zip([0] + cuts, cuts + [len(f.clauses)]):
-                chunk = f.clauses[lo:hi]
-                need = max([abs(l) for c in added + list(chunk) for l in c], default=0)
-                engine.add_vars(need - engine.n)
-                engine.add_clauses(chunk)
-                added.extend(chunk)
-                expected = oracle_truth_table_sat(engine.n, added)
-                result = solve_engine(engine, added)
-                if expected is None:
-                    assert result == Unsat()
-                else:
-                    assert isinstance(result, Sat)
-                    assert check_model(CnfFormula(engine.n, tuple(added)), result.model)
+            messy = messy_clauses(mess, f)
+            messy_cuts = sorted(mess.randint(0, len(messy)) for _ in range(3))
+            for clauses, cuts in ((f.clauses, cuts), (messy, messy_cuts)):
+                engine = cdcl.Engine(0, ())
+                added: list[tuple[int, ...]] = []
+                for lo, hi in zip([0] + cuts, cuts + [len(clauses)]):
+                    chunk = clauses[lo:hi]
+                    need = max([abs(l) for c in added + list(chunk) for l in c], default=0)
+                    engine.add_vars(need - engine.n)
+                    engine.add_clauses(chunk)
+                    added.extend(chunk)
+                    expected = oracle_truth_table_sat(engine.n, added)
+                    result = solve_engine(engine, added)
+                    if expected is None:
+                        assert result == Unsat()
+                    else:
+                        assert isinstance(result, Sat)
+                        assert satisfies(added, result.model)
 
     def test_level_zero_facts_simplify_added_clauses(self):
         engine = cdcl.Engine(2, [(1,)])
@@ -345,10 +392,3 @@ class TestSolveExternal:
             external = solve_external(f, internal_solver_cmd)
             assert isinstance(internal, Unsat) == isinstance(external, Unsat)
 
-
-class TestSolveDispatch:
-    def test_internal_by_default(self):
-        assert isinstance(solve(CnfFormula(1, ((1,),))), Sat)
-
-    def test_external_when_command_given(self, internal_solver_cmd):
-        assert solve(CnfFormula(1, ((1,), (-1,))), command=internal_solver_cmd) == Unsat()

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from schurlat.encoder import CnfFormula, encode
 from schurlat.sat import parse_solver_output, write_dimacs
 from schurlat.solver_cli import main
@@ -36,6 +38,27 @@ class TestMain:
         code = main([str(tmp_path / "missing.cnf")])
         assert code == 0
         assert "s UNKNOWN" in capsys.readouterr().out
+
+    def test_literal_out_of_range_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 2 2\n1 5 0\n-1 0\n")
+        code = main([str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "c error: literal 5 outside [1, 2]" in out
+        assert out.rstrip().endswith("s UNKNOWN")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-conflicts", "0"], ["--max-conflicts", "-3"],
+         ["--budget-s", "0"], ["--budget-s", "-1.5"]],
+        ids=["conflicts-zero", "conflicts-negative", "seconds-zero", "seconds-negative"],
+    )
+    def test_non_positive_budget_is_usage_error(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([write_cnf(tmp_path, CnfFormula(1, ((1,),)))] + flags)
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
 
     def test_v_lines_carry_total_model(self, tmp_path, capsys):
         code = main([write_cnf(tmp_path, CnfFormula(45, ((1, 2),)))])
