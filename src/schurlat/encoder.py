@@ -1,7 +1,7 @@
 """CNF compilation of coloring-avoidance problems, and model decoding.
 
-Variable numbering convention (shared with every DIMACS file this package
-emits): point p of [N]^d has row-major index rm(p) = 1 + sum_t (p_t - 1) *
+Variable numbering convention of encode (and of every file `schurlat encode`
+writes): point p of [N]^d has row-major index rm(p) = 1 + sum_t (p_t - 1) *
 N^(d-t), and the boolean variable "p has color m" (1 <= m <= r-1) is numbered
 
     var(p, m) = (rm(p) - 1) * (r - 1) + m.
@@ -15,12 +15,13 @@ then per-tuple clauses in family order, each tuple contributing its r-1
 negative clauses (color 1 .. r-1) followed by one positive clause. Literals
 inside a clause ascend.
 
-Row-major numbering depends on N, so a search that walks N upward numbers its
+Row-major numbering depends on N, so searches and probes number their
 variables by shell instead (encode_shell): points ordered by their largest
 coordinate, row-major within a shell, var(p, m) = bases[p] + m. Then the
-formula for N+1 is the formula for N plus the clauses of one shell. That
-numbering is internal to searches; encode, var_index and every DIMACS file
-stay row-major.
+formula for N+1 is the formula for N plus the clauses of one shell. Every
+level a search or probe decides uses that numbering, including the temporary
+DIMACS file handed to an external solver; encode, var_index and the files
+`schurlat encode` writes stay row-major, and for d = 1 the two orders agree.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class CnfFormula:
 
     The empty clause is permitted: it arises only in the degenerate r=1
     encoding of a non-empty tuple family, where the formula is trivially
-    unsatisfiable (a 1-coloring cannot avoid anything).
+    unsatisfiable (a 1-coloring cannot avoid anything). A clause may hold a
+    literal and its negation, as DIMACS allows; such a clause is always true.
     """
 
     num_vars: int
@@ -83,13 +85,9 @@ class CnfFormula:
         if self.num_vars < 0:
             raise InputError("num_vars must be >= 0")
         for clause in self.clauses:
-            seen = set()
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise InputError(f"literal {lit} outside [1, {self.num_vars}]")
-                if -lit in seen:
-                    raise InputError(f"clause {clause} contains {lit} and {-lit}")
-                seen.add(lit)
 
     @property
     def num_clauses(self) -> int:

@@ -29,7 +29,7 @@ class Budget:
     conflicts: int | None = None
 
     def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds <= 0:
+        if self.seconds is not None and not self.seconds > 0:  # NaN too
             raise InputError("budget seconds must be positive")
         if self.conflicts is not None and self.conflicts <= 0:
             raise InputError("budget conflicts must be positive")

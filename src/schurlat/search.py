@@ -17,7 +17,7 @@ import os
 import shlex
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -28,7 +28,6 @@ from .encoder import (
     CnfFormula,
     EncodingMeta,
     decode_model,
-    encode,
     encode_shell,
 )
 from .errors import InputError, IntegrityError, ParseError, SizeError
@@ -161,110 +160,26 @@ class EngineConfig:
         return tuple(shlex.split(env)) if env else None
 
 
-def _solve_with_config(
-    formula: CnfFormula, config: EngineConfig
-) -> tuple[sat.SolveResult, str]:
-    """Run the configured engine, escalating to the other one on Unknown.
-    Returns the result and the name of the engine that produced it."""
-
-    def run(engine: str) -> tuple[sat.SolveResult, str]:
-        if engine == "internal":
-            return sat.solve_internal(formula, config.budget), sat.INTERNAL_SOLVER_NAME
-        command = config.external_command()
-        if command is None:
-            raise InputError(
-                f"external engine selected but no solver command given "
-                f"(set --solver-cmd or ${SOLVER_ENV_VAR})"
-            )
-        return sat.solve_external(formula, command, config.budget), \
-            "external:" + command[0]
-
-    result, solver = run(config.engine)
-    if isinstance(result, sat.Unknown) and config.escalate:
-        if config.engine == "internal":
-            if config.external_command() is not None:
-                result2, solver2 = run("external")
-                if not isinstance(result2, sat.Unknown):
-                    return result2, solver2
-        else:
-            result2, solver2 = run("internal")
-            if not isinstance(result2, sat.Unknown):
-                return result2, solver2
-    return result, solver
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def probe(
-    n: int,
-    d: int,
-    k: int,
-    j: int,
-    r: int,
-    config: EngineConfig | None = None,
-    *,
-    family: TupleFamily | None = None,
-) -> ProbeOutcome:
-    """Decide whether some r-coloring of [n]^d avoids every j-nondegenerate
-    Schur k-tuple. Colorable answers carry a certificate that has already been
-    re-verified against the recomputed family."""
-    config = config or EngineConfig()
-    if family is None:
-        family = enumerate_tuples(n, d, k, j)
-    elif (family.n, family.d, family.k, family.j) != (n, d, k, j):
-        raise InputError("supplied family does not match the probe parameters")
-    formula = encode(n, d, k, j, r, family=family,
-                     fix_first_point_color=config.symmetry_break and r >= 2)
-
-    t0 = time.monotonic()
-    result, solver = _solve_with_config(formula, config)
-    wall_ms = int((time.monotonic() - t0) * 1000)
-    return _outcome(result, solver, wall_ms, family, r)
-
-
-def _outcome(
-    result: sat.SolveResult,
-    solver: str,
-    wall_ms: int,
-    family: TupleFamily,
-    r: int,
-    bases: dict[Point, int] | None = None,
-) -> ProbeOutcome:
-    """Turn a solver answer for the family's box into a probe outcome. A model
-    is decoded to a row-major coloring (through bases when it uses a search's
-    shell numbering) and must be free of the whole family."""
-    if isinstance(result, sat.Unknown):
-        return result
-    if isinstance(result, sat.Unsat):
-        return NotColorable(UnsatRecord(family.n, solver, wall_ms))
-    meta = EncodingMeta(family.n, family.d, r, family.k, family.j)
-    coloring = decode_model(result.model, meta, bases=bases)
-    violation = verify_free(coloring, family)
-    if violation is not None:
-        raise IntegrityError(
-            f"decoded model admits a monochromatic tuple {violation.tuple} "
-            f"in color {violation.color}; encoder and solver disagree"
-        )
-    cert = Certificate(
-        family.d, family.j, family.k, r, family.n, coloring,
-        Provenance(solver, None, wall_ms, _utc_now()),
-    )
-    return Colorable(cert)
-
-
-class _Ascent:
-    """One internal engine and one formula that grow shell by shell.
+class _Box:
+    """The formula of [n]^d in shell numbering, and one internal engine that
+    holds it. Every level a search or probe decides is decided here.
 
     Variables are numbered by shell (encode_shell), so the formula of [n+1]^d
     is the formula of [n]^d plus the clauses of shell n+1, and the engine that
     decided level n decides level n+1 after those clauses are added. Each
     solve starts afresh except for the clauses, level-0 facts and saved
-    phases, so the last level's model seeds the next level's decisions.
+    phases, so the last level's model seeds the next level's decisions. The
+    engine receives every shell even when the external engine is configured,
+    because it is the escalation target.
     """
 
     def __init__(self, d: int, k: int, j: int, r: int, config: EngineConfig) -> None:
+        if r < 1:
+            raise InputError(f"need r >= 1, got r={r}")
         self.d, self.k, self.j, self.r = d, k, j, r
         self.config = config
         self.n = 0
@@ -290,106 +205,66 @@ class _Ascent:
             self.clauses.extend(clauses)
         self.n = n
 
-    def probe(self, n: int) -> ProbeOutcome:
-        """probe(n, ...) for an n above every level decided so far."""
-        if n <= self.n:
-            raise InputError(f"ascent is at N={self.n}; cannot probe N={n}")
-        self._grow(n)
-        t0 = time.monotonic()
-        result = sat.solve_engine(self.engine, self.clauses, self.config.budget)
-        wall_ms = int((time.monotonic() - t0) * 1000)
-        # Shell order rather than enumerate_tuples' order; the same tuples.
-        family = TupleFamily(n, self.d, self.k, self.j, tuple(self.tuples))
-        return _outcome(result, sat.INTERNAL_SOLVER_NAME, wall_ms, family, self.r,
-                        self.bases)
-
-
-class _ProbeRunner:
-    """Bookkeeping for a search: runs probes, records statuses, appends
-    ledger rows, and persists certificates."""
-
-    def __init__(
-        self,
-        d: int,
-        k: int,
-        j: int,
-        r: int,
-        config: EngineConfig,
-        cert_dir: str | Path | None,
-        ledger_path: str | Path | None,
-        progress: Callable[[int, str], None] | None,
-    ) -> None:
-        self.d, self.k, self.j, self.r = d, k, j, r
-        self.config = config
-        self.cert_dir = Path(cert_dir) if cert_dir else None
-        self.ledger_path = Path(ledger_path) if ledger_path else None
-        self.progress = progress
-        self.statuses: list[tuple[int, str]] = []
-        self.best_cert: Certificate | None = None
-        self.ascent: _Ascent | None = None
-
-    def run(self, n: int) -> ProbeOutcome:
-        t0 = time.monotonic()
-        outcome = self._probe(n)
-        wall_ms = int((time.monotonic() - t0) * 1000)
-        if isinstance(outcome, Colorable):
-            status, solver = "colorable", outcome.certificate.provenance.solver
-            if self.best_cert is None or outcome.certificate.n > self.best_cert.n:
-                self.best_cert = outcome.certificate
-            if self.cert_dir is not None:
-                save_certificate(outcome.certificate, self.cert_dir)
-        elif isinstance(outcome, NotColorable):
-            status, solver = "not-colorable", outcome.record.solver
-        else:
-            status, solver = f"unknown: {outcome.reason}", ""
-        self.statuses.append((n, status))
-        if self.ledger_path is not None:
-            append_ledger_row(
-                self.ledger_path,
-                {
-                    "d": self.d, "j": self.j, "k": self.k, "r": self.r, "n": n,
-                    "outcome": status, "solver": solver, "wall_ms": wall_ms,
-                },
+    def _solve(self, engine: str) -> tuple[sat.SolveResult, str]:
+        """Run one engine on the current formula; returns the result and the
+        name of the engine."""
+        if engine == "internal":
+            return (sat.solve_engine(self.engine, self.clauses, self.config.budget),
+                    sat.INTERNAL_SOLVER_NAME)
+        command = self.config.external_command()
+        if command is None:
+            raise InputError(
+                f"external engine selected but no solver command given "
+                f"(set --solver-cmd or ${SOLVER_ENV_VAR})"
             )
-        if self.progress is not None:
-            self.progress(n, status)
-        return outcome
+        formula = CnfFormula(self.engine.n, tuple(self.clauses))
+        return (sat.solve_external(formula, command, self.config.budget),
+                "external:" + command[0])
 
-    def _probe(self, n: int) -> ProbeOutcome:
-        """Levels above the ascent's go to the shared engine; every other
-        level (descents, the external engine) and the escalation after an
-        Unknown use the per-level probe."""
+    def decide(self, n: int) -> ProbeOutcome:
+        """Grow the formula to [n]^d and run the configured engine, then the
+        other one on Unknown when escalate is set and it is available. A model
+        is decoded to a row-major coloring and must be free of the whole
+        family of [n]^d."""
+        if n <= self.n:
+            raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
+        self._grow(n)
         config = self.config
-        if config.engine != "internal" or (self.ascent is not None and n <= self.ascent.n):
-            return probe(n, self.d, self.k, self.j, self.r, config)
-        if self.ascent is None:
-            self.ascent = _Ascent(self.d, self.k, self.j, self.r, config)
-        outcome = self.ascent.probe(n)
-        if (isinstance(outcome, sat.Unknown) and config.escalate
-                and config.external_command() is not None):
-            external = replace(config, engine="external", escalate=False)
-            fallback = probe(n, self.d, self.k, self.j, self.r, external)
-            if not isinstance(fallback, sat.Unknown):
-                return fallback
-        return outcome
+        t0 = time.monotonic()
+        result, solver = self._solve(config.engine)
+        if isinstance(result, sat.Unknown) and config.escalate:
+            other = "external" if config.engine == "internal" else "internal"
+            if other == "internal" or config.external_command() is not None:
+                result2, solver2 = self._solve(other)
+                if not isinstance(result2, sat.Unknown):
+                    result, solver = result2, solver2
+        wall_ms = int((time.monotonic() - t0) * 1000)
+        if isinstance(result, sat.Unknown):
+            return result
+        if isinstance(result, sat.Unsat):
+            return NotColorable(UnsatRecord(n, solver, wall_ms))
+        d, k, j, r = self.d, self.k, self.j, self.r
+        coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
+                                bases=self.bases)
+        # Shell order rather than enumerate_tuples' order; the same tuples.
+        violation = verify_free(coloring, TupleFamily(n, d, k, j, tuple(self.tuples)))
+        if violation is not None:
+            raise IntegrityError(
+                f"decoded model admits a monochromatic tuple {violation.tuple} "
+                f"in color {violation.color}; encoder and solver disagree"
+            )
+        cert = Certificate(d, j, k, r, n, coloring,
+                           Provenance(solver, None, wall_ms, _utc_now()))
+        return Colorable(cert)
 
-    def inconclusive(self) -> Inconclusive:
-        return Inconclusive(tuple(self.statuses))
 
-    def descend_to_boundary(self, refuted: NotColorable) -> SearchOutcome:
-        """Walk downward from a refuted level until a colorable one is found.
-        Needed when the very first probe is NotColorable: the exact value may
-        sit below the requested starting point."""
-        m = refuted.record.n - 1
-        while m >= 1:
-            outcome = self.run(m)
-            if isinstance(outcome, Colorable):
-                return Exact(m + 1, outcome.certificate, refuted.record)
-            if isinstance(outcome, sat.Unknown):
-                return self.inconclusive()
-            refuted = outcome
-            m -= 1
-        raise IntegrityError("[1]^d has an empty tuple family and must be colorable")
+def probe(
+    n: int, d: int, k: int, j: int, r: int, config: EngineConfig | None = None
+) -> ProbeOutcome:
+    """Decide whether some r-coloring of [n]^d avoids every j-nondegenerate
+    Schur k-tuple. Colorable answers carry a certificate that has already been
+    re-verified against the family."""
+    return _Box(d, k, j, r, config or EngineConfig()).decide(n)
 
 
 def find_schur_number(
@@ -413,30 +288,74 @@ def find_schur_number(
     carry a verified certificate at value-1 and a refutation at value.
     LowerBound(v) means every level through v was proven colorable (the number
     is >= v+1). Any Unknown halts the search as Inconclusive; an Unknown is
-    never converted into a bound. With the internal engine, every level above
-    the ones decided so far is decided by one shared engine whose formula
-    grows shell by shell; each level's model is still checked, decoded and
-    verified against the level's whole family.
+    never converted into a bound.
+
+    Every level is decided on one formula that grows shell by shell (see
+    _Box), whichever engine answers it. The ascent keeps one box and one
+    internal engine for the whole walk up; each step of a descent starts a
+    fresh box, since a formula only grows.
     """
     if n_start < 1:
         raise InputError(f"n_start must be >= 1, got {n_start}")
     if n_max is not None and n_max < n_start:
         raise InputError(f"n_max={n_max} below n_start={n_start}")
-    runner = _ProbeRunner(d, k, j, r, config or EngineConfig(),
-                          cert_dir, ledger_path, progress)
-    n = n_start
-    while n_max is None or n <= n_max:
-        outcome = runner.run(n)
+    config = config or EngineConfig()
+    cert_dir = Path(cert_dir) if cert_dir else None
+    ledger_path = Path(ledger_path) if ledger_path else None
+    statuses: list[tuple[int, str]] = []
+    box = _Box(d, k, j, r, config)
+
+    def run(n: int) -> ProbeOutcome:
+        """Decide level n, then record its status, ledger row, certificate
+        and progress line."""
+        nonlocal box
+        if n <= box.n:
+            box = _Box(d, k, j, r, config)
+        t0 = time.monotonic()
+        outcome = box.decide(n)
+        wall_ms = int((time.monotonic() - t0) * 1000)
         if isinstance(outcome, Colorable):
+            status, solver = "colorable", outcome.certificate.provenance.solver
+            if cert_dir is not None:
+                save_certificate(outcome.certificate, cert_dir)
+        elif isinstance(outcome, NotColorable):
+            status, solver = "not-colorable", outcome.record.solver
+        else:
+            status, solver = f"unknown: {outcome.reason}", ""
+        statuses.append((n, status))
+        if ledger_path is not None:
+            append_ledger_row(
+                ledger_path,
+                {"d": d, "j": j, "k": k, "r": r, "n": n,
+                 "outcome": status, "solver": solver, "wall_ms": wall_ms},
+            )
+        if progress is not None:
+            progress(n, status)
+        return outcome
+
+    n, witness = n_start, None
+    while n_max is None or n <= n_max:
+        outcome = run(n)
+        if isinstance(outcome, Colorable):
+            witness = outcome.certificate
             n += 1
             continue
         if isinstance(outcome, sat.Unknown):
-            return runner.inconclusive()
-        if runner.best_cert is not None and runner.best_cert.n == n - 1:
-            return Exact(n, runner.best_cert, outcome.record)
-        return runner.descend_to_boundary(outcome)
-    assert runner.best_cert is not None
-    return LowerBound(runner.best_cert.n, runner.best_cert)
+            return Inconclusive(tuple(statuses))
+        if witness is not None:
+            return Exact(n, witness, outcome.record)
+        # The first probe refuted: walk down until a level is colorable.
+        refuted = outcome.record
+        for m in range(n - 1, 0, -1):
+            outcome = run(m)
+            if isinstance(outcome, Colorable):
+                return Exact(m + 1, outcome.certificate, refuted)
+            if isinstance(outcome, sat.Unknown):
+                return Inconclusive(tuple(statuses))
+            refuted = outcome.record
+        raise IntegrityError("[1]^d has an empty tuple family and must be colorable")
+    assert witness is not None
+    return LowerBound(witness.n, witness)
 
 
 def brute_force_oracle(

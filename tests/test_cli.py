@@ -157,6 +157,17 @@ class TestSearch:
         assert "budget" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_nan_budget_exits_4(self, tmp_path, capsys):
+        # NaN is not a positive number of seconds; it must not mean "no limit".
+        code, _, err = run(
+            ["search", "--d", "1", "--r", "2", "--budget-s", "nan",
+             "--out", str(tmp_path), "-q"],
+            capsys,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "budget" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_required_flag_exits_4(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--d", "1", "--out", str(tmp_path)])

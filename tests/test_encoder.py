@@ -184,9 +184,13 @@ class TestCnfFormula:
         with pytest.raises(InputError):
             CnfFormula(2, ((0,),))
 
-    def test_opposite_literals_rejected(self):
-        with pytest.raises(InputError):
-            CnfFormula(2, ((1, -1),))
+    def test_opposite_literals_accepted(self):
+        # DIMACS allows a clause to hold a literal and its negation; it is
+        # always true, so only the other clause decides the formula.
+        f = CnfFormula(2, ((1, -1), (2,)))
+        assert f.num_clauses == 2
+        for v1, v2 in itertools.product((False, True), repeat=2):
+            assert check_model(f, {1: v1, 2: v2}) is v2
 
     def test_empty_clause_permitted(self):
         f = CnfFormula(0, ((),))

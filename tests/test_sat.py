@@ -125,6 +125,8 @@ class TestSolveInternal:
         with pytest.raises(InputError):
             Budget(seconds=0)
         with pytest.raises(InputError):
+            Budget(seconds=float("nan"))
+        with pytest.raises(InputError):
             Budget(conflicts=-1)
 
     def test_pigeonhole_is_unsat(self):

@@ -4,11 +4,14 @@ import csv
 import json
 import os
 
+import sys
+
 import pytest
 
+from schurlat.encoder import encode
 from schurlat.errors import InputError, ParseError, SizeError
 from schurlat.lattice import Coloring, enumerate_tuples, verify_free
-from schurlat.sat import Budget, Unknown
+from schurlat.sat import Budget, Sat, Unknown, solve_internal
 from schurlat.search import (
     Certificate,
     Colorable,
@@ -134,6 +137,14 @@ class TestFindSchurNumber:
         assert isinstance(out, Exact) and out.value == 5
         assert out.witness.n == 4
 
+    def test_start_above_the_value_descends_in_the_plane(self):
+        # For d >= 2 shell order differs from row-major order, so every
+        # descent step's model goes through the shell bases when decoded.
+        out = find_schur_number(2, 3, 2, 2, n_start=9)
+        assert isinstance(out, Exact) and out.value == 7
+        assert out.witness.n == 6
+        assert verify_certificate(out.witness) is None
+
     def test_n_max_gives_lower_bound(self):
         out = find_schur_number(2, 3, 2, 2, n_max=3)
         assert isinstance(out, LowerBound) and out.value == 3
@@ -193,10 +204,15 @@ class TestAscent:
         colorable = [
             isinstance(probe(n, d, k, j, r), Colorable) for n in range(1, n_max + 1)
         ]
+        # The row-major formula that `schurlat encode` writes, decided on its own.
+        exported = [
+            isinstance(solve_internal(encode(n, d, k, j, r)), Sat)
+            for n in range(1, n_max + 1)
+        ]
         oracle = [
             brute_force_oracle(n, d, k, j, r) is not None for n in range(1, n_max + 1)
         ]
-        assert colorable == oracle
+        assert colorable == exported == oracle
         if all(colorable):
             assert isinstance(out, LowerBound) and out.value == n_max
         else:
@@ -212,6 +228,12 @@ class TestAscent:
         # 143 in all; a change not meant to alter the search keeps them.
         assert find_schur_number(1, 3, 1, 3).value == 14
         assert solve_conflicts == [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 12, 130]
+
+    def test_plane_conflict_counts_are_pinned(self, solve_conflicts):
+        # The same for d=2, where shell order differs from row-major order.
+        out = find_schur_number(2, 3, 2, 3, n_max=17)
+        assert isinstance(out, LowerBound) and out.value == 17
+        assert solve_conflicts == [0] * 13 + [12, 70, 8]
 
     def test_conflict_budget_applies_per_level(self, solve_conflicts):
         per_level = solve_conflicts
@@ -239,6 +261,29 @@ class TestAscent:
         assert statuses == [12, 13, 14]
         assert out.witness.provenance.solver.startswith("external:")
         assert out.refutation.solver.startswith("external:")
+        assert verify_certificate(out.witness) is None
+
+    def test_external_engine_search_in_the_plane(self, tmp_path, internal_solver_cmd):
+        # The external solver gets the search's shell-numbered formula; its
+        # models are decoded through the shell bases.
+        config = EngineConfig(engine="external", solver_command=tuple(internal_solver_cmd))
+        out = find_schur_number(2, 3, 2, 2, config=config, cert_dir=tmp_path)
+        assert isinstance(out, Exact) and out.value == 7
+        assert out.refutation.solver.startswith("external:")
+        certs = [load_certificate(p) for p in sorted(tmp_path.glob("*.cert.json"))]
+        assert sorted(c.n for c in certs) == list(range(2, 7))
+        for cert in certs:
+            assert cert.provenance.solver.startswith("external:")
+            assert verify_certificate(cert) is None
+
+    def test_escalation_from_external_to_internal(self):
+        # A solver that prints nothing answers Unknown; the internal engine,
+        # which holds the same formula, answers instead.
+        config = EngineConfig(engine="external", solver_command=(sys.executable, "-c", "pass"))
+        out = find_schur_number(2, 3, 2, 2, n_start=6, config=config)
+        assert isinstance(out, Exact) and out.value == 7
+        assert out.witness.provenance.solver == "schurlat-cdcl"
+        assert out.refutation.solver == "schurlat-cdcl"
         assert verify_certificate(out.witness) is None
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from schurlat.encoder import CnfFormula, encode
-from schurlat.sat import parse_solver_output, write_dimacs
+from schurlat.sat import check_model, parse_solver_output, read_dimacs, write_dimacs
 from schurlat.solver_cli import main
 
 
@@ -48,11 +48,21 @@ class TestMain:
         assert "c error: literal 5 outside [1, 2]" in out
         assert out.rstrip().endswith("s UNKNOWN")
 
+    def test_tautological_clause_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 2 2\n1 -1 0\n2 0\n")
+        code = main([str(path)])
+        out = capsys.readouterr().out
+        assert code == 10
+        result = parse_solver_output(out, num_vars=2)
+        assert check_model(read_dimacs(path.read_bytes()), result.model)
+
     @pytest.mark.parametrize(
         "flags",
         [["--max-conflicts", "0"], ["--max-conflicts", "-3"],
-         ["--budget-s", "0"], ["--budget-s", "-1.5"]],
-        ids=["conflicts-zero", "conflicts-negative", "seconds-zero", "seconds-negative"],
+         ["--budget-s", "0"], ["--budget-s", "-1.5"], ["--budget-s", "nan"]],
+        ids=["conflicts-zero", "conflicts-negative", "seconds-zero", "seconds-negative",
+             "seconds-nan"],
     )
     def test_non_positive_budget_is_usage_error(self, tmp_path, capsys, flags):
         with pytest.raises(SystemExit) as exc:
@@ -88,6 +98,4 @@ def test_exported_three_color_interval_is_satisfiable(tmp_path):
     assert proc.returncode == 10
     f = encode(13, 1, 3, 1, 3)
     result = parse_solver_output(proc.stdout, num_vars=f.num_vars)
-    from schurlat.sat import check_model
-
     assert check_model(f, result.model)
