@@ -27,11 +27,10 @@ _FALSE = 2
 
 
 class _Clause:
-    __slots__ = ("lits", "learnt", "lbd", "deleted")
+    __slots__ = ("lits", "lbd", "deleted")
 
-    def __init__(self, lits: list[int], learnt: bool, lbd: int = 0) -> None:
+    def __init__(self, lits: list[int], lbd: int = 0) -> None:
         self.lits = lits
-        self.learnt = learnt
         self.lbd = lbd
         self.deleted = False
 
@@ -132,22 +131,20 @@ class Engine:
                 self._attach(lits)
 
     def _attach(self, lits: list[int]) -> None:
-        c = _Clause(lits, learnt=False)
+        c = _Clause(lits)
         self.clauses.append(c)
         self.watches[lits[0]].append(c)
         self.watches[lits[1]].append(c)
 
     def _start_solve(self) -> None:
         """Reset the per-solve search state to that of a fresh engine; the
-        clauses, level-0 facts and saved phases stay."""
+        clauses, level-0 facts and saved phases stay. Dropped learnt clauses
+        leave the watch lists lazily, in _propagate, and no reason of a
+        level-0 variable is ever read."""
         self._backtrack(0)
-        if self.learnts:
-            for c in self.learnts:
-                c.deleted = True
-            self.learnts = []
-            self.watches = [[c for c in ws if not c.deleted] for ws in self.watches]
-        for lit in self.trail:
-            self.reason[lit >> 1] = None
+        for c in self.learnts:
+            c.deleted = True
+        self.learnts = []
         self.activity = [0.0] * (self.n + 1)
         self.var_inc = 1.0
         self.conflicts = 0
@@ -421,7 +418,7 @@ class Engine:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
                 else:
-                    c = _Clause(learnt, learnt=True, lbd=lbd)
+                    c = _Clause(learnt, lbd)
                     self.learnts.append(c)
                     self.watches[learnt[0]].append(c)
                     self.watches[learnt[1]].append(c)

@@ -10,16 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import shlex
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, bounds, render, search, witness
 from .encoder import encode
 from .errors import InputError, IntegrityError, NotTabulatedError, ParseError
 from .lattice import Coloring
-from .sat import Budget, write_dimacs
+from .sat import Budget, split_command, write_dimacs
 
 EXIT_OK = 0
 EXIT_LOWER_BOUND = 2
@@ -35,19 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID_INPUT)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command run needs, assembled from flags."""
-
-    d: int
-    j: int
-    k: int
-    r: int
-    engine: search.EngineConfig
-    out: Path | None
-    quiet: bool
 
 
 def _add_param_flags(p: argparse.ArgumentParser, *, need_r: bool = True) -> None:
@@ -78,7 +63,7 @@ def _effective_j(args) -> int:
 
 def _engine_config(args) -> search.EngineConfig:
     budget = Budget(seconds=args.budget_s) if args.budget_s is not None else None
-    command = tuple(shlex.split(args.solver_cmd)) if args.solver_cmd else None
+    command = split_command(args.solver_cmd) if args.solver_cmd else None
     return search.EngineConfig(
         engine=args.engine,
         solver_command=command,

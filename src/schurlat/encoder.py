@@ -1,27 +1,29 @@
 """CNF compilation of coloring-avoidance problems, and model decoding.
 
-Variable numbering convention of encode (and of every file `schurlat encode`
-writes): point p of [N]^d has row-major index rm(p) = 1 + sum_t (p_t - 1) *
-N^(d-t), and the boolean variable "p has color m" (1 <= m <= r-1) is numbered
+One function builds every clause: encode_points numbers the points it is
+handed in that order, after the points already numbered, giving the variable
+"p has color m" (1 <= m <= r-1) the number
 
-    var(p, m) = (rm(p) - 1) * (r - 1) + m.
+    var(p, m) = bases[p] + m,    bases[p] = (position of p) * (r - 1).
 
-This is a bijection onto [1, (r-1) * N^d]. A point has color r exactly when
-all of its r-1 variables are false.
+A point has color r exactly when all of its r-1 variables are false. A
+numbering is therefore just the order in which points are handed over:
+
+- encode (and every file `schurlat encode` writes) hands over [N]^d in
+  row-major order, so position = rm(p) - 1 with rm(p) = 1 + sum_t (p_t - 1) *
+  N^(d-t), the numbering var_index and var_point_color describe;
+- a search hands over one shell at a time, points ordered by their largest
+  coordinate and row-major within a shell, so the numbering does not depend
+  on N and the formula for N+1 is the formula for N plus the clauses of one
+  shell. Every level a search or probe decides uses that numbering, including
+  the temporary DIMACS file handed to an external solver. For d = 1 the two
+  orders agree.
 
 Clause emission order is fixed so byte-identical DIMACS output is reproducible:
-exactly-one-color clauses first (points row-major, color pairs lexicographic),
-then per-tuple clauses in family order, each tuple contributing its r-1
-negative clauses (color 1 .. r-1) followed by one positive clause. Literals
-inside a clause ascend.
-
-Row-major numbering depends on N, so searches and probes number their
-variables by shell instead (encode_shell): points ordered by their largest
-coordinate, row-major within a shell, var(p, m) = bases[p] + m. Then the
-formula for N+1 is the formula for N plus the clauses of one shell. Every
-level a search or probe decides uses that numbering, including the temporary
-DIMACS file handed to an external solver; encode, var_index and the files
-`schurlat encode` writes stay row-major, and for d = 1 the two orders agree.
+at-most-one-color clauses first (points in the order given, color pairs
+lexicographic), then per-tuple clauses in family order, each tuple
+contributing its r-1 negative clauses (color 1 .. r-1) followed by one
+positive clause, then the optional symmetry-breaking unit.
 """
 
 from __future__ import annotations
@@ -111,64 +113,44 @@ def var_point_color(v: int, meta: EncodingMeta) -> tuple[Point, int]:
     return point_from_index(pm + 1, meta.n, meta.d), m + 1
 
 
-def _distinctness_clauses(bases: Iterable[int], r: int) -> list[Clause]:
-    clauses: list[Clause] = []
-    for base in bases:
-        for i in range(1, r):
-            for j in range(i + 1, r):
-                clauses.append((-(base + i), -(base + j)))
-    return clauses
-
-
-def _tuple_clauses(
-    tuples: Iterable[SchurTuple], bases: Mapping[Point, int], r: int
+def encode_points(
+    points: Sequence[Point],
+    tuples: Iterable[SchurTuple],
+    bases: dict[Point, int],
+    r: int,
+    *,
+    fix_first_point_color: bool = False,
 ) -> list[Clause]:
+    """The one clause builder. Numbers the given points after those already in
+    bases (var(p, m) = bases[p] + m, bases[p] = position * (r-1)), then emits
+    their at-most-one-color clauses, then r clauses per tuple, then, when asked
+    and (1,...,1) is among the points, the unit phi_1((1,...,1)).
+
+    Distinctness: for each point and each color pair i < m <= r-1, the
+    2-clause (not phi_i(p) or not phi_m(p)); none for r <= 2. Tuples: for a
+    tuple with distinct point set P, one clause (or over p in P of not
+    phi_i(p)) for each i in [r-1], plus one positive clause (or over i, p of
+    phi_i(p)) forbidding "all of P has color r". Every point of a tuple must
+    be numbered by then. The unit is a sound symmetry-breaking extension
+    (colors are interchangeable) and needs r >= 2.
+    """
+    if fix_first_point_color and r < 2:
+        raise InputError("symmetry breaking needs r >= 2 (no variables otherwise)")
     clauses: list[Clause] = []
+    for p in points:
+        base = bases[p] = len(bases) * (r - 1)
+        for i in range(1, r):
+            for m in range(i + 1, r):
+                clauses.append((-(base + i), -(base + m)))
     for t in tuples:
         offsets = [bases[p] for p in t.distinct_points()]
         for i in range(1, r):
             clauses.append(tuple(-(b + i) for b in offsets))
         clauses.append(tuple(b + i for b in offsets for i in range(1, r)))
-    return clauses
-
-
-def encode_distinctness(meta: EncodingMeta) -> list[Clause]:
-    """At-most-one-color clauses: for each point and each color pair i < j <= r-1,
-    the 2-clause (not phi_i(p) or not phi_j(p)). Empty for r <= 2."""
-    return _distinctness_clauses(
-        (i * (meta.r - 1) for i in range(meta.num_points)), meta.r
-    )
-
-
-def encode_tuple_clauses(family: TupleFamily, meta: EncodingMeta) -> list[Clause]:
-    """Per-tuple clauses forbidding a monochromatic tuple in any of the r colors.
-
-    For a tuple with distinct point set P: one clause (or over p in P of
-    not phi_i(p)) for each i in [r-1], plus one positive clause (or over
-    i, p of phi_i(p)) forbidding "all of P has color r". Exactly r clauses
-    per tuple; duplicate literals are removed via the distinct point set.
-    """
-    if (family.n, family.d) != (meta.n, meta.d):
-        raise InputError(
-            f"family over [{family.n}]^{family.d} does not match meta "
-            f"[{meta.n}]^{meta.d}"
-        )
-    bases = {p: i * (meta.r - 1) for i, p in enumerate(box_points(meta.n, meta.d))}
-    return _tuple_clauses(family.tuples, bases, meta.r)
-
-
-def encode_shell(
-    points: Sequence[Point],
-    tuples: Iterable[SchurTuple],
-    bases: Mapping[Point, int],
-    r: int,
-) -> list[Clause]:
-    """The clauses a search adds when its box grows by one shell: distinctness
-    for the shell's points, then the clauses of the tuples whose total lies in
-    the shell. bases maps every point seen so far to its variable offset
-    (var(p, m) = bases[p] + m), so the numbering does not depend on N."""
-    clauses = _distinctness_clauses((bases[p] for p in points), r)
-    clauses.extend(_tuple_clauses(tuples, bases, r))
+    if fix_first_point_color and points:
+        origin = (1,) * len(points[0])
+        if origin in points:
+            clauses.append((bases[origin] + 1,))
     return clauses
 
 
@@ -183,7 +165,8 @@ def encode(
     fix_first_point_color: bool = False,
 ) -> CnfFormula:
     """Compile "some r-coloring of [n]^d avoids every j-nondegenerate Schur
-    k-tuple" to CNF. Satisfiable iff such a free coloring exists.
+    k-tuple" to CNF in row-major numbering. Satisfiable iff such a free
+    coloring exists.
 
     fix_first_point_color appends the unit clause phi_1((1,...,1)) — a sound
     symmetry-breaking extension (colors are interchangeable), NOT part of the
@@ -196,12 +179,8 @@ def encode(
     elif (family.n, family.d, family.k, family.j) != (n, d, k, j):
         raise InputError("supplied family does not match encoding parameters")
     meta = EncodingMeta(n, d, r, k, j)
-    clauses = encode_distinctness(meta)
-    clauses.extend(encode_tuple_clauses(family, meta))
-    if fix_first_point_color:
-        if r < 2:
-            raise InputError("symmetry breaking needs r >= 2 (no variables otherwise)")
-        clauses.append((var_index((1,) * d, 1, meta),))
+    clauses = encode_points(list(box_points(n, d)), family.tuples, {}, r,
+                            fix_first_point_color=fix_first_point_color)
     return CnfFormula(meta.num_vars, tuple(clauses), meta)
 
 
@@ -215,7 +194,7 @@ def decode_model(
     of p is the unique m with phi_m(p) true, or r if all are false.
 
     bases gives each point's variable offset when the assignment uses a
-    search's shell numbering (see encode_shell) instead of row-major."""
+    search's shell numbering (see encode_points) instead of row-major."""
     r = meta.r
     colors = []
     for pm, p in enumerate(box_points(meta.n, meta.d)):

@@ -221,6 +221,15 @@ def parse_solver_output(text: str, num_vars: int | None = None) -> SolveResult:
     return Sat(model)
 
 
+def split_command(command: str) -> tuple[str, ...]:
+    """Split a solver command line into argv words the way a POSIX shell
+    would; a line that cannot be split (an unbalanced quote) is InputError."""
+    try:
+        return tuple(shlex.split(command))
+    except ValueError as e:
+        raise InputError(f"cannot parse solver command {command!r}: {e}") from None
+
+
 def solve_external(
     formula: CnfFormula,
     command: str | Sequence[str],
@@ -230,9 +239,10 @@ def solve_external(
 
     Sat models are re-checked against the formula in-process before being
     returned; a model that fails the formula is an integrity error, never a
-    silent wrong answer. Spawn failures and timeouts come back as Unknown.
+    silent wrong answer. Spawn failures, timeouts and output that cannot be
+    parsed come back as Unknown.
     """
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    argv = list(split_command(command) if isinstance(command, str) else command)
     if not argv:
         raise InputError("empty external solver command")
     timeout = budget.seconds if budget and budget.seconds is not None else None
@@ -250,7 +260,10 @@ def solve_external(
             return Unknown(f"external solver timed out after {timeout:g}s")
         except OSError as e:
             return Unknown(f"failed to launch external solver: {e}")
-    result = parse_solver_output(proc.stdout, num_vars=formula.num_vars)
+    try:
+        result = parse_solver_output(proc.stdout, num_vars=formula.num_vars)
+    except ParseError as e:
+        return Unknown(f"unreadable solver output: {e}")
     if isinstance(result, Sat) and not check_model(formula, result.model):
         raise IntegrityError(
             f"external solver {argv[0]!r} returned a model that fails the formula"

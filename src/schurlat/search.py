@@ -14,7 +14,6 @@ import csv
 import itertools
 import json
 import os
-import shlex
 import tempfile
 import time
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .encoder import (
     CnfFormula,
     EncodingMeta,
     decode_model,
-    encode_shell,
+    encode_points,
 )
 from .errors import InputError, IntegrityError, ParseError, SizeError
 from .lattice import (
@@ -157,7 +156,7 @@ class EngineConfig:
         if self.solver_command:
             return self.solver_command
         env = os.environ.get(SOLVER_ENV_VAR)
-        return tuple(shlex.split(env)) if env else None
+        return sat.split_command(env) if env else None
 
 
 def _utc_now() -> str:
@@ -168,7 +167,7 @@ class _Box:
     """The formula of [n]^d in shell numbering, and one internal engine that
     holds it. Every level a search or probe decides is decided here.
 
-    Variables are numbered by shell (encode_shell), so the formula of [n+1]^d
+    encode_points numbers the points shell by shell, so the formula of [n+1]^d
     is the formula of [n]^d plus the clauses of shell n+1, and the engine that
     decided level n decides level n+1 after those clauses are added. Each
     solve starts afresh except for the clauses, level-0 facts and saved
@@ -189,17 +188,12 @@ class _Box:
         self.engine = cdcl.Engine(0, ())
 
     def _grow(self, n: int) -> None:
-        d, r = self.d, self.r
         for s in range(self.n + 1, n + 1):
-            points = shell_points(s, d)
-            first = len(self.bases)
-            for i, p in enumerate(points):
-                self.bases[p] = (first + i) * (r - 1)
-            shell = enumerate_shell(s, d, self.k, self.j)
-            clauses = encode_shell(points, shell, self.bases, r)
-            if s == 1 and self.config.symmetry_break and r >= 2:
-                clauses.append((self.bases[(1,) * d] + 1,))
-            self.engine.add_vars(len(points) * (r - 1))
+            points = shell_points(s, self.d)
+            shell = enumerate_shell(s, self.d, self.k, self.j)
+            clauses = encode_points(points, shell, self.bases, self.r,
+                                    fix_first_point_color=self.config.symmetry_break)
+            self.engine.add_vars(len(points) * (self.r - 1))
             self.engine.add_clauses(clauses)
             self.tuples.extend(shell)
             self.clauses.extend(clauses)
@@ -439,8 +433,17 @@ def save_certificate(cert: Certificate, directory: str | Path) -> Path:
     return path
 
 
+def _json_int(value: object, what: str) -> int:
+    """value itself, if it is a JSON integer; a float, a bool or a numeric
+    string is not silently coerced."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_certificate(path: str | Path) -> Certificate:
-    """Parse a certificate file. Structural problems raise ParseError; use
+    """Parse a certificate file. Structural problems, including a param or a
+    color that is not a JSON integer, raise ParseError; use
     verify_certificate to judge whether the coloring is actually free."""
     try:
         doc = json.loads(Path(path).read_text())
@@ -451,19 +454,13 @@ def load_certificate(path: str | Path) -> Certificate:
             raise ParseError(
                 f"unsupported certificate schema_version {doc['schema_version']!r}"
             )
-        params = doc["params"]
+        params = {key: _json_int(doc["params"][key], key)
+                  for key in ("d", "j", "k", "r", "n")}
+        colors = tuple(_json_int(c, "color") for c in doc["colors"])
         prov = doc.get("provenance", {})
-        coloring = Coloring(
-            int(params["n"]), int(params["d"]), int(params["r"]),
-            tuple(int(c) for c in doc["colors"]),
-        )
         return Certificate(
-            d=int(params["d"]),
-            j=int(params["j"]),
-            k=int(params["k"]),
-            r=int(params["r"]),
-            n=int(params["n"]),
-            coloring=coloring,
+            **params,
+            coloring=Coloring(params["n"], params["d"], params["r"], colors),
             provenance=Provenance(
                 solver=str(prov.get("solver", "?")),
                 seed=prov.get("seed"),

@@ -183,6 +183,68 @@ class TestSearch:
         assert code == EXIT_INVALID_INPUT
         assert "solver" in err
 
+    def test_symmetry_break_with_one_color_exits_4(self, tmp_path, capsys):
+        # encode refuses it too: with r=1 there is no variable to fix.
+        code, _, err = run(
+            ["search", "--d", "1", "--r", "1", "--symmetry-break",
+             "--out", str(tmp_path), "-q"],
+            capsys,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "symmetry" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.fixture
+    def malformed_solver(self, tmp_path):
+        """A solver that claims a model but prints a v-line it cannot mean."""
+        script = tmp_path / "malformed.py"
+        script.write_text("print('s SATISFIABLE')\nprint('v 1 x 0')\n")
+        return f"{sys.executable} {script}"
+
+    def test_unreadable_external_answer_escalates(self, tmp_path, capsys,
+                                                  malformed_solver):
+        out_dir = tmp_path / "certs"
+        code, out, _ = run(
+            ["search", "--d", "1", "--r", "2", "--engine", "external",
+             "--solver-cmd", malformed_solver, "--out", str(out_dir), "-q"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert out.startswith("Exact 5")
+        doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
+        assert doc["provenance"]["solver"] == "schurlat-cdcl"
+
+    def test_unreadable_external_answer_without_escalation(self, tmp_path, capsys,
+                                                           malformed_solver):
+        code, out, err = run(
+            ["search", "--d", "1", "--r", "2", "--engine", "external",
+             "--solver-cmd", malformed_solver, "--no-escalate",
+             "--out", str(tmp_path / "certs")],
+            capsys,
+        )
+        assert code == EXIT_INCONCLUSIVE
+        assert out.startswith("Inconclusive")
+        assert "unreadable solver output" in err
+
+    def test_unbalanced_quote_in_solver_cmd_exits_4(self, tmp_path, capsys):
+        code, _, err = run(
+            ["search", "--d", "1", "--r", "2", "--engine", "external",
+             "--solver-cmd", "kissat '-q", "--out", str(tmp_path), "-q"],
+            capsys,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "solver command" in err
+
+    def test_unbalanced_quote_in_solver_env_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUR_SOLVER", "kissat '-q")
+        code, _, err = run(
+            ["search", "--d", "1", "--r", "2", "--engine", "external",
+             "--out", str(tmp_path), "-q"],
+            capsys,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "solver command" in err
+
 
 class TestVerify:
     def test_valid_certificate(self, free_cert_path, capsys):
@@ -202,6 +264,23 @@ class TestVerify:
         code, _, err = run(["verify", str(bad)], capsys)
         assert code == EXIT_INVALID_INPUT
         assert "error" in err
+
+    @pytest.mark.parametrize("params, colors", [
+        ({"n": 4.9}, [1, 2, 2, 1]),
+        ({}, [1.9, 2.2, 2.7, 1.1]),
+        ({"r": True}, [1, 1, 1, 1]),
+        ({"k": "3"}, [1, 2, 2, 1]),
+    ], ids=["float-n", "float-colors", "bool-r", "string-k"])
+    def test_non_integer_values_exit_4(self, free_cert_path, capsys, params, colors):
+        # Each file would verify as Valid if its values were coerced to int.
+        doc = json.loads(free_cert_path.read_text())
+        doc["params"].update(params)
+        doc["colors"] = colors
+        free_cert_path.write_text(json.dumps(doc))
+        code, out, err = run(["verify", str(free_cert_path)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "integer" in err
 
 
 class TestWitness:

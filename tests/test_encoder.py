@@ -12,8 +12,7 @@ from schurlat.encoder import (
     coloring_to_assignment,
     decode_model,
     encode,
-    encode_distinctness,
-    encode_tuple_clauses,
+    encode_points,
     var_index,
     var_point_color,
 )
@@ -60,20 +59,32 @@ class TestVarIndex:
             var_index((1,), 1, EncodingMeta(3, 1, 1))  # r=1 has no variables
 
 
+def distinctness(n, d, r):
+    """The clauses encode_points emits for [n]^d, row-major, with no tuples."""
+    return encode_points(list(box_points(n, d)), (), {}, r)
+
+
+def tuple_clauses(family, r):
+    """The clauses encode_points emits for the family's tuples, row-major."""
+    points = list(box_points(family.n, family.d))
+    clauses = encode_points(points, family.tuples, {}, r)
+    return clauses[len(distinctness(family.n, family.d, r)):]
+
+
 class TestDistinctness:
     def test_two_colors_no_clauses(self):
-        assert encode_distinctness(EncodingMeta(4, 2, 2)) == []
+        assert distinctness(4, 2, 2) == []
 
     def test_three_colors_two_points(self):
-        assert encode_distinctness(EncodingMeta(2, 1, 3)) == [(-1, -2), (-3, -4)]
+        assert distinctness(2, 1, 3) == [(-1, -2), (-3, -4)]
 
     def test_four_colors_one_point(self):
-        clauses = encode_distinctness(EncodingMeta(1, 1, 4))
+        clauses = distinctness(1, 1, 4)
         assert clauses == [(-1, -2), (-1, -3), (-2, -3)]
 
     def test_count_formula(self):
         for n, d, r in [(2, 2, 3), (3, 1, 4), (2, 1, 5)]:
-            clauses = encode_distinctness(EncodingMeta(n, d, r))
+            clauses = distinctness(n, d, r)
             assert len(clauses) == n**d * (r - 1) * (r - 2) // 2
 
 
@@ -86,13 +97,12 @@ class TestTupleClauses:
         fam = self.tuple_family(3, 2, 3, 2, [t])
         meta = EncodingMeta(3, 2, 2)
         a, b, c = (var_index(p, 1, meta) for p in t.distinct_points())
-        assert encode_tuple_clauses(fam, meta) == [(-a, -b, -c), (a, b, c)]
+        assert tuple_clauses(fam, 2) == [(-a, -b, -c), (a, b, c)]
 
     def test_three_colors_three_distinct_points(self):
         t = make_tuple([(1, 1), (1, 2)], (2, 3))
         fam = self.tuple_family(3, 2, 3, 2, [t])
-        meta = EncodingMeta(3, 2, 3)
-        clauses = encode_tuple_clauses(fam, meta)
+        clauses = tuple_clauses(fam, 3)
         assert len(clauses) == 3
         assert all(len(cl) == 3 and all(l < 0 for l in cl) for cl in clauses[:2])
         assert len(clauses[2]) == 6 and all(l > 0 for l in clauses[2])
@@ -100,17 +110,11 @@ class TestTupleClauses:
     def test_duplicate_points_are_merged(self):
         t = make_tuple([(1,), (1,)], (2,))
         fam = self.tuple_family(2, 1, 3, 1, [t])
-        clauses = encode_tuple_clauses(fam, EncodingMeta(2, 1, 2))
-        assert clauses == [(-1, -2), (1, 2)]
+        assert tuple_clauses(fam, 2) == [(-1, -2), (1, 2)]
 
     def test_empty_family(self):
         fam = self.tuple_family(2, 2, 3, 2, [])
-        assert encode_tuple_clauses(fam, EncodingMeta(2, 2, 2)) == []
-
-    def test_meta_mismatch(self):
-        fam = self.tuple_family(3, 2, 3, 2, [])
-        with pytest.raises(InputError):
-            encode_tuple_clauses(fam, EncodingMeta(4, 2, 2))
+        assert tuple_clauses(fam, 2) == []
 
 
 class TestEncode:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import oracle_truth_table_sat
 from schurlat import cdcl
-from schurlat.encoder import CnfFormula, encode, encode_shell
+from schurlat.encoder import CnfFormula, encode, encode_points
 from schurlat.lattice import enumerate_shell, shell_points
 from schurlat.errors import InputError, IntegrityError, ParseError
 from schurlat.sat import (
@@ -175,10 +175,10 @@ class TestSolveInternal:
 def grow_to_14(engine: cdcl.Engine) -> None:
     """Add the clauses of [14]^1 beyond those of [13]^1, three colors. In one
     dimension the shell numbering is the row-major one."""
-    bases = {(x,): (x - 1) * 2 for x in range(1, 15)}
+    bases = {(x,): (x - 1) * 2 for x in range(1, 14)}
     engine.add_vars(2)
     engine.add_clauses(
-        encode_shell(shell_points(14, 1), enumerate_shell(14, 1, 3, 1), bases, 3)
+        encode_points(shell_points(14, 1), enumerate_shell(14, 1, 3, 1), bases, 3)
     )
 
 

@@ -5,10 +5,11 @@ import json
 import os
 
 import sys
+from collections import Counter
 
 import pytest
 
-from schurlat.encoder import encode
+from schurlat.encoder import EncodingMeta, encode, var_index
 from schurlat.errors import InputError, ParseError, SizeError
 from schurlat.lattice import Coloring, enumerate_tuples, verify_free
 from schurlat.sat import Budget, Sat, Unknown, solve_internal
@@ -21,6 +22,7 @@ from schurlat.search import (
     LowerBound,
     NotColorable,
     Provenance,
+    _Box,
     brute_force_oracle,
     certificate_filename,
     find_schur_number,
@@ -88,6 +90,33 @@ class TestProbe:
         out = probe(6, 2, 3, 2, 2, EngineConfig(symmetry_break=True))
         assert isinstance(out, Colorable)
         assert out.certificate.coloring.color_of((1, 1)) == 1
+
+
+class TestShellFormula:
+    @pytest.mark.parametrize("n, d, k, j, r, sym", [
+        (6, 2, 3, 2, 3, False),
+        (7, 2, 3, 2, 2, True),
+        (5, 2, 4, 2, 3, False),
+        (4, 3, 4, 3, 2, False),
+        (4, 3, 4, 3, 3, True),
+        (9, 1, 3, 1, 3, True),
+    ])
+    def test_box_formula_is_encode_renumbered(self, n, d, k, j, r, sym):
+        # The search's formula of [n]^d, renamed from shell to row-major
+        # numbering, is the clause multiset encode writes.
+        box = _Box(d, k, j, r, EngineConfig(symmetry_break=sym))
+        box._grow(n)
+        meta = EncodingMeta(n, d, r, k, j)
+        rename = {base + m: var_index(p, m, meta)
+                  for p, base in box.bases.items() for m in range(1, r)}
+
+        def multiset(clauses):
+            return Counter(tuple(sorted(c)) for c in clauses)
+
+        renamed = [[rename[l] if l > 0 else -rename[-l] for l in c] for c in box.clauses]
+        assert box.engine.n == meta.num_vars
+        assert multiset(renamed) == multiset(encode(n, d, k, j, r,
+                                                    fix_first_point_color=sym).clauses)
 
 
 class TestBruteForceOracle:
