@@ -81,7 +81,7 @@ def cmd_encode(args) -> int:
                      fix_first_point_color=args.symmetry_break)
     data = write_dimacs(formula)
     if args.out:
-        Path(args.out).write_bytes(data)
+        search.write_atomically(args.out, data)
     else:
         sys.stdout.buffer.write(data)
     print(f"{formula.num_vars} variables, {formula.num_clauses} clauses",
@@ -172,7 +172,7 @@ def cmd_witness(args) -> int:
                 "vandermonde_det": vdet,
             },
         }
-        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+        search.write_atomically(args.out, (json.dumps(doc, indent=1) + "\n").encode())
         print(f"witness JSON: {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -186,23 +186,15 @@ def cmd_render(args) -> int:
             f"{violation.tuple.summands} -> {violation.tuple.total})"
         )
     if args.format == "ascii":
-        text = render.render_ascii(cert.coloring)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        data = render.render_ascii(cert.coloring).encode()
     elif args.format == "ppm":
         data = render.render_ppm(cert.coloring, scale=args.scale)
-        if args.out:
-            Path(args.out).write_bytes(data)
-        else:
-            sys.stdout.buffer.write(data)
     else:
-        text = render.render_svg(cert.coloring)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        data = render.render_svg(cert.coloring).encode()
+    if args.out:
+        search.write_atomically(args.out, data)
+    else:
+        sys.stdout.buffer.write(data)
     return EXIT_OK
 
 

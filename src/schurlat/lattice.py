@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -223,23 +223,27 @@ def _check_family_params(d: int, k: int, j: int) -> None:
         raise InputError(f"j={j} outside [1, min(d={d}, k-1={k - 1})]")
 
 
-def _shell_tuples(
-    s: int, d: int, k: int, j: int, allow_repeated_summands: bool
-) -> list[SchurTuple]:
-    """The tuples whose total lies in shell s, sorted by (total, summands).
+def _split_total(
+    total: Point, k: int, j: int, strict: bool, found: list[SchurTuple],
+    color_of: Mapping[Point, int] | None = None,
+) -> None:
+    """Append the j-nondegenerate tuples with this total to found, in summand order.
 
-    Each total of the shell is split into k-1 non-decreasing summands (strictly
-    increasing when repeats are not allowed), smallest summand first, so the
-    work is proportional to the tuples found rather than to the box.
+    The total is split into k-1 non-decreasing summands (strictly increasing
+    when strict), smallest summand first, so the work is proportional to the
+    tuples found rather than to the box. Given color_of, only summands of the
+    total's color are tried, so only monochromatic tuples are built.
     """
-    found: list[SchurTuple] = []
-    strict = not allow_repeated_summands
+    if min(total) < k - 1:
+        return
+    color = color_of[total] if color_of is not None else None
 
-    def split(total: Point, chosen: list[Point], rest: Point, m: int) -> None:
+    def split(chosen: list[Point], rest: Point, m: int) -> None:
         last = chosen[-1] if chosen else None
         if m == 1:
             # rest is the last summand; last is set because k - 1 >= 2.
-            if rest > last or (rest == last and not strict):
+            if ((rest > last or (rest == last and not strict))
+                    and (color is None or color_of[rest] == color)):
                 summands = (*chosen, rest)
                 if rank(summands) >= j:
                     found.append(SchurTuple(summands, total))
@@ -251,14 +255,13 @@ def _shell_tuples(
         for x in itertools.product(*ranges):
             if last is not None and (x < last or (strict and x == last)):
                 continue
+            if color is not None and color_of[x] != color:
+                continue
             chosen.append(x)
-            split(total, chosen, tuple(a - b for a, b in zip(rest, x)), m - 1)
+            split(chosen, tuple(a - b for a, b in zip(rest, x)), m - 1)
             chosen.pop()
 
-    for total in shell_points(s, d):
-        if min(total) >= k - 1:
-            split(total, [], total, k - 1)
-    return found
+    split([], total, k - 1)
 
 
 def enumerate_shell(
@@ -273,7 +276,10 @@ def enumerate_shell(
     if s < 1 or d < 1:
         raise InputError(f"need s >= 1 and d >= 1, got s={s} d={d}")
     _check_family_params(d, k, j)
-    return tuple(_shell_tuples(s, d, k, j, allow_repeated_summands))
+    found: list[SchurTuple] = []
+    for total in shell_points(s, d):
+        _split_total(total, k, j, not allow_repeated_summands, found)
+    return tuple(found)
 
 
 def enumerate_tuples(
@@ -285,18 +291,15 @@ def enumerate_tuples(
     componentwise sum stays inside the box and whose summands have rank >= j.
     Repeated summands (e.g. x + x = z) are permitted by default; pass
     allow_repeated_summands=False to restrict to distinct summands.
-    The family is the union of the shells 1..n (see enumerate_shell).
-    Output order is deterministic: lexicographic on (total, summands).
+    Output order is deterministic: lexicographic on (total, summands), which
+    is the order of the row-major walk over the totals.
     """
     if n < 1 or d < 1:
         raise InputError(f"need n >= 1 and d >= 1, got n={n} d={d}")
     _check_family_params(d, k, j)
-    found = [
-        t
-        for s in range(1, n + 1)
-        for t in _shell_tuples(s, d, k, j, allow_repeated_summands)
-    ]
-    found.sort(key=lambda t: (t.total, t.summands))
+    found: list[SchurTuple] = []
+    for total in box_points(n, d):
+        _split_total(total, k, j, not allow_repeated_summands, found)
     return TupleFamily(n, d, k, j, tuple(found))
 
 
@@ -320,6 +323,25 @@ def verify_free(coloring: Coloring, family: TupleFamily) -> Violation | None:
         raise InputError(
             f"family point {e.args[0]} outside [{coloring.n}]^{coloring.d}"
         ) from None
+    return None
+
+
+def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
+    """What verify_free(coloring, enumerate_tuples(n, d, k, j)) returns, for
+    the coloring's box [n]^d, without building the family.
+
+    Each total, in row-major order, is split only into summands of its own
+    color, so a tuple is built only when it is monochromatic and a free
+    coloring builds none. Family order is the order of the totals and then of
+    the summands, so the first tuple found is the first violation.
+    """
+    _check_family_params(coloring.d, k, j)
+    color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
+    for total, color in color_of.items():
+        found: list[SchurTuple] = []
+        _split_total(total, k, j, False, found, color_of)
+        if found:
+            return Violation(found[0], color)
     return None
 
 

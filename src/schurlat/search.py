@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import cdcl, sat
+from .bounds import schur_upper_bound
 from .encoder import (
     Clause,
     CnfFormula,
@@ -29,7 +30,7 @@ from .encoder import (
     decode_model,
     encode_points,
 )
-from .errors import InputError, IntegrityError, ParseError, SizeError
+from .errors import InputError, IntegrityError, NotTabulatedError, ParseError, SizeError
 from .lattice import (
     Coloring,
     Point,
@@ -38,6 +39,7 @@ from .lattice import (
     Violation,
     enumerate_shell,
     enumerate_tuples,
+    first_violation,
     point_index,
     shell_points,
     verify_free,
@@ -174,6 +176,10 @@ class _Box:
     phases, so the last level's model seeds the next level's decisions. The
     engine receives every shell even when the external engine is configured,
     because it is the escalation target.
+
+    ceiling is the theorem's bound R_r(k)^j - 1 (from the upper end of the
+    Ramsey table): no box [n]^d with n >= ceiling has a free coloring, so a
+    Colorable answer there is a fault. It is None when R_r(k) is not tabulated.
     """
 
     def __init__(self, d: int, k: int, j: int, r: int, config: EngineConfig) -> None:
@@ -186,6 +192,10 @@ class _Box:
         self.tuples: list[SchurTuple] = []
         self.clauses: list[Clause] = []
         self.engine = cdcl.Engine(0, ())
+        try:
+            self.ceiling: int | None = schur_upper_bound(d, j, r, k).value
+        except NotTabulatedError:
+            self.ceiling = None
 
     def _grow(self, n: int) -> None:
         for s in range(self.n + 1, n + 1):
@@ -246,6 +256,12 @@ class _Box:
             raise IntegrityError(
                 f"decoded model admits a monochromatic tuple {violation.tuple} "
                 f"in color {violation.color}; encoder and solver disagree"
+            )
+        if self.ceiling is not None and n >= self.ceiling:
+            raise IntegrityError(
+                f"[{n}]^{d} came back colorable, but no free {r}-coloring exists "
+                f"from N={self.ceiling} = R_{r}({k})^{j} - 1 on; the solver, the "
+                f"family or the Ramsey table is wrong"
             )
         cert = Certificate(d, j, k, r, n, coloring,
                            Provenance(solver, None, wall_ms, _utc_now()))
@@ -386,11 +402,10 @@ def brute_force_oracle(
 # -- certificate persistence ---------------------------------------------------
 
 def verify_certificate(cert: Certificate) -> Violation | None:
-    """Re-verify a certificate from scratch: recompute the tuple family from
-    the stored parameters and check freeness. Returns None when valid, else
+    """Re-verify a certificate from scratch: search the tuple family of the
+    stored parameters for a monochromatic tuple. Returns None when valid, else
     the first violating tuple. Stored provenance is never trusted."""
-    family = enumerate_tuples(cert.n, cert.d, cert.k, cert.j)
-    return verify_free(cert.coloring, family)
+    return first_violation(cert.coloring, cert.k, cert.j)
 
 
 def certificate_filename(cert: Certificate) -> str:
@@ -412,25 +427,39 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def save_certificate(cert: Certificate, directory: str | Path) -> Path:
-    """Write the certificate JSON into the directory; returns the path.
-
-    The file is written under a temporary name in the same directory and then
-    renamed over the target, so a crash or a failed write never leaves a
-    partial certificate behind (a previous one at the same path survives)."""
+    """Write the certificate JSON into the directory, atomically (see
+    write_atomically); returns the path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / certificate_filename(cert)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
+    text = json.dumps(certificate_to_json(cert), indent=1) + "\n"
+    write_atomically(path, text.encode())
+    return path
+
+
+def write_atomically(path: str | Path, data: bytes) -> None:
+    """Write data to path through a temporary file in the same directory,
+    fsynced and then renamed over the target, so a crash or a failed write
+    never leaves a partial file behind (a previous file at the path survives).
+
+    A symlink's target is replaced, not the link. A path that exists but is
+    not a regular file, such as /dev/stdout or a FIFO, cannot be renamed
+    over and is written directly."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
+    path = path.resolve()
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(certificate_to_json(cert), indent=1) + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return path
 
 
 def _json_int(value: object, what: str) -> int:

@@ -1,7 +1,9 @@
 """Command-line behavior: flags, outputs, and exit codes."""
 
 import json
+import os
 import sys
+import threading
 
 import pytest
 
@@ -360,6 +362,53 @@ class TestRender:
         code, _, err = run(["render", str(invalid_cert_path)], capsys)
         assert code == EXIT_INTEGRITY
         assert "refusing" in err
+
+
+class TestOutFiles:
+    @pytest.mark.parametrize("args", [
+        ["encode", "--n", "3", "--r", "2"],
+        ["witness", "--r", "2", "--random-seed", "7"],
+        ["render", "CERT", "--format", "ascii"],
+        ["render", "CERT", "--format", "ppm"],
+        ["render", "CERT", "--format", "svg"],
+    ], ids=["encode", "witness", "render-ascii", "render-ppm", "render-svg"])
+    def test_failed_write_leaves_the_old_file(self, args, free_cert_path, tmp_path,
+                                              monkeypatch):
+        out = tmp_path / "out" / "result"
+        out.parent.mkdir()
+        out.write_bytes(b"old")
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        args = [str(free_cert_path) if a == "CERT" else a for a in args]
+        with pytest.raises(OSError, match="disk full"):
+            main(args + ["--out", str(out)])
+        assert [p.name for p in out.parent.iterdir()] == ["result"]
+        assert out.read_bytes() == b"old"
+
+    def test_symlink_target_is_replaced_and_fifo_written(self, tmp_path, capsys):
+        main(["encode", "--n", "3", "--r", "2"])
+        expected = capsys.readouterr().out
+        target = tmp_path / "target.cnf"
+        target.write_text("old")
+        (tmp_path / "link.cnf").symlink_to(target)
+        assert main(["encode", "--n", "3", "--r", "2",
+                     "--out", str(tmp_path / "link.cnf")]) == EXIT_OK
+        assert (tmp_path / "link.cnf").is_symlink()
+        assert target.read_text() == expected
+
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        assert main(["encode", "--n", "3", "--r", "2", "--out", str(fifo)]) == EXIT_OK
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [expected]
 
 
 class TestBounds:

@@ -3,15 +3,23 @@
 import csv
 import json
 import os
-
+import random
 import sys
 from collections import Counter
 
 import pytest
 
+from schurlat import search
+from schurlat.bounds import SchurUpperBound, ramsey_number
 from schurlat.encoder import EncodingMeta, encode, var_index
-from schurlat.errors import InputError, ParseError, SizeError
-from schurlat.lattice import Coloring, enumerate_tuples, verify_free
+from schurlat.errors import InputError, IntegrityError, ParseError, SizeError
+from schurlat.lattice import (
+    Coloring,
+    SchurTuple,
+    box_points,
+    enumerate_tuples,
+    verify_free,
+)
 from schurlat.sat import Budget, Sat, Unknown, solve_internal
 from schurlat.search import (
     Certificate,
@@ -213,6 +221,15 @@ class TestFindSchurNumber:
         assert isinstance(out, Exact)
         assert [n for n, _ in seen] == [2, 3, 4, 5]
 
+    def test_colorable_level_at_the_theorem_bound_is_a_fault(self, monkeypatch):
+        assert _Box(2, 3, 2, 3, EngineConfig()).ceiling == 17**2 - 1
+        assert _Box(1, 3, 1, 5, EngineConfig()).ceiling is None  # R_5(3) untabulated
+        low = SchurUpperBound(4, True, ramsey_number(2, 3))
+        monkeypatch.setattr(search, "schur_upper_bound", lambda d, j, r, k: low)
+        # [4] is 2-colorable (the value is 5), so a bound of 4 is contradicted.
+        with pytest.raises(IntegrityError, match="N=4"):
+            find_schur_number(1, 3, 1, 2)
+
     def test_bad_ranges(self):
         with pytest.raises(InputError):
             find_schur_number(1, 3, 1, 2, n_start=0)
@@ -382,6 +399,63 @@ class TestCertificates:
             load_certificate(bad)
         with pytest.raises(ParseError):
             load_certificate(tmp_path / "missing.cert.json")
+
+
+# (n, d, k, j, r), including an empty family (2, 2, 3, 2, 3).
+VERIFY_PARAMS = [
+    (14, 1, 3, 1, 3), (16, 1, 3, 1, 3), (12, 1, 4, 1, 2), (6, 2, 3, 2, 2),
+    (7, 2, 3, 1, 2), (9, 2, 4, 2, 3), (5, 3, 4, 3, 2), (4, 3, 3, 2, 2),
+    (2, 2, 3, 2, 3),
+]
+
+
+def _largest_free_coloring(n, d, k, j, r):
+    """The certified coloring of the largest colorable box up to [n]^d."""
+    return find_schur_number(d, k, j, r, n_max=n).witness.coloring
+
+
+class TestVerifyCertificate:
+    @pytest.mark.parametrize("n, d, k, j, r", VERIFY_PARAMS)
+    def test_agrees_with_the_whole_family(self, n, d, k, j, r):
+        family = enumerate_tuples(n, d, k, j)
+        free = _largest_free_coloring(n, d, k, j, r)
+        rng = random.Random(n * 1000 + d * 100 + k * 10 + j)
+        # The free coloring extended to [n]^d by random colors, then corrupted
+        # at a few random points, and colorings that are random throughout.
+        extended = [free.color_of(p) if max(p) <= free.n else rng.randint(1, r)
+                    for p in box_points(n, d)]
+        colorings = [extended]
+        for _ in range(12):
+            colors = list(extended)
+            for _ in range(rng.randint(1, 3)):
+                colors[rng.randrange(len(colors))] = rng.randint(1, r)
+            colorings.append(colors)
+        colorings += [[rng.randint(1, r) for _ in range(n**d)] for _ in range(12)]
+        violations = 0
+        for colors in colorings:
+            coloring = Coloring(n, d, r, tuple(colors))
+            expected = verify_free(coloring, family)
+            assert verify_certificate(make_cert(n, d, j, k, r, coloring)) == expected
+            violations += expected is not None
+        assert violations > 0 or len(family) == 0
+
+    @pytest.mark.parametrize("n, d, k, j, r", [
+        (13, 1, 3, 1, 3), (6, 2, 3, 2, 2), (9, 2, 4, 2, 3), (5, 3, 4, 3, 2),
+    ])
+    def test_valid_certificate_builds_no_tuple(self, n, d, k, j, r, monkeypatch):
+        cert = make_cert(n, d, j, k, r, _largest_free_coloring(n, d, k, j, r))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SchurTuple was built")
+
+        monkeypatch.setattr(SchurTuple, "__init__", refuse)
+        assert verify_certificate(cert) is None
+
+    def test_bad_family_parameters(self):
+        with pytest.raises(InputError):
+            verify_certificate(make_cert(3, 1, 1, 2, 2))
+        with pytest.raises(InputError):
+            verify_certificate(make_cert(3, 2, 3, 3, 2))
 
 
 class TestEngineConfig:
