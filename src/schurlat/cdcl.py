@@ -74,6 +74,8 @@ class Engine:
         self.learnts: list[_Clause] = []
         self.ok = True
         self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
         self._seen = bytearray(1)
         self._mark = bytearray(2)  # per literal: already in the clause being loaded
         self.add_vars(num_vars)
@@ -148,6 +150,8 @@ class Engine:
         self.activity = [0.0] * (self.n + 1)
         self.var_inc = 1.0
         self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
 
     # -- assignment primitives -------------------------------------------
 
@@ -183,6 +187,7 @@ class Engine:
         val = self.val
         watches = self.watches
         trail = self.trail
+        start = self.qhead
         while self.qhead < len(trail):
             lit = trail[self.qhead]
             self.qhead += 1
@@ -224,9 +229,11 @@ class Engine:
                         j += 1
                         i += 1
                     del ws[j:]
+                    self.propagations += self.qhead - start
                     return c
                 self._enqueue(first, c)
             del ws[j:]
+        self.propagations += self.qhead - start
         return None
 
     # -- conflict analysis ---------------------------------------------------
@@ -404,7 +411,6 @@ class Engine:
         restart_limit = 100 * _luby(1)
         conflicts_at_restart = 0
         max_learnts = max(4000, 2 * len(self.clauses) // 3)
-        decisions = 0
 
         while True:
             confl = self._propagate()
@@ -441,8 +447,7 @@ class Engine:
                 self._reduce_db()
                 max_learnts += 512
 
-            decisions += 1
-            if deadline is not None and decisions & 1023 == 0:
+            if deadline is not None and self.decisions & 1023 == 1023:
                 if time.monotonic() > deadline:
                     return "unknown", None
             lit = self._decide()
@@ -451,5 +456,6 @@ class Engine:
                 for v in range(1, self.n + 1):
                     model[v] = self.val[2 * v] == _TRUE
                 return "sat", model
+            self.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)

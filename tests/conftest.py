@@ -100,6 +100,25 @@ def solve_conflicts(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
+def solve_stats(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """(conflicts, decisions, propagations, learnt clauses held) of the engine
+    after every Engine.solve call, in call order."""
+    from schurlat import cdcl
+
+    stats: list[tuple[int, int, int, int]] = []
+    solve = cdcl.Engine.solve
+
+    def counting_solve(engine, **kwargs):
+        result = solve(engine, **kwargs)
+        stats.append((engine.conflicts, engine.decisions, engine.propagations,
+                      len(engine.learnts)))
+        return result
+
+    monkeypatch.setattr(cdcl.Engine, "solve", counting_solve)
+    return stats
+
+
+@pytest.fixture
 def internal_solver_cmd() -> list[str]:
     """The bundled DIMACS solver, invoked portably via the interpreter."""
     return [sys.executable, "-m", "schurlat.solver_cli"]

@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -252,6 +253,64 @@ class TestIncrementalEngine:
         grow_to_14(again)
         assert again.solve(max_conflicts=refutation) == ("unsat", None)
         assert again.conflicts == refutation
+
+
+def random_3sat(seed: int, num_vars: int, num_clauses: int) -> list[tuple[int, ...]]:
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        vs = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return clauses
+
+
+@pytest.fixture(scope="module")
+def reduced_engine():
+    """An engine that has solved a random 3-SAT formula through one round of
+    learnt-clause deletion, with its answer, counters and deletion rounds."""
+    clauses = random_3sat(4, 200, 852)
+    engine = cdcl.Engine(200, clauses)
+    rounds = []
+    with pytest.MonkeyPatch.context() as mp:
+        reduce_db = cdcl.Engine._reduce_db
+        mp.setattr(cdcl.Engine, "_reduce_db", lambda e: rounds.append(reduce_db(e)))
+        answer = engine.solve()
+    counters = (engine.conflicts, engine.decisions, engine.propagations, len(engine.learnts))
+    return clauses, engine, answer, counters, len(rounds)
+
+
+def assert_watches_consistent(engine: cdcl.Engine) -> None:
+    """Each watch list holds only stored clauses and live learnt clauses, and
+    each of those sits exactly once in the lists of its first two literals."""
+    live = {id(c): c for c in engine.clauses}
+    live.update((id(lits), lits) for _, lits in engine.learnts)
+    placed = Counter()
+    for lit, ws in enumerate(engine.watches):
+        for c in ws:
+            assert live.get(id(c)) is c
+            placed[id(c), lit] += 1
+    for c in live.values():
+        assert placed[id(c), c[0]] == 1 and placed[id(c), c[1]] == 1
+    assert sum(placed.values()) == 2 * len(live)
+
+
+class TestLearntClauseDeletion:
+    def test_counters_are_pinned(self, reduced_engine):
+        # The deterministic search through a deletion round; a change that is
+        # not meant to alter the search must leave every counter as it is.
+        clauses, _, (answer, model), counters, rounds = reduced_engine
+        assert answer == "sat" and satisfies(clauses, model)
+        assert rounds == 1
+        assert counters == (6374, 7911, 248103, 4389)
+
+    def test_watch_lists_hold_only_live_clauses(self, reduced_engine):
+        _, engine, _, _, _ = reduced_engine
+        assert len(engine.learnts) > 0
+        assert_watches_consistent(engine)
+        # The next solve drops every learnt clause before it starts.
+        assert engine.solve()[0] == "sat"
+        assert engine.learnts == []
+        assert_watches_consistent(engine)
 
 
 class TestDimacs:

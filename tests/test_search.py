@@ -281,6 +281,13 @@ class TestAscent:
         assert isinstance(out, LowerBound) and out.value == 17
         assert solve_conflicts == [0] * 13 + [12, 70, 8]
 
+    def test_whole_plane_search_counters_are_pinned(self, solve_stats):
+        # The refutation of N=18 crosses the 1e100 activity rescale.
+        out = find_schur_number(2, 3, 2, 3)
+        assert isinstance(out, Exact) and out.value == 18
+        assert [s[0] for s in solve_stats] == [0] * 13 + [12, 70, 8, 9829]
+        assert solve_stats[-1] == (9829, 11818, 178783, 9820)
+
     def test_conflict_budget_applies_per_level(self, solve_conflicts):
         per_level = solve_conflicts
         assert find_schur_number(1, 3, 1, 3).value == 14
