@@ -11,6 +11,11 @@ wall-clock budgets can only turn a would-be answer into "unknown", never
 change it. Every clause, whether given to the constructor or added between
 solves, is loaded by add_clauses.
 
+A clause is a plain list of literal codes; the watch lists, the reasons and the
+clause store all hold that list itself, and a learnt clause is kept beside its
+LBD as an (lbd, literals) pair. A learnt clause that is dropped leaves the
+watch lists at once, so propagation never meets a dead clause.
+
 Literal coding: variable v (1-based) maps to literal codes 2v (positive) and
 2v+1 (negative); code^1 negates.
 """
@@ -24,15 +29,6 @@ from typing import Iterable, Sequence
 _UNDEF = 0
 _TRUE = 1
 _FALSE = 2
-
-
-class _Clause:
-    __slots__ = ("lits", "lbd", "deleted")
-
-    def __init__(self, lits: list[int], lbd: int = 0) -> None:
-        self.lits = lits
-        self.lbd = lbd
-        self.deleted = False
 
 
 def _luby(i: int) -> int:
@@ -52,17 +48,20 @@ class Engine:
     A formula can grow between solves: add_vars and add_clauses extend it at
     decision level 0, which is how a search reuses one engine for every box
     size. Each solve starts from the state a fresh engine would have (zero
-    activities, no learnt clauses, conflicts counted from zero) but keeps the
-    clauses, the level-0 facts and the saved phases; after a satisfiable
-    solve the phases are that model, so the next solve starts from it.
+    activities, no learnt clauses, counters from zero) but keeps the clauses,
+    the level-0 facts and the saved phases; after a satisfiable solve the
+    phases are that model, so the next solve starts from it.
+
+    The counters of the last solve: conflicts, decisions, and propagations
+    (the trail literals whose watch lists _propagate visited).
     """
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]) -> None:
         self.n = 0
         self.val = bytearray(2)
-        self.watches: list[list[_Clause]] = [[], []]
+        self.watches: list[list[list[int]]] = [[], []]
         self.level = [0]
-        self.reason: list[_Clause | None] = [None]
+        self.reason: list[list[int] | None] = [None]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -70,8 +69,8 @@ class Engine:
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = []
         self.phase = bytearray(1)  # 1 -> decide positive first
-        self.clauses: list[_Clause] = []
-        self.learnts: list[_Clause] = []
+        self.clauses: list[list[int]] = []
+        self.learnts: list[tuple[int, list[int]]] = []  # (lbd, literals)
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
@@ -133,19 +132,25 @@ class Engine:
                 self._attach(lits)
 
     def _attach(self, lits: list[int]) -> None:
-        c = _Clause(lits)
-        self.clauses.append(c)
-        self.watches[lits[0]].append(c)
-        self.watches[lits[1]].append(c)
+        self.clauses.append(lits)
+        self.watches[lits[0]].append(lits)
+        self.watches[lits[1]].append(lits)
+
+    def _detach(self, dead: list[list[int]]) -> None:
+        """Take the clauses in dead out of the watch lists. Each affected list
+        is filtered once, by identity, and the rest keep their order."""
+        gone = {id(lits) for lits in dead}
+        watches = self.watches
+        for lit in {lit for lits in dead for lit in lits[:2]}:
+            watches[lit] = [c for c in watches[lit] if id(c) not in gone]
 
     def _start_solve(self) -> None:
         """Reset the per-solve search state to that of a fresh engine; the
-        clauses, level-0 facts and saved phases stay. Dropped learnt clauses
-        leave the watch lists lazily, in _propagate, and no reason of a
-        level-0 variable is ever read."""
+        clauses, level-0 facts and saved phases stay. The learnt clauses of
+        the last solve leave the watch lists here; a level-0 variable may keep
+        one as its reason, but no reason of a level-0 variable is ever read."""
         self._backtrack(0)
-        for c in self.learnts:
-            c.deleted = True
+        self._detach([lits for _, lits in self.learnts])
         self.learnts = []
         self.activity = [0.0] * (self.n + 1)
         self.var_inc = 1.0
@@ -155,7 +160,7 @@ class Engine:
 
     # -- assignment primitives -------------------------------------------
 
-    def _enqueue(self, lit: int, reason: _Clause | None) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         self.val[lit] = _TRUE
         self.val[lit ^ 1] = _FALSE
         v = lit >> 1
@@ -183,57 +188,69 @@ class Engine:
 
     # -- propagation -------------------------------------------------------
 
-    def _propagate(self) -> _Clause | None:
+    def _propagate(self) -> list[int] | None:
+        """Propagate the trail from qhead; returns a conflicting clause or None.
+
+        A watched clause keeps its two watches at positions 0 and 1. When the
+        other watch is true the visit leaves the clause as it is; otherwise
+        it puts the false watch at position 1 before looking, from position 2
+        up, for a literal to watch instead. Every reader of a clause's order
+        (the next visit, _analyze, _redundant) sees it only after such a
+        visit, and _reduce_db's lock test reads both positions alike, so
+        skipping the swap on a satisfied clause cannot be observed.
+        """
         val = self.val
         watches = self.watches
         trail = self.trail
-        start = self.qhead
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            flit = lit ^ 1
+        push = trail.append
+        level = self.level
+        reason = self.reason
+        depth = len(self.trail_lim)
+        start = qhead = self.qhead
+        while qhead < len(trail):
+            flit = trail[qhead] ^ 1
+            qhead += 1
             ws = watches[flit]
-            i = 0
             j = 0
-            nws = len(ws)
-            while i < nws:
-                c = ws[i]
-                i += 1
-                if c.deleted:
-                    continue
-                lits = c.lits
-                if lits[0] == flit:
-                    lits[0] = lits[1]
-                    lits[1] = flit
+            it = iter(ws)
+            for lits in it:
                 first = lits[0]
-                if val[first] == _TRUE:
-                    ws[j] = c
+                if first == flit:
+                    first = lits[1]
+                    if val[first] == _TRUE:
+                        ws[j] = lits
+                        j += 1
+                        continue
+                    lits[0] = first
+                    lits[1] = flit
+                elif val[first] == _TRUE:
+                    ws[j] = lits
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
                     if val[lk] != _FALSE:
                         lits[1] = lk
                         lits[k] = flit
-                        watches[lk].append(c)
-                        moved = True
+                        watches[lk].append(lits)
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if val[first] == _FALSE:
-                    while i < nws:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.propagations += self.qhead - start
-                    return c
-                self._enqueue(first, c)
+                else:
+                    ws[j] = lits
+                    j += 1
+                    if val[first] == _FALSE:
+                        ws[j:] = it
+                        self.qhead = qhead
+                        self.propagations += qhead - start
+                        return lits
+                    val[first] = _TRUE
+                    val[first ^ 1] = _FALSE
+                    v = first >> 1
+                    level[v] = depth
+                    reason[v] = lits
+                    push(first)
             del ws[j:]
-        self.propagations += self.qhead - start
+        self.qhead = qhead
+        self.propagations += qhead - start
         return None
 
     # -- conflict analysis ---------------------------------------------------
@@ -258,7 +275,7 @@ class Engine:
         ]
         heapq.heapify(self.heap)
 
-    def _analyze(self, confl: _Clause) -> tuple[list[int], int, int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int, int]:
         """First-UIP learning. Returns (learnt clause, backjump level, lbd);
         the asserting literal sits at learnt[0]."""
         seen = self._seen
@@ -271,7 +288,7 @@ class Engine:
         p = -1  # trail literal being resolved; -1 on the first pass
         index = len(trail) - 1
         while True:
-            for q in confl.lits:
+            for q in confl:
                 if q == p:
                     continue
                 v = q >> 1
@@ -330,7 +347,7 @@ class Engine:
                     seen[v] = 0
                 del marked[added_from:]
                 return False
-            for q in r.lits:
+            for q in r:
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     if reason[v] is None:
@@ -346,26 +363,22 @@ class Engine:
     # -- learned clause management ---------------------------------------------
 
     def _reduce_db(self) -> None:
+        """Keep the glue clauses (LBD <= 2), the binary ones, the reasons and
+        the better half of the rest by (LBD, length); drop the others."""
         reason = self.reason
-
-        def locked(c: _Clause) -> bool:
-            lits = c.lits
-            return reason[lits[0] >> 1] is c or (
-                len(lits) > 1 and reason[lits[1] >> 1] is c
-            )
-
-        keep: list[_Clause] = []
-        drop: list[_Clause] = []
-        for c in self.learnts:
-            if c.lbd <= 2 or len(c.lits) <= 2 or locked(c):
-                keep.append(c)
+        keep: list[tuple[int, list[int]]] = []
+        drop: list[tuple[int, list[int]]] = []
+        for entry in self.learnts:
+            lbd, lits = entry
+            if (lbd <= 2 or len(lits) <= 2 or reason[lits[0] >> 1] is lits
+                    or reason[lits[1] >> 1] is lits):
+                keep.append(entry)
             else:
-                drop.append(c)
-        drop.sort(key=lambda c: (c.lbd, len(c.lits)))
+                drop.append(entry)
+        drop.sort(key=lambda entry: (entry[0], len(entry[1])))
         half = len(drop) // 2
         keep.extend(drop[:half])
-        for c in drop[half:]:
-            c.deleted = True
+        self._detach([lits for _, lits in drop[half:]])
         self.learnts = keep
 
     # -- decisions ----------------------------------------------------------------
@@ -424,11 +437,10 @@ class Engine:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
                 else:
-                    c = _Clause(learnt, lbd)
-                    self.learnts.append(c)
-                    self.watches[learnt[0]].append(c)
-                    self.watches[learnt[1]].append(c)
-                    self._enqueue(learnt[0], c)
+                    self.learnts.append((lbd, learnt))
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self.var_inc /= 0.95
                 if max_conflicts is not None and self.conflicts >= max_conflicts:
                     return "unknown", None

@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import os
+import stat
 import tempfile
 import time
 from dataclasses import dataclass
@@ -442,19 +443,27 @@ def write_atomically(path: str | Path, data: bytes) -> None:
     fsynced and then renamed over the target, so a crash or a failed write
     never leaves a partial file behind (a previous file at the path survives).
 
-    A symlink's target is replaced, not the link. A path that exists but is
-    not a regular file, such as /dev/stdout or a FIFO, cannot be renamed
-    over and is written directly."""
+    A symlink's target is replaced, not the link. A file that is replaced
+    keeps its mode; a new file gets 0o666 less the umask, as a plain write
+    would give it. A path that exists but is not a regular file, such as
+    /dev/stdout or a FIFO, cannot be renamed over and is written directly."""
     path = Path(path)
     if path.exists() and not path.is_file():
         path.write_bytes(data)
         return
     path = path.resolve()
+    try:
+        mode = stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
+            os.fchmod(fh.fileno(), mode)
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import sys
 import threading
 
@@ -387,6 +388,22 @@ class TestOutFiles:
             main(args + ["--out", str(out)])
         assert [p.name for p in out.parent.iterdir()] == ["result"]
         assert out.read_bytes() == b"old"
+
+    def test_new_file_follows_the_umask_and_a_replaced_one_keeps_its_mode(self, tmp_path):
+        args = ["encode", "--n", "3", "--r", "2", "--out"]
+        fresh = tmp_path / "fresh.cnf"
+        kept = tmp_path / "kept.cnf"
+        kept.write_text("old")
+        kept.chmod(0o640)
+        old_umask = os.umask(0o022)
+        try:
+            assert main(args + [str(fresh)]) == EXIT_OK
+            assert main(args + [str(kept)]) == EXIT_OK
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_bytes() == fresh.read_bytes() != b"old"
 
     def test_symlink_target_is_replaced_and_fifo_written(self, tmp_path, capsys):
         main(["encode", "--n", "3", "--r", "2"])
