@@ -82,40 +82,34 @@ def make_tuple(summands, total) -> SchurTuple:
     return SchurTuple(tuple(sorted(summands)), tuple(total))
 
 
+def _after_each_solve(monkeypatch, read):
+    """read(engine) after every Engine.solve call, in call order."""
+    from schurlat import cdcl
+
+    readings = []
+    solve = cdcl.Engine.solve
+
+    def recording_solve(engine, **kwargs):
+        result = solve(engine, **kwargs)
+        readings.append(read(engine))
+        return result
+
+    monkeypatch.setattr(cdcl.Engine, "solve", recording_solve)
+    return readings
+
+
 @pytest.fixture
 def solve_conflicts(monkeypatch) -> list[int]:
     """Engine.conflicts after every Engine.solve call, in call order."""
-    from schurlat import cdcl
-
-    counts: list[int] = []
-    solve = cdcl.Engine.solve
-
-    def counting_solve(engine, **kwargs):
-        result = solve(engine, **kwargs)
-        counts.append(engine.conflicts)
-        return result
-
-    monkeypatch.setattr(cdcl.Engine, "solve", counting_solve)
-    return counts
+    return _after_each_solve(monkeypatch, lambda engine: engine.conflicts)
 
 
 @pytest.fixture
 def solve_stats(monkeypatch) -> list[tuple[int, int, int, int]]:
     """(conflicts, decisions, propagations, learnt clauses held) of the engine
     after every Engine.solve call, in call order."""
-    from schurlat import cdcl
-
-    stats: list[tuple[int, int, int, int]] = []
-    solve = cdcl.Engine.solve
-
-    def counting_solve(engine, **kwargs):
-        result = solve(engine, **kwargs)
-        stats.append((engine.conflicts, engine.decisions, engine.propagations,
-                      len(engine.learnts)))
-        return result
-
-    monkeypatch.setattr(cdcl.Engine, "solve", counting_solve)
-    return stats
+    return _after_each_solve(monkeypatch, lambda engine: (
+        engine.conflicts, engine.decisions, engine.propagations, len(engine.learnts)))
 
 
 @pytest.fixture
