@@ -87,7 +87,8 @@ def solve_engine(
 ) -> SolveResult:
     """Run an engine that holds exactly `clauses`, which may have been added
     across several calls. A model is checked against every clause before it is
-    returned."""
+    returned; an Unknown's reason gives the engine's counters at the moment the
+    budget ran out."""
     status, raw = engine.solve(
         max_seconds=budget.seconds if budget else None,
         max_conflicts=budget.conflicts if budget else None,
@@ -100,7 +101,11 @@ def solve_engine(
             parts.append(f"{budget.seconds:g}s")
         if budget and budget.conflicts is not None:
             parts.append(f"{budget.conflicts} conflicts")
-        return Unknown(f"internal solver budget exhausted ({', '.join(parts)})")
+        return Unknown(
+            f"internal solver budget exhausted ({', '.join(parts)}) after "
+            f"{engine.conflicts} conflicts, {engine.decisions} decisions, "
+            f"{engine.reductions} deletion rounds"
+        )
     assert raw is not None
     model = {v: raw[v] for v in range(1, engine.n + 1)}
     if not _satisfies(clauses, model):

@@ -105,11 +105,12 @@ def solve_conflicts(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
-def solve_stats(monkeypatch) -> list[tuple[int, int, int, int]]:
-    """(conflicts, decisions, propagations, learnt clauses held) of the engine
-    after every Engine.solve call, in call order."""
+def solve_stats(monkeypatch) -> list[tuple[int, int, int, int, int]]:
+    """(conflicts, decisions, propagations, learnt clauses held, deletion
+    rounds) of the engine after every Engine.solve call, in call order."""
     return _after_each_solve(monkeypatch, lambda engine: (
-        engine.conflicts, engine.decisions, engine.propagations, len(engine.learnts)))
+        engine.conflicts, engine.decisions, engine.propagations, len(engine.learnts),
+        engine.reductions))
 
 
 @pytest.fixture

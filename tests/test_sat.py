@@ -115,6 +115,13 @@ class TestSolveInternal:
         result = solve_internal(f, Budget(conflicts=1))
         assert isinstance(result, Unknown)
         assert "budget" in result.reason
+        # The reason gives the engine's counters when the budget ran out.
+        engine = cdcl.Engine(f.num_vars, f.clauses)
+        result = solve_engine(engine, f.clauses, Budget(conflicts=5))
+        assert isinstance(result, Unknown)
+        assert engine.conflicts == 5 and engine.decisions > 0
+        assert result.reason.endswith(
+            f"after 5 conflicts, {engine.decisions} decisions, 0 deletion rounds")
 
     def test_deterministic_given_options(self):
         f = encode(6, 2, 3, 2, 2)
@@ -266,17 +273,13 @@ def random_3sat(seed: int, num_vars: int, num_clauses: int) -> list[tuple[int, .
 
 @pytest.fixture(scope="module")
 def reduced_engine():
-    """An engine that has solved a random 3-SAT formula through one round of
+    """An engine that has solved a random 3-SAT formula through two rounds of
     learnt-clause deletion, with its answer, counters and deletion rounds."""
     clauses = random_3sat(4, 200, 852)
     engine = cdcl.Engine(200, clauses)
-    rounds = []
-    with pytest.MonkeyPatch.context() as mp:
-        reduce_db = cdcl.Engine._reduce_db
-        mp.setattr(cdcl.Engine, "_reduce_db", lambda e: rounds.append(reduce_db(e)))
-        answer = engine.solve()
+    answer = engine.solve()
     counters = (engine.conflicts, engine.decisions, engine.propagations, len(engine.learnts))
-    return clauses, engine, answer, counters, len(rounds)
+    return clauses, engine, answer, counters, engine.reductions
 
 
 def assert_watches_consistent(engine: cdcl.Engine) -> None:
@@ -296,12 +299,12 @@ def assert_watches_consistent(engine: cdcl.Engine) -> None:
 
 class TestLearntClauseDeletion:
     def test_counters_are_pinned(self, reduced_engine):
-        # The deterministic search through a deletion round; a change that is
+        # The deterministic search through two deletion rounds; a change that is
         # not meant to alter the search must leave every counter as it is.
         clauses, _, (answer, model), counters, rounds = reduced_engine
         assert answer == "sat" and satisfies(clauses, model)
-        assert rounds == 1
-        assert counters == (6374, 7911, 248103, 4389)
+        assert rounds == 2
+        assert counters == (6073, 7564, 234135, 3443)
 
     def test_watch_lists_hold_only_live_clauses(self, reduced_engine):
         _, engine, _, _, _ = reduced_engine
@@ -311,6 +314,44 @@ class TestLearntClauseDeletion:
         assert engine.solve()[0] == "sat"
         assert engine.learnts == []
         assert_watches_consistent(engine)
+
+    def test_rounds_follow_the_conflict_schedule(self, monkeypatch):
+        # The first round comes at the first decision point at or after
+        # conflict 2,000; round x + 1 at the first one at least
+        # 2,000 + 300 * x conflicts after round x.
+        events = []
+        reduce_db, decide = cdcl.Engine._reduce_db, cdcl.Engine._decide
+
+        def recording(name, method):
+            def record(engine):
+                events.append((name, engine.conflicts))
+                return method(engine)
+            return record
+
+        monkeypatch.setattr(cdcl.Engine, "_reduce_db", recording("reduce", reduce_db))
+        monkeypatch.setattr(cdcl.Engine, "_decide", recording("decide", decide))
+        clauses = random_3sat(4, 200, 852)
+        engine = cdcl.Engine(200, clauses)
+        answer, model = engine.solve()
+        assert answer == "sat" and satisfies(clauses, model)
+        due, done = 2000, 0
+        for i, (name, c) in enumerate(events):
+            if name == "reduce":
+                assert c >= due and events[i + 1] == ("decide", c)
+                done += 1
+                due = c + 2000 + 300 * done
+            else:
+                # A decision point at or past the due conflict comes right
+                # after its round.
+                assert c < due or events[i - 1] == ("reduce", c)
+        assert done == engine.reductions == 2
+        assert_watches_consistent(engine)
+        # Restart x comes at least 100 * luby(x) conflicts after the one before.
+        gaps = [100 * cdcl._luby(x) for x in range(1, engine.restarts + 1)]
+        assert engine.restarts > 0 and sum(gaps) <= engine.conflicts
+        # Both counters, like the schedule, start again with the next solve.
+        assert engine.solve()[0] == "sat"
+        assert engine.restarts == engine.reductions == 0
 
 
 class TestDimacs:

@@ -282,11 +282,13 @@ class TestAscent:
         assert solve_conflicts == [0] * 13 + [12, 70, 8]
 
     def test_whole_plane_search_counters_are_pinned(self, solve_stats):
-        # The refutation of N=18 crosses the 1e100 activity rescale.
+        # The refutation of N=18 crosses the 1e100 activity rescale and runs
+        # learnt-clause deletion; no level below it reaches a deletion round.
         out = find_schur_number(2, 3, 2, 3)
         assert isinstance(out, Exact) and out.value == 18
-        assert [s[0] for s in solve_stats] == [0] * 13 + [12, 70, 8, 9829]
-        assert solve_stats[-1] == (9829, 11818, 178783, 9820)
+        assert [s[0] for s in solve_stats] == [0] * 13 + [12, 70, 8, 10568]
+        assert all(s[4] == 0 for s in solve_stats[:-1]) and solve_stats[-1][4] >= 1
+        assert solve_stats[-1] == (10568, 12680, 187855, 3279, 4)
 
     def test_conflict_budget_applies_per_level(self, solve_conflicts):
         per_level = solve_conflicts
