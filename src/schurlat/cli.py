@@ -98,7 +98,6 @@ def cmd_search(args) -> int:
         progress = lambda n, status: print(f"N={n}: {status}", file=sys.stderr)
     outcome = search.find_schur_number(
         args.d, args.k, j, args.r,
-        n_start=args.n_start,
         n_max=args.n_max,
         config=_engine_config(args),
         cert_dir=out_dir,
@@ -234,7 +233,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="determine the modified Schur number")
     _add_param_flags(p)
     _add_engine_flags(p)
-    p.add_argument("--n-start", type=int, default=2)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--out", default=None, help="certificate directory (default ./certificates)")
     p.add_argument("--ledger", default=None, help="results CSV (default <out>/results.csv)")

@@ -224,15 +224,15 @@ def _check_family_params(d: int, k: int, j: int) -> None:
 
 
 def _split_total(
-    total: Point, k: int, j: int, strict: bool, found: list[SchurTuple],
+    total: Point, k: int, j: int, found: list[SchurTuple],
     color_of: Mapping[Point, int] | None = None,
 ) -> None:
     """Append the j-nondegenerate tuples with this total to found, in summand order.
 
-    The total is split into k-1 non-decreasing summands (strictly increasing
-    when strict), smallest summand first, so the work is proportional to the
-    tuples found rather than to the box. Given color_of, only summands of the
-    total's color are tried, so only monochromatic tuples are built.
+    The total is split into k-1 non-decreasing summands, smallest summand
+    first, so the work is proportional to the tuples found rather than to the
+    box. Given color_of, only summands of the total's color are tried, so
+    only monochromatic tuples are built.
     """
     if min(total) < k - 1:
         return
@@ -242,8 +242,7 @@ def _split_total(
         last = chosen[-1] if chosen else None
         if m == 1:
             # rest is the last summand; last is set because k - 1 >= 2.
-            if ((rest > last or (rest == last and not strict))
-                    and (color is None or color_of[rest] == color)):
+            if rest >= last and (color is None or color_of[rest] == color):
                 summands = (*chosen, rest)
                 if rank(summands) >= j:
                     found.append(SchurTuple(summands, total))
@@ -253,7 +252,7 @@ def _split_total(
         ranges = [range(1, c - m + 2) for c in rest]
         ranges[0] = range(last[0] if last else 1, rest[0] // m + 1)
         for x in itertools.product(*ranges):
-            if last is not None and (x < last or (strict and x == last)):
+            if last is not None and x < last:
                 continue
             if color is not None and color_of[x] != color:
                 continue
@@ -264,9 +263,7 @@ def _split_total(
     split([], total, k - 1)
 
 
-def enumerate_shell(
-    s: int, d: int, k: int, j: int, *, allow_repeated_summands: bool = True
-) -> tuple[SchurTuple, ...]:
+def enumerate_shell(s: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     """The j-nondegenerate Schur k-tuples whose total lies in shell s.
 
     A summand is dominated by the total, so these are exactly the tuples of
@@ -278,19 +275,16 @@ def enumerate_shell(
     _check_family_params(d, k, j)
     found: list[SchurTuple] = []
     for total in shell_points(s, d):
-        _split_total(total, k, j, not allow_repeated_summands, found)
+        _split_total(total, k, j, found)
     return tuple(found)
 
 
-def enumerate_tuples(
-    n: int, d: int, k: int, j: int, *, allow_repeated_summands: bool = True
-) -> TupleFamily:
+def enumerate_tuples(n: int, d: int, k: int, j: int) -> TupleFamily:
     """Enumerate every canonical j-nondegenerate Schur k-tuple in [n]^d.
 
     A tuple is a non-decreasing multiset of k-1 summand points whose
     componentwise sum stays inside the box and whose summands have rank >= j.
-    Repeated summands (e.g. x + x = z) are permitted by default; pass
-    allow_repeated_summands=False to restrict to distinct summands.
+    Repeated summands (e.g. x + x = z) are permitted.
     Output order is deterministic: lexicographic on (total, summands), which
     is the order of the row-major walk over the totals.
     """
@@ -299,7 +293,7 @@ def enumerate_tuples(
     _check_family_params(d, k, j)
     found: list[SchurTuple] = []
     for total in box_points(n, d):
-        _split_total(total, k, j, not allow_repeated_summands, found)
+        _split_total(total, k, j, found)
     return TupleFamily(n, d, k, j, tuple(found))
 
 
@@ -339,7 +333,7 @@ def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
     color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
     for total, color in color_of.items():
         found: list[SchurTuple] = []
-        _split_total(total, k, j, False, found, color_of)
+        _split_total(total, k, j, found, color_of)
         if found:
             return Violation(found[0], color)
     return None

@@ -35,15 +35,12 @@ from .errors import InputError, IntegrityError, NotTabulatedError, ParseError, S
 from .lattice import (
     Coloring,
     Point,
-    SchurTuple,
-    TupleFamily,
     Violation,
     enumerate_shell,
     enumerate_tuples,
     first_violation,
     point_index,
     shell_points,
-    verify_free,
 )
 
 CERT_SCHEMA_VERSION = 1
@@ -178,9 +175,12 @@ class _Box:
     engine receives every shell even when the external engine is configured,
     because it is the escalation target.
 
-    ceiling is the theorem's bound R_r(k)^j - 1 (from the upper end of the
-    Ramsey table): no box [n]^d with n >= ceiling has a free coloring, so a
-    Colorable answer there is a fault. It is None when R_r(k) is not tabulated.
+    floor is the largest N whose tuple family is empty: shells 1..floor hold
+    no tuple, so every coloring of [n]^d with n <= floor is free and a
+    NotColorable answer there is a fault. ceiling is the theorem's bound
+    R_r(k)^j - 1 (from the upper end of the Ramsey table): no box [n]^d with
+    n >= ceiling has a free coloring, so a Colorable answer there is a fault.
+    It is None when R_r(k) is not tabulated.
     """
 
     def __init__(self, d: int, k: int, j: int, r: int, config: EngineConfig) -> None:
@@ -190,9 +190,11 @@ class _Box:
         self.config = config
         self.n = 0
         self.bases: dict[Point, int] = {}
-        self.tuples: list[SchurTuple] = []
         self.clauses: list[Clause] = []
         self.engine = cdcl.Engine(0, ())
+        self.floor = 0
+        while not enumerate_shell(self.floor + 1, d, k, j):
+            self.floor += 1
         try:
             self.ceiling: int | None = schur_upper_bound(d, j, r, k).value
         except NotTabulatedError:
@@ -206,7 +208,6 @@ class _Box:
                                     fix_first_point_color=self.config.symmetry_break)
             self.engine.add_vars(len(points) * (self.r - 1))
             self.engine.add_clauses(clauses)
-            self.tuples.extend(shell)
             self.clauses.extend(clauses)
         self.n = n
 
@@ -230,7 +231,8 @@ class _Box:
         """Grow the formula to [n]^d and run the configured engine, then the
         other one on Unknown when escalate is set and it is available. A model
         is decoded to a row-major coloring and must be free of the whole
-        family of [n]^d."""
+        family of [n]^d, which first_violation derives from the lattice rather
+        than from the shells handed to the encoder."""
         if n <= self.n:
             raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
         self._grow(n)
@@ -246,13 +248,17 @@ class _Box:
         wall_ms = int((time.monotonic() - t0) * 1000)
         if isinstance(result, sat.Unknown):
             return result
-        if isinstance(result, sat.Unsat):
-            return NotColorable(UnsatRecord(n, solver, wall_ms))
         d, k, j, r = self.d, self.k, self.j, self.r
+        if isinstance(result, sat.Unsat):
+            if n <= self.floor:
+                raise IntegrityError(
+                    f"[{n}]^{d} came back not colorable, but its tuple family is "
+                    f"empty, so every coloring is free; the solver is wrong"
+                )
+            return NotColorable(UnsatRecord(n, solver, wall_ms))
         coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
                                 bases=self.bases)
-        # Shell order rather than enumerate_tuples' order; the same tuples.
-        violation = verify_free(coloring, TupleFamily(n, d, k, j, tuple(self.tuples)))
+        violation = first_violation(coloring, k, j)
         if violation is not None:
             raise IntegrityError(
                 f"decoded model admits a monochromatic tuple {violation.tuple} "
@@ -284,7 +290,6 @@ def find_schur_number(
     j: int,
     r: int,
     *,
-    n_start: int = 2,
     n_max: int | None = None,
     config: EngineConfig | None = None,
     cert_dir: str | Path | None = None,
@@ -293,35 +298,27 @@ def find_schur_number(
 ) -> SearchOutcome:
     """Determine the modified Schur number exactly, or bound it.
 
-    Linear ascent from n_start, proving every level on the way.
-    The first NotColorable level is the exact value; if the very first probe
-    refutes, the walk descends to locate the boundary, so Exact outcomes always
-    carry a verified certificate at value-1 and a refutation at value.
-    LowerBound(v) means every level through v was proven colorable (the number
-    is >= v+1). Any Unknown halts the search as Inconclusive; an Unknown is
-    never converted into a bound.
+    Linear ascent, proving every level on the way. The walk starts at the
+    largest N whose tuple family is empty (the box's floor: 1 for k=3, j=1,
+    2 for d=2, k=3, j=2), or at n_max when that is smaller. Every coloring of
+    that first box is free, so the first NotColorable level is the exact
+    value and Exact outcomes always carry a verified certificate at value-1
+    and a refutation at value. LowerBound(v) means every level through v was
+    proven colorable (the number is >= v+1). Any Unknown halts the search as
+    Inconclusive; an Unknown is never converted into a bound.
 
-    Every level is decided on one formula that grows shell by shell (see
-    _Box), whichever engine answers it. The ascent keeps one box and one
-    internal engine for the whole walk up; each step of a descent starts a
-    fresh box, since a formula only grows.
+    Every level is decided by one _Box, whose formula and internal engine
+    grow shell by shell, whichever engine answers it.
     """
-    if n_start < 1:
-        raise InputError(f"n_start must be >= 1, got {n_start}")
-    if n_max is not None and n_max < n_start:
-        raise InputError(f"n_max={n_max} below n_start={n_start}")
+    if n_max is not None and n_max < 1:
+        raise InputError(f"n_max must be >= 1, got {n_max}")
     config = config or EngineConfig()
     cert_dir = Path(cert_dir) if cert_dir else None
     ledger_path = Path(ledger_path) if ledger_path else None
     statuses: list[tuple[int, str]] = []
     box = _Box(d, k, j, r, config)
-
-    def run(n: int) -> ProbeOutcome:
-        """Decide level n, then record its status, ledger row, certificate
-        and progress line."""
-        nonlocal box
-        if n <= box.n:
-            box = _Box(d, k, j, r, config)
+    n = box.floor if n_max is None else min(box.floor, n_max)
+    while True:
         t0 = time.monotonic()
         outcome = box.decide(n)
         wall_ms = int((time.monotonic() - t0) * 1000)
@@ -342,31 +339,15 @@ def find_schur_number(
             )
         if progress is not None:
             progress(n, status)
-        return outcome
-
-    n, witness = n_start, None
-    while n_max is None or n <= n_max:
-        outcome = run(n)
-        if isinstance(outcome, Colorable):
-            witness = outcome.certificate
-            n += 1
-            continue
         if isinstance(outcome, sat.Unknown):
             return Inconclusive(tuple(statuses))
-        if witness is not None:
+        if isinstance(outcome, NotColorable):
+            # The first level is never refuted (_Box.decide), so witness is set.
             return Exact(n, witness, outcome.record)
-        # The first probe refuted: walk down until a level is colorable.
-        refuted = outcome.record
-        for m in range(n - 1, 0, -1):
-            outcome = run(m)
-            if isinstance(outcome, Colorable):
-                return Exact(m + 1, outcome.certificate, refuted)
-            if isinstance(outcome, sat.Unknown):
-                return Inconclusive(tuple(statuses))
-            refuted = outcome.record
-        raise IntegrityError("[1]^d has an empty tuple family and must be colorable")
-    assert witness is not None
-    return LowerBound(witness.n, witness)
+        witness = outcome.certificate
+        if n == n_max:
+            return LowerBound(n, witness)
+        n += 1
 
 
 def brute_force_oracle(

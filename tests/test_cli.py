@@ -92,13 +92,19 @@ class TestEncode:
 
 class TestSearch:
     def test_degenerate_one_color(self, tmp_path, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             ["search", "--d", "1", "--j", "1", "--k", "3", "--r", "1",
              "--out", str(tmp_path), "-q"],
             capsys,
         )
         assert code == EXIT_OK
         assert out.startswith("Exact 2")
+        # The witness is the free coloring of [1], the walk's first level.
+        cert = err.split("certificate: ", 1)[1].strip()
+        assert cert.endswith("S_d1_j1_k3_r1_N1.cert.json")
+        code, out, _ = run(["verify", cert], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("Valid")
 
     def test_classical_exact_five(self, tmp_path, capsys):
         code, out, _ = run(
@@ -170,6 +176,37 @@ class TestSearch:
         assert code == EXIT_INVALID_INPUT
         assert "budget" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_n_max_below_one_exits_4(self, tmp_path, capsys):
+        code, _, err = run(
+            ["search", "--d", "1", "--r", "2", "--n-max", "0",
+             "--out", str(tmp_path), "-q"],
+            capsys,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "n_max" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_start_is_an_unknown_flag(self, tmp_path, capsys):
+        # The walk's start is worked out from the family; it is not an option.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "1", "--r", "2", "--n-start", "3",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "--n-start" in capsys.readouterr().err
+
+    def test_refuted_first_level_exits_5(self, tmp_path, capsys):
+        # [2]^2 has an empty family, so a solver that refutes it lies.
+        liar = tmp_path / "liar.py"
+        liar.write_text("print('s UNSATISFIABLE')\n")
+        code, _, err = run(
+            ["search", "--d", "2", "--r", "2", "--engine", "external",
+             "--solver-cmd", f"{sys.executable} {liar}", "--no-escalate",
+             "--out", str(tmp_path / "certs"), "-q"],
+            capsys,
+        )
+        assert code == EXIT_INTEGRITY
+        assert "integrity error" in err
 
     def test_missing_required_flag_exits_4(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -210,13 +210,6 @@ class TestEnumerateTuples:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
-    def test_repeated_summands_flag(self):
-        with_repeats = as_tuples(enumerate_tuples(4, 1, 3, 1))
-        without = as_tuples(enumerate_tuples(4, 1, 3, 1, allow_repeated_summands=False))
-        assert (((1,), (1,)), (2,)) in with_repeats
-        assert (((1,), (1,)), (2,)) not in without
-        assert set(without) < set(with_repeats)
-
     def test_parameter_validation(self):
         with pytest.raises(InputError):
             enumerate_tuples(3, 2, 2, 1)  # k too small
@@ -242,29 +235,17 @@ class TestShells:
         [(6, 1, 3, 1), (5, 1, 4, 1), (4, 2, 3, 1), (4, 2, 3, 2), (3, 2, 4, 2),
          (3, 3, 3, 2)],
     )
-    @pytest.mark.parametrize("repeats", [True, False])
-    def test_shells_partition_the_family(self, n, d, k, j, repeats):
-        shells = [
-            enumerate_shell(s, d, k, j, allow_repeated_summands=repeats)
-            for s in range(1, n + 1)
-        ]
+    def test_shells_partition_the_family(self, n, d, k, j):
+        shells = [enumerate_shell(s, d, k, j) for s in range(1, n + 1)]
         for s, shell in enumerate(shells, start=1):
             assert all(max(t.total) == s for t in shell)
             keys = [(t.total, t.summands) for t in shell]
             assert keys == sorted(keys)
         union = [(t.summands, t.total) for shell in shells for t in shell]
         assert len(set(union)) == len(union)  # disjoint
-        family = as_tuples(
-            enumerate_tuples(n, d, k, j, allow_repeated_summands=repeats)
-        )
+        family = as_tuples(enumerate_tuples(n, d, k, j))
         assert sorted(union, key=lambda pair: (pair[1], pair[0])) == family
-        expected = oracle_tuple_family(n, d, k, j)
-        if not repeats:
-            expected = [
-                (summands, total) for summands, total in expected
-                if len(set(summands)) == len(summands)
-            ]
-        assert family == expected
+        assert family == oracle_tuple_family(n, d, k, j)
 
     def test_shell_validation(self):
         with pytest.raises(InputError):

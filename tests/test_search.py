@@ -161,26 +161,13 @@ class TestFindSchurNumber:
         assert out.witness.n == 4
         assert verify_certificate(out.witness) is None
         assert out.refutation.n == 5
-        # certificates for N=2..4 on disk, ledger has one row per probe
+        # certificates for N=1..4 on disk, ledger has one row per probe
         names = sorted(p.name for p in tmp_path.glob("*.cert.json"))
-        assert names == [f"S_d1_j1_k3_r2_N{n}.cert.json" for n in (2, 3, 4)]
+        assert names == [f"S_d1_j1_k3_r2_N{n}.cert.json" for n in (1, 2, 3, 4)]
         with (tmp_path / "ledger.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["n"] for r in rows] == ["2", "3", "4", "5"]
+        assert [r["n"] for r in rows] == ["1", "2", "3", "4", "5"]
         assert rows[-1]["outcome"] == "not-colorable"
-
-    def test_start_above_the_value_descends(self):
-        out = find_schur_number(1, 3, 1, 2, n_start=10)
-        assert isinstance(out, Exact) and out.value == 5
-        assert out.witness.n == 4
-
-    def test_start_above_the_value_descends_in_the_plane(self):
-        # For d >= 2 shell order differs from row-major order, so every
-        # descent step's model goes through the shell bases when decoded.
-        out = find_schur_number(2, 3, 2, 2, n_start=9)
-        assert isinstance(out, Exact) and out.value == 7
-        assert out.witness.n == 6
-        assert verify_certificate(out.witness) is None
 
     def test_n_max_gives_lower_bound(self):
         out = find_schur_number(2, 3, 2, 2, n_max=3)
@@ -219,7 +206,7 @@ class TestFindSchurNumber:
         seen = []
         out = find_schur_number(1, 3, 1, 2, progress=lambda n, s: seen.append((n, s)))
         assert isinstance(out, Exact)
-        assert [n for n, _ in seen] == [2, 3, 4, 5]
+        assert [n for n, _ in seen] == [1, 2, 3, 4, 5]
 
     def test_colorable_level_at_the_theorem_bound_is_a_fault(self, monkeypatch):
         assert _Box(2, 3, 2, 3, EngineConfig()).ceiling == 17**2 - 1
@@ -231,10 +218,39 @@ class TestFindSchurNumber:
             find_schur_number(1, 3, 1, 2)
 
     def test_bad_ranges(self):
-        with pytest.raises(InputError):
-            find_schur_number(1, 3, 1, 2, n_start=0)
-        with pytest.raises(InputError):
-            find_schur_number(1, 3, 1, 2, n_start=5, n_max=4)
+        with pytest.raises(InputError, match="n_max"):
+            find_schur_number(1, 3, 1, 2, n_max=0)
+
+    @pytest.mark.parametrize("d, k, j, start", [
+        (1, 3, 1, 1), (2, 3, 1, 1), (2, 3, 2, 2), (2, 4, 2, 3), (3, 4, 3, 3),
+    ])
+    def test_walk_starts_at_the_last_empty_family(self, d, k, j, start):
+        # The largest N whose family is empty; every coloring of it is free.
+        assert len(enumerate_tuples(start, d, k, j)) == 0
+        assert len(enumerate_tuples(start + 1, d, k, j)) > 0
+        seen = []
+        find_schur_number(d, k, j, 2, n_max=start + 1,
+                          progress=lambda n, status: seen.append(n))
+        assert seen[0] == start
+
+    def test_n_max_below_the_start(self):
+        # The family of [2]^2 with k=4 is empty, so the walk starts at n_max.
+        seen = []
+        out = find_schur_number(2, 4, 2, 2, n_max=2,
+                                progress=lambda n, status: seen.append(n))
+        assert isinstance(out, LowerBound) and out.value == 2
+        assert seen == [2]
+        assert verify_certificate(out.witness) is None
+
+    def test_refuted_first_level_is_a_fault(self, tmp_path):
+        # The first level's family is empty, so a solver that refutes it lies.
+        liar = tmp_path / "liar.py"
+        liar.write_text("print('s UNSATISFIABLE')\n")
+        config = EngineConfig(engine="external", escalate=False,
+                              solver_command=(sys.executable, str(liar)))
+        with pytest.raises(IntegrityError, match="empty"):
+            find_schur_number(2, 3, 2, 2, config=config, ledger_path=tmp_path / "l.csv")
+        assert not (tmp_path / "l.csv").exists()
 
 
 class TestAscent:
@@ -246,7 +262,7 @@ class TestAscent:
         [(1, 3, 1, 2, 8), (1, 3, 1, 3, 5), (2, 3, 2, 2, 3), (2, 3, 1, 2, 3)],
     )
     def test_matches_per_level_probes_and_oracle(self, tmp_path, d, k, j, r, n_max):
-        out = find_schur_number(d, k, j, r, n_start=1, n_max=n_max, cert_dir=tmp_path)
+        out = find_schur_number(d, k, j, r, n_max=n_max, cert_dir=tmp_path)
         colorable = [
             isinstance(probe(n, d, k, j, r), Colorable) for n in range(1, n_max + 1)
         ]
@@ -264,8 +280,10 @@ class TestAscent:
         else:
             assert isinstance(out, Exact) and out.value == colorable.index(False) + 1
         top = out.value if isinstance(out, LowerBound) else out.value - 1
+        # The walk starts at the largest N whose family is empty.
+        start = max(n for n in range(1, n_max + 1) if len(enumerate_tuples(n, d, k, j)) == 0)
         certs = sorted(tmp_path.glob("*.cert.json"))
-        assert sorted(load_certificate(p).n for p in certs) == list(range(1, top + 1))
+        assert sorted(load_certificate(p).n for p in certs) == list(range(start, top + 1))
         for path in certs:
             assert verify_certificate(load_certificate(path)) is None
 
@@ -273,7 +291,7 @@ class TestAscent:
         # The shared engine's count at every level of the three-color search,
         # 143 in all; a change not meant to alter the search keeps them.
         assert find_schur_number(1, 3, 1, 3).value == 14
-        assert solve_conflicts == [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 12, 130]
+        assert solve_conflicts == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 12, 130]
 
     def test_plane_conflict_counts_are_pinned(self, solve_conflicts):
         # The same for d=2, where shell order differs from row-major order.
@@ -304,16 +322,19 @@ class TestAscent:
         assert isinstance(out, Exact) and out.value == 7
         assert out.witness.coloring.color_of((1, 1)) == 1
 
-    def test_escalation_keeps_the_search_going(self, internal_solver_cmd):
-        # One conflict is too few for N=13 and N=14 of the three-color search:
-        # the external solver answers those levels, the shared engine the rest.
-        statuses = []
-        config = EngineConfig(budget=Budget(conflicts=1),
+    def test_escalation_keeps_the_search_going(self, tmp_path, internal_solver_cmd):
+        # Two conflicts are enough for every level of the three-color search
+        # but N=13 and N=14 (12 and 130): the external solver answers those
+        # levels, the shared engine the rest.
+        config = EngineConfig(budget=Budget(conflicts=2),
                               solver_command=tuple(internal_solver_cmd))
-        out = find_schur_number(1, 3, 1, 3, n_start=12, config=config,
-                                progress=lambda n, status: statuses.append(n))
+        ledger = tmp_path / "ledger.csv"
+        out = find_schur_number(1, 3, 1, 3, config=config, ledger_path=ledger)
         assert isinstance(out, Exact) and out.value == 14
-        assert statuses == [12, 13, 14]
+        with ledger.open() as fh:
+            external = [int(row["n"]) for row in csv.DictReader(fh)
+                        if row["solver"].startswith("external:")]
+        assert external == [13, 14]
         assert out.witness.provenance.solver.startswith("external:")
         assert out.refutation.solver.startswith("external:")
         assert verify_certificate(out.witness) is None
@@ -335,7 +356,7 @@ class TestAscent:
         # A solver that prints nothing answers Unknown; the internal engine,
         # which holds the same formula, answers instead.
         config = EngineConfig(engine="external", solver_command=(sys.executable, "-c", "pass"))
-        out = find_schur_number(2, 3, 2, 2, n_start=6, config=config)
+        out = find_schur_number(2, 3, 2, 2, config=config)
         assert isinstance(out, Exact) and out.value == 7
         assert out.witness.provenance.solver == "schurlat-cdcl"
         assert out.refutation.solver == "schurlat-cdcl"
