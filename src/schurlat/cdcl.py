@@ -124,6 +124,8 @@ class Engine:
         self._backtrack(0)
         val = self.val
         mark = self._mark
+        store = self.clauses
+        watches = self.watches
         for signed in clauses:
             if not self.ok:
                 return
@@ -147,12 +149,9 @@ class Engine:
                 self._enqueue(lits[0], None)
             else:
                 lits.sort()
-                self._attach(lits)
-
-    def _attach(self, lits: list[int]) -> None:
-        self.clauses.append(lits)
-        self.watches[lits[0]].append(lits)
-        self.watches[lits[1]].append(lits)
+                store.append(lits)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
 
     def _detach(self, dead: list[list[int]]) -> None:
         """Take the clauses in dead out of the watch lists. Each affected list

@@ -147,7 +147,7 @@ def cmd_witness(args) -> int:
                 f"Ramsey number R_{args.r}({args.k}) is not exactly known; "
                 f"cannot pick a random-coloring box size"
             )
-        n = args.n if args.n else entry.lower**args.d - 1
+        n = args.n if args.n is not None else entry.lower**args.d - 1
         rng = random.Random(args.random_seed)
         chi = Coloring(n, args.d, args.r,
                        tuple(rng.randint(1, args.r) for _ in range(n**args.d)))

@@ -28,6 +28,7 @@ positive clause, then the optional symmetry-breaking unit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -133,24 +134,30 @@ def encode_points(
     phi_i(p)) forbidding "all of P has color r". Every point of a tuple must
     be numbered by then. The unit is a sound symmetry-breaking extension
     (colors are interchangeable) and needs r >= 2.
+
+    Each numbered point's r-1 positive and r-1 negative literals are built
+    once per call; a tuple's negative clauses are those tuples zipped over
+    its points and its positive clause is their concatenation, so clauses
+    share literal objects instead of each allocating its own.
     """
     if fix_first_point_color and r < 2:
         raise InputError("symmetry breaking needs r >= 2 (no variables otherwise)")
+    for p in points:
+        bases[p] = len(bases) * (r - 1)
+    colors = range(1, r)
+    pos = {p: tuple(b + i for i in colors) for p, b in bases.items()}
+    neg = {p: tuple(-(b + i) for i in colors) for p, b in bases.items()}
     clauses: list[Clause] = []
     for p in points:
-        base = bases[p] = len(bases) * (r - 1)
-        for i in range(1, r):
-            for m in range(i + 1, r):
-                clauses.append((-(base + i), -(base + m)))
+        clauses.extend(itertools.combinations(neg[p], 2))
     for t in tuples:
-        offsets = [bases[p] for p in t.distinct_points()]
-        for i in range(1, r):
-            clauses.append(tuple(-(b + i) for b in offsets))
-        clauses.append(tuple(b + i for b in offsets for i in range(1, r)))
+        distinct = t.distinct_points()
+        clauses.extend(zip(*[neg[p] for p in distinct]))
+        clauses.append(tuple(itertools.chain.from_iterable([pos[p] for p in distinct])))
     if fix_first_point_color and points:
         origin = (1,) * len(points[0])
         if origin in points:
-            clauses.append((bases[origin] + 1,))
+            clauses.append((pos[origin][0],))
     return clauses
 
 

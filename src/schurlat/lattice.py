@@ -11,6 +11,7 @@ in lexicographic order (last coordinate varying fastest).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -49,7 +50,7 @@ def point_from_index(idx: int, n: int, d: int) -> Point:
 
 
 def vector_sum(points: Sequence[Point]) -> Point:
-    return tuple(sum(cs) for cs in zip(*points))
+    return tuple(map(sum, zip(*points)))
 
 
 # -- exact linear algebra ----------------------------------------------------
@@ -65,23 +66,30 @@ def rank(vectors: Sequence[Sequence[int]]) -> int:
     dim = len(vectors[0])
     if dim < 1:
         raise InputError("vectors must have dimension >= 1")
-    if any(len(v) != dim for v in vectors):
-        raise InputError("vectors have mismatched dimensions")
-    m = [list(v) for v in vectors]
+    for v in vectors:
+        if len(v) != dim:
+            raise InputError("vectors have mismatched dimensions")
+    m = list(map(list, vectors))
     rows = len(m)
     r = 0
     prev = 1
     for c in range(dim):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+        pivot_row = m[r]
+        pivot = pivot_row[c]
         for i in range(r + 1, rows):
+            row = m[i]
+            lead = row[c]
             for cc in range(c + 1, dim):
-                m[i][cc] = (m[i][cc] * m[r][c] - m[i][c] * m[r][cc]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+                row[cc] = (row[cc] * pivot - lead * pivot_row[cc]) // prev
+            row[c] = 0
+        prev = pivot
         r += 1
         if r == rows:
             break
@@ -139,13 +147,14 @@ class SchurTuple:
     total: Point
 
     def __post_init__(self) -> None:
-        if vector_sum(self.summands) != self.total:
-            raise InputError(f"summands {self.summands} do not sum to {self.total}")
-        if list(self.summands) != sorted(self.summands):
+        summands = self.summands
+        if vector_sum(summands) != self.total:
+            raise InputError(f"summands {summands} do not sum to {self.total}")
+        if any(map(operator.gt, summands, summands[1:])):
             raise InputError("summands must be sorted lexicographically")
 
     def distinct_points(self) -> tuple[Point, ...]:
-        return tuple(sorted(set(self.summands) | {self.total}))
+        return tuple(sorted({*self.summands, self.total}))
 
 
 @dataclass(frozen=True)
@@ -232,35 +241,40 @@ def _split_total(
     The total is split into k-1 non-decreasing summands, smallest summand
     first, so the work is proportional to the tuples found rather than to the
     box. Given color_of, only summands of the total's color are tried, so
-    only monochromatic tuples are built.
+    only monochromatic tuples are built. The recursion is the module-level
+    _split, not a closure that refers to itself, so a call leaves no
+    reference cycle behind for the cyclic garbage collector.
     """
     if min(total) < k - 1:
         return
     color = color_of[total] if color_of is not None else None
+    _split(found, total, (), total, k - 1, j, color_of, color)
 
-    def split(chosen: list[Point], rest: Point, m: int) -> None:
-        last = chosen[-1] if chosen else None
-        if m == 1:
-            # rest is the last summand; last is set because k - 1 >= 2.
-            if rest >= last and (color is None or color_of[rest] == color):
-                summands = (*chosen, rest)
-                if rank(summands) >= j:
-                    found.append(SchurTuple(summands, total))
-            return
-        # Each of the m summands left is at least 1 per coordinate, and the
-        # m-1 after x are lexicographically >= x, so m * x[0] <= rest[0].
-        ranges = [range(1, c - m + 2) for c in rest]
-        ranges[0] = range(last[0] if last else 1, rest[0] // m + 1)
-        for x in itertools.product(*ranges):
-            if last is not None and x < last:
-                continue
-            if color is not None and color_of[x] != color:
-                continue
-            chosen.append(x)
-            split(chosen, tuple(a - b for a, b in zip(rest, x)), m - 1)
-            chosen.pop()
 
-    split([], total, k - 1)
+def _split(
+    found: list[SchurTuple], total: Point, chosen: tuple[Point, ...], rest: Point,
+    m: int, j: int, color_of: Mapping[Point, int] | None, color: int | None,
+) -> None:
+    """Split rest into m >= 2 summands, each lexicographically >= the last of
+    chosen, and append the tuples chosen + summands that pass the color and
+    rank tests. The last two summands are found in one loop."""
+    last = chosen[-1] if chosen else None
+    # Each of the m summands left is at least 1 per coordinate, and the m-1
+    # after x are lexicographically >= x, so m * x[0] <= rest[0].
+    ranges = [range(1, c - m + 2) for c in rest]
+    ranges[0] = range(last[0] if last else 1, rest[0] // m + 1)
+    for x in itertools.product(*ranges):
+        if last is not None and x < last:
+            continue
+        if color is not None and color_of[x] != color:
+            continue
+        y = tuple(map(operator.sub, rest, x))
+        if m > 2:
+            _split(found, total, (*chosen, x), y, m - 1, j, color_of, color)
+        elif y >= x and (color is None or color_of[y] == color):
+            summands = (*chosen, x, y)
+            if rank(summands) >= j:
+                found.append(SchurTuple(summands, total))
 
 
 def enumerate_shell(s: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:

@@ -477,6 +477,8 @@ def load_certificate(path: str | Path) -> Certificate:
                   for key in ("d", "j", "k", "r", "n")}
         colors = tuple(_json_int(c, "color") for c in doc["colors"])
         prov = doc.get("provenance", {})
+        if not isinstance(prov, dict):
+            raise ParseError(f"provenance must be a JSON object, got {prov!r}")
         return Certificate(
             **params,
             coloring=Coloring(params["n"], params["d"], params["r"], colors),
@@ -489,7 +491,7 @@ def load_certificate(path: str | Path) -> Certificate:
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"malformed certificate {path}: {e}") from None
 
 

@@ -322,6 +322,20 @@ class TestVerify:
         assert out == ""
         assert "integer" in err
 
+    @pytest.mark.parametrize("provenance, word", [
+        ('[1, 2]', "provenance"),
+        ('{"solver": "x", "wall_ms": 1e400}', "malformed"),
+    ], ids=["provenance-not-an-object", "infinite-wall-ms"])
+    def test_bad_provenance_exits_4(self, free_cert_path, capsys, provenance, word):
+        # json reads 1e400 as an infinite float, which int() cannot convert.
+        doc = json.loads(free_cert_path.read_text())
+        doc["provenance"] = "PROVENANCE"
+        free_cert_path.write_text(json.dumps(doc).replace('"PROVENANCE"', provenance))
+        code, out, err = run(["verify", str(free_cert_path)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert word in err
+
 
 class TestWitness:
     def test_random_seed_mode(self, capsys):
@@ -353,6 +367,15 @@ class TestWitness:
         w = doc["witness"]
         assert len(w["clique"]) == 3
         assert [sum(c) for c in zip(*w["summands"])] == w["sum"]
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_box_size_exits_4(self, capsys, n):
+        code, out, err = run(
+            ["witness", "--d", "1", "--r", "2", "--random-seed", "7", "--n", n],
+            capsys,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(["witness", "--d", "1", "--r", "2"], capsys)

@@ -1,5 +1,6 @@
 """CNF compilation: variable numbering, clause shapes, counts, and decoding."""
 
+import hashlib
 import itertools
 import random
 
@@ -24,7 +25,7 @@ from schurlat.lattice import (
     enumerate_tuples,
     verify_free,
 )
-from schurlat.sat import check_model
+from schurlat.sat import check_model, write_dimacs
 
 
 class TestVarIndex:
@@ -150,6 +151,24 @@ class TestEncode:
         assert f.clauses[-1] == (1,)
         with pytest.raises(InputError):
             encode(2, 1, 3, 1, 1, fix_first_point_color=True)
+
+    @pytest.mark.parametrize("n, d, k, j, r, sym, digest", [
+        (9, 1, 3, 1, 2, False,
+         "8875bc3888e5c29975384583bc072fa73bc3f0db2d1c78d08dee59bae0c23281"),
+        (6, 2, 3, 2, 3, True,
+         "49f010311a7cc92b33bec8238dfba0d123586a2a82996ae11921d0dd66c35ec9"),
+        (5, 2, 4, 2, 4, False,
+         "ea1faed0818ea5c1dc3a8f5aabe15d39d5bd053a9fd493d5edbdf6879c4c44e2"),
+        (4, 3, 4, 3, 3, False,
+         "58c4d1b4be4260ee1edcc5d36714237eaf8eebb5981f0cf87ba1ea795053e53c"),
+        (4, 3, 3, 2, 2, True,
+         "338e4dda6825134760d9cca9efbb3ee7b889577a35e27e77f677778d1500e03b"),
+    ], ids=["d1-k3-r2", "d2-k3-r3-sym", "d2-k4-r4", "d3-k4-r3", "d3-k3-r2-sym"])
+    def test_dimacs_bytes_are_pinned(self, n, d, k, j, r, sym, digest):
+        # Clause order and literal order fix the bytes, and the engine's
+        # counters depend on both; a pure speed change keeps these digests.
+        f = encode(n, d, k, j, r, fix_first_point_color=sym)
+        assert hashlib.sha256(write_dimacs(f)).hexdigest() == digest
 
     def test_family_parameter_mismatch(self):
         with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 """Lattice types, exact linear algebra, tuple enumeration, and lifting."""
 
+import gc
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from schurlat.lattice import (
     det,
     enumerate_shell,
     enumerate_tuples,
+    first_violation,
     induced_coloring,
     is_j_nondegenerate,
     lift_solution,
@@ -246,6 +248,20 @@ class TestShells:
         family = as_tuples(enumerate_tuples(n, d, k, j))
         assert sorted(union, key=lambda pair: (pair[1], pair[0])) == family
         assert family == oracle_tuple_family(n, d, k, j)
+
+    def test_splitting_leaves_no_cyclic_garbage(self):
+        # Enumeration and certificate checks run once per level; reference
+        # cycles left by the splitter would make the cyclic GC collect them.
+        rng = random.Random(7)
+        coloring = Coloring(12, 2, 3, tuple(rng.randint(1, 3) for _ in range(144)))
+        gc.collect()
+        gc.disable()
+        try:
+            assert enumerate_shell(12, 2, 3, 2)
+            assert first_violation(coloring, 3, 2) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_shell_validation(self):
         with pytest.raises(InputError):

@@ -1,6 +1,7 @@
 """Probe loop, search outcomes, certificates, oracle, and the results ledger."""
 
 import csv
+import hashlib
 import json
 import os
 import random
@@ -125,6 +126,21 @@ class TestShellFormula:
         assert box.engine.n == meta.num_vars
         assert multiset(renamed) == multiset(encode(n, d, k, j, r,
                                                     fix_first_point_color=sym).clauses)
+
+    @pytest.mark.parametrize("d, k, j, r, n, count, digest", [
+        (2, 3, 2, 3, 12, 6462,
+         "9abfbd8572f809eca371f7a23dd3b0e9a575cb1aa463665037175958adbf75fc"),
+        (2, 3, 2, 4, 14, 16764,
+         "2e89919cadeb5d5b0f0ce587cb8a72f0a2227ce36eecea0add9ba8ed2c77b2bc"),
+    ], ids=["d2-r3-n12", "d2-r4-n14"])
+    def test_box_clause_order_is_pinned(self, d, k, j, r, n, count, digest):
+        # The shell-numbered clauses in the order the engine receives them,
+        # literal order included, which the engine's counters depend on.
+        box = _Box(d, k, j, r, EngineConfig())
+        box._grow(n)
+        text = "".join(" ".join(map(str, c)) + " 0\n" for c in box.clauses)
+        assert len(box.clauses) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestBruteForceOracle:
