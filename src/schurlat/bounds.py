@@ -49,8 +49,17 @@ RamseyTable = dict[tuple[int, int], RamseyEntry]
 _default_table: RamseyTable | None = None
 
 
+def _json_int(value: object, what: str) -> int:
+    """value itself, if it is a JSON integer; a float, a bool or a numeric
+    string is not silently coerced."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_ramsey_table(path: str | Path | None = None) -> RamseyTable:
-    """Load a Ramsey table file (the packaged one by default)."""
+    """Load a Ramsey table file (the packaged one by default). The schema
+    version and every r, k, lower and upper must be JSON integers."""
     if path is None:
         text = resources.files("schurlat").joinpath("data/ramsey_table.json").read_text()
     else:
@@ -60,13 +69,13 @@ def load_ramsey_table(path: str | Path | None = None) -> RamseyTable:
             raise ParseError(f"cannot read Ramsey table {path}: {e}") from None
     try:
         doc = json.loads(text)
-        if doc["schema_version"] != 1:
+        if _json_int(doc["schema_version"], "schema_version") != 1:
             raise ParseError(f"unsupported ramsey_table schema_version {doc['schema_version']!r}")
         table = {}
         for row in doc["entries"]:
             entry = RamseyEntry(
-                int(row["r"]), int(row["k"]),
-                int(row["lower"]), int(row["upper"]), str(row["source"]),
+                *(_json_int(row[key], key) for key in ("r", "k", "lower", "upper")),
+                str(row["source"]),
             )
             table[(entry.r, entry.k)] = entry
         return table

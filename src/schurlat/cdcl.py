@@ -19,7 +19,7 @@ Everything is deterministic for a fixed sequence of calls: ties in the
 decision heap break on variable index, restarts follow the Luby sequence, and
 wall-clock budgets can only turn a would-be answer into "unknown", never
 change it. Every clause, whether given to the constructor or added between
-solves, is loaded by add_clauses.
+solves, is loaded by add_clauses, which sorts its literal codes once.
 
 A clause is a plain list of literal codes; the watch lists, the reasons and the
 clause store all hold that list itself, and a learnt clause is kept beside its
@@ -94,7 +94,6 @@ class Engine:
         self.restarts = 0
         self.reductions = 0
         self._seen = bytearray(1)
-        self._mark = bytearray(2)  # per literal: already in the clause being loaded
         self.add_vars(num_vars)
         self.add_clauses(clauses)
 
@@ -110,7 +109,6 @@ class Engine:
         self.activity.extend([0.0] * count)
         self.phase.extend(bytes(count))
         self._seen.extend(bytes(count))
-        self._mark.extend(bytes(2 * count))
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         """Add clauses over existing variables; the only way clauses enter.
@@ -118,40 +116,37 @@ class Engine:
         The engine first returns to decision level 0. Level-0 facts only ever
         follow from the clauses, which only grow, so a literal false at level 0
         is dropped, a repeated literal is kept once, and a clause already true
-        at level 0 or holding a literal and its negation is not stored. The
-        work per clause is linear in its length.
+        at level 0 or holding a literal and its negation is not stored. Sorting
+        a clause's codes once puts a repeat next to its first copy and a
+        negation (codes 2v, 2v+1) next to its partner: one pass decides it.
         """
         self._backtrack(0)
         val = self.val
-        mark = self._mark
-        store = self.clauses
         watches = self.watches
         for signed in clauses:
             if not self.ok:
                 return
+            codes = [2 * l if l > 0 else -2 * l + 1 for l in signed]
+            codes.sort()
             lits: list[int] = []
-            drop = False
-            for l in signed:
-                lit = 2 * l if l > 0 else -2 * l + 1
-                if val[lit] == _TRUE or mark[lit ^ 1]:
-                    drop = True  # satisfied at level 0, or a tautology
-                    break
-                if val[lit] == _UNDEF and not mark[lit]:
-                    mark[lit] = 1
+            prev = 0
+            for lit in codes:
+                if lit == prev:
+                    continue
+                if val[lit] == _TRUE or lit == prev ^ 1:
+                    break  # satisfied at level 0, or a tautology
+                if val[lit] == _UNDEF:
                     lits.append(lit)
-            for lit in lits:
-                mark[lit] = 0
-            if drop:
-                continue
-            if not lits:
-                self.ok = False
-            elif len(lits) == 1:
-                self._enqueue(lits[0], None)
+                prev = lit
             else:
-                lits.sort()
-                store.append(lits)
-                watches[lits[0]].append(lits)
-                watches[lits[1]].append(lits)
+                if not lits:
+                    self.ok = False
+                elif len(lits) == 1:
+                    self._enqueue(lits[0], None)
+                else:
+                    self.clauses.append(lits)
+                    watches[lits[0]].append(lits)
+                    watches[lits[1]].append(lits)
 
     def _detach(self, dead: list[list[int]]) -> None:
         """Take the clauses in dead out of the watch lists. Each affected list
@@ -351,22 +346,16 @@ class Engine:
         return learnt, bj, lbd
 
     def _redundant(self, lit: int, marked: list[int]) -> bool:
-        """True if lit is implied by the rest of the learnt clause, i.e. its
-        reason chain never escapes the seen set. Marks stay for memoization;
-        the caller clears everything recorded in `marked`."""
+        """True if lit, which has a reason, is implied by the rest of the learnt
+        clause: its reason chain, followed only through literals with reasons,
+        stays in the seen set. The marks stay; the caller clears `marked`."""
         reason = self.reason
         level = self.level
         seen = self._seen
         stack = [lit]
         added_from = len(marked)
         while stack:
-            r = reason[stack.pop() >> 1]
-            if r is None:
-                for v in marked[added_from:]:
-                    seen[v] = 0
-                del marked[added_from:]
-                return False
-            for q in r:
+            for q in reason[stack.pop() >> 1]:  # type: ignore[union-attr]
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     if reason[v] is None:
@@ -406,22 +395,18 @@ class Engine:
     # -- decisions ----------------------------------------------------------------
 
     def _decide(self) -> int:
-        """Next decision literal, or 0 when every variable is assigned."""
+        """Next decision literal, or 0 when every variable is assigned. Every
+        unassigned variable v has its live entry (-activity[v], v) in the heap:
+        solve and _bump's rescale rebuild the heap over them, _bump pushes a
+        bumped variable's entry and _backtrack each variable it unassigns."""
         val = self.val
         heap = self.heap
         activity = self.activity
-        v = 0
         while heap:
-            negact, u = heapq.heappop(heap)
-            if val[2 * u] == _UNDEF and -negact == activity[u]:
-                v = u
-                break
-        if not v:
-            self._rebuild_heap()
-            if not self.heap:
-                return 0
-            _, v = heapq.heappop(self.heap)
-        return 2 * v + (0 if self.phase[v] else 1)
+            negact, v = heapq.heappop(heap)
+            if val[2 * v] == _UNDEF and -negact == activity[v]:
+                return 2 * v + (0 if self.phase[v] else 1)
+        return 0
 
     # -- main loop --------------------------------------------------------------------
 

@@ -35,12 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID_INPUT)
 
 
-def _add_param_flags(p: argparse.ArgumentParser, *, need_r: bool = True) -> None:
+def _add_param_flags(p: argparse.ArgumentParser, *, need_r: bool = True,
+                     with_j: bool = True) -> None:
     p.add_argument("--d", type=int, default=1, help="lattice dimension (default 1)")
     p.add_argument("--k", type=int, default=3,
                    help="number of variables in x_1+...+x_(k-1)=x_k (default 3)")
-    p.add_argument("--j", type=int, default=None,
-                   help="independence parameter (default min(d, k-1))")
+    if with_j:
+        p.add_argument("--j", type=int, default=None,
+                       help="independence parameter (default min(d, k-1))")
     p.add_argument("--r", type=int, required=need_r, help="number of colors")
 
 
@@ -136,6 +138,9 @@ def cmd_witness(args) -> int:
         raise InputError("give exactly one of --coloring or --random-seed")
     table = bounds.load_ramsey_table(args.ramsey_table) if args.ramsey_table else None
     if args.coloring is not None:
+        if args.r is not None or args.n is not None:
+            raise InputError("--coloring takes r and n from the certificate; "
+                             "drop --r and --n")
         cert = search.load_certificate(args.coloring)
         chi = cert.coloring
     else:
@@ -243,8 +248,9 @@ def build_parser() -> _Parser:
     p.add_argument("certificate")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("witness", help="extract a monochromatic solution from a coloring")
-    _add_param_flags(p, need_r=False)
+    p = sub.add_parser("witness", help="extract a monochromatic solution from a coloring "
+                                       "(the construction's j is always d)")
+    _add_param_flags(p, need_r=False, with_j=False)
     p.add_argument("--coloring", default=None, metavar="CERT",
                    help="certificate file supplying the coloring")
     p.add_argument("--random-seed", type=int, default=None,

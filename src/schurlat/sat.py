@@ -12,7 +12,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import cdcl
 from .encoder import Clause, CnfFormula
@@ -60,17 +60,14 @@ SolveResult = Sat | Unsat | Unknown
 def check_model(formula: CnfFormula, model: Mapping[int, bool]) -> bool:
     """Independent clause evaluator: true iff the model satisfies every clause.
     Variables absent from the model count as false."""
-    return _satisfies(formula.clauses, model)
+    return _satisfies(formula.clauses,
+                      {**dict.fromkeys(range(1, formula.num_vars + 1), False), **model})
 
 
 def _satisfies(clauses: Iterable[Clause], model: Mapping[int, bool]) -> bool:
+    """True iff each clause has a literal true in the model, which is total."""
     true = {v if value else -v for v, value in model.items()}
-    for clause in clauses:
-        if true.isdisjoint(clause) and not any(
-            lit < 0 and -lit not in model for lit in clause
-        ):
-            return False
-    return True
+    return not any(map(true.isdisjoint, clauses))
 
 
 def solve_internal(formula: CnfFormula, budget: Budget | None = None) -> SolveResult:
@@ -115,18 +112,16 @@ def solve_engine(
 
 # -- DIMACS ------------------------------------------------------------------
 
-def write_dimacs(
-    formula: CnfFormula, sink: BinaryIO | None = None, *, comments: bool = True
-) -> bytes:
+def write_dimacs(formula: CnfFormula) -> bytes:
     """Serialize to DIMACS CNF, byte-exact and stable across runs.
 
     Header "p cnf <vars> <clauses>", one clause per line terminated by " 0".
-    When the formula carries encoding metadata and comments are enabled, a
-    single leading "c" line records the (N, d, k, j, r) parameters.
+    When the formula carries encoding metadata, a single leading "c" line
+    records the (N, d, k, j, r) parameters.
     """
     lines: list[str] = []
     meta = formula.meta
-    if comments and meta is not None:
+    if meta is not None:
         fields = [f"N={meta.n}", f"d={meta.d}"]
         if meta.k is not None:
             fields.append(f"k={meta.k}")
@@ -137,19 +132,18 @@ def write_dimacs(
     lines.append(f"p cnf {formula.num_vars} {formula.num_clauses}\n")
     for clause in formula.clauses:
         lines.append(" ".join(str(l) for l in clause) + (" 0\n" if clause else "0\n"))
-    data = "".join(lines).encode("ascii")
-    if sink is not None:
-        sink.write(data)
-    return data
+    return "".join(lines).encode("ascii")
 
 
 def read_dimacs(text: str | bytes) -> CnfFormula:
-    """Parse DIMACS CNF text. Comment lines are ignored; clauses may span lines."""
+    """Parse DIMACS CNF text in one pass. Comment lines are ignored, clauses
+    may span lines, and a "%" line ends the file."""
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
     num_vars: int | None = None
     num_clauses: int | None = None
-    tokens: list[int] = []
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
@@ -166,19 +160,16 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
         if line == "%":
             break
         try:
-            tokens.extend(int(t) for t in line.split())
+            for t in map(int, line.split()):
+                if t:
+                    current.append(t)
+                else:
+                    clauses.append(tuple(current))
+                    current.clear()
         except ValueError:
             raise ParseError(f"bad DIMACS clause line: {line!r}") from None
     if num_vars is None or num_clauses is None:
         raise ParseError("missing DIMACS 'p cnf' header")
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for t in tokens:
-        if t == 0:
-            clauses.append(tuple(current))
-            current.clear()
-        else:
-            current.append(t)
     if current:
         raise ParseError("last clause is not 0-terminated")
     if len(clauses) != num_clauses:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import cdcl, sat
-from .bounds import schur_upper_bound
+from .bounds import _json_int, schur_upper_bound
 from .encoder import (
     Clause,
     CnfFormula,
@@ -452,14 +452,6 @@ def write_atomically(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _json_int(value: object, what: str) -> int:
-    """value itself, if it is a JSON integer; a float, a bool or a numeric
-    string is not silently coerced."""
-    if type(value) is not int:
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def load_certificate(path: str | Path) -> Certificate:
     """Parse a certificate file. Structural problems, including a param or a
     color that is not a JSON integer, raise ParseError; use
@@ -469,7 +461,7 @@ def load_certificate(path: str | Path) -> Certificate:
     except (OSError, ValueError) as e:
         raise ParseError(f"cannot read certificate {path}: {e}") from None
     try:
-        if doc["schema_version"] != CERT_SCHEMA_VERSION:
+        if _json_int(doc["schema_version"], "schema_version") != CERT_SCHEMA_VERSION:
             raise ParseError(
                 f"unsupported certificate schema_version {doc['schema_version']!r}"
             )

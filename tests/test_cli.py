@@ -322,6 +322,16 @@ class TestVerify:
         assert out == ""
         assert "integer" in err
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_non_integer_schema_version_exits_4(self, free_cert_path, capsys, version):
+        text = free_cert_path.read_text().replace('"schema_version": 1',
+                                                  f'"schema_version": {version}')
+        free_cert_path.write_text(text)
+        code, out, err = run(["verify", str(free_cert_path)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "schema_version must be an integer" in err
+
     @pytest.mark.parametrize("provenance, word", [
         ('[1, 2]', "provenance"),
         ('{"solver": "x", "wall_ms": 1e400}', "malformed"),
@@ -384,6 +394,24 @@ class TestWitness:
     def test_random_mode_needs_r(self, capsys):
         code, _, err = run(["witness", "--d", "1", "--random-seed", "3"], capsys)
         assert code == EXIT_INVALID_INPUT
+
+    def test_j_is_an_unknown_flag(self, capsys):
+        # The construction always has j = d, so there is no --j to ignore.
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--d", "2", "--k", "3", "--r", "2",
+                  "--random-seed", "7", "--j", "7"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "--j" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--r", "2"], ["--n", "4"], ["--r", "2", "--n", "4"]],
+                             ids=["r", "n", "r-and-n"])
+    def test_coloring_refuses_r_and_n(self, free_cert_path, capsys, flags):
+        # The certificate fixes r and n; a flag for either would be ignored.
+        code, out, err = run(["witness", "--coloring", str(free_cert_path), *flags],
+                             capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "--coloring" in err
 
     def test_inexact_ramsey_refused(self, capsys):
         code, _, err = run(
@@ -513,6 +541,26 @@ class TestBounds:
     def test_not_tabulated_exits_4(self, capsys):
         code, _, err = run(["bounds", "--d", "1", "--k", "3", "--r", "9"], capsys)
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize("field, value", [
+        ("lower", "6.9"), ("r", "true"), ("k", '"3"'), ("upper", "1e400"),
+        ("schema_version", "true"), ("schema_version", "1.0"),
+    ], ids=["float-lower", "bool-r", "string-k", "infinite-upper",
+            "bool-schema-version", "float-schema-version"])
+    def test_non_integer_table_values_exit_4(self, tmp_path, capsys, field, value):
+        # Coerced, 6.9 printed "R_2(3) = 6" and true made R_2(3) "not in the
+        # table"; json reads 1e400 as an infinite float, which int() turned
+        # into an OverflowError traceback.
+        row = {"r": 2, "k": 3, "lower": 6, "upper": 6, "source": "x"}
+        doc = {"schema_version": 1, "entries": [row]}
+        (doc if field == "schema_version" else row)[field] = "VALUE"
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        code, out, err = run(["bounds", "--d", "2", "--k", "3", "--r", "2",
+                              "--ramsey-table", str(path)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert f"{field} must be an integer" in err
 
 
 class TestVersionAndHelp:

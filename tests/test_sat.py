@@ -123,6 +123,26 @@ class TestSolveInternal:
         assert result.reason.endswith(
             f"after 5 conflicts, {engine.decisions} decisions, 0 deletion rounds")
 
+    def test_wall_clock_budget_checked_every_256_conflicts(self):
+        # A conflict-heavy search meets the deadline at its 256th conflict,
+        # before its 1,023rd decision.
+        f = pigeonhole(8)
+        engine = cdcl.Engine(f.num_vars, f.clauses)
+        assert engine.solve(max_seconds=1e-9) == ("unknown", None)
+        assert (engine.conflicts, engine.decisions) == (256, 382)
+
+    def test_wall_clock_budget_checked_every_1024_decisions(self):
+        # A conflict-free search meets the deadline at its 1,023rd decision.
+        n = 3000
+        chain = [(-v, v + 1) for v in range(1, n)]
+        engine = cdcl.Engine(n, chain)
+        assert engine.solve(max_seconds=1e-9) == ("unknown", None)
+        assert (engine.conflicts, engine.decisions) == (0, 1023)
+        engine = cdcl.Engine(n, chain)
+        assert solve_engine(engine, chain, Budget(seconds=1e-9)) == Unknown(
+            "internal solver budget exhausted (1e-09s) after 0 conflicts, "
+            "1023 decisions, 0 deletion rounds")
+
     def test_deterministic_given_options(self):
         f = encode(6, 2, 3, 2, 2)
         a = solve_internal(f)
@@ -354,6 +374,70 @@ class TestLearntClauseDeletion:
         assert engine.restarts == engine.reductions == 0
 
 
+@pytest.fixture
+def checked_heap(monkeypatch) -> list[int]:
+    """Check, before every _decide call, that each unassigned variable has its
+    live entry (-activity[v], v) in the decision heap, and after it, that 0
+    comes back only when every variable is assigned; _decide returns 0 when
+    the heap runs dry, which is sound only under that invariant. Returns the
+    list of heap rebuilds, one entry per _rebuild_heap call."""
+    decide, rebuild = cdcl.Engine._decide, cdcl.Engine._rebuild_heap
+    rebuilds: list[int] = []
+
+    def checked_decide(engine):
+        live = set(engine.heap)
+        for v in range(1, engine.n + 1):
+            if engine.val[2 * v] == cdcl._UNDEF:
+                assert (-engine.activity[v], v) in live
+        lit = decide(engine)
+        assert lit or all(engine.val[2 * v] for v in range(1, engine.n + 1))
+        return lit
+
+    def counted_rebuild(engine):
+        rebuilds.append(engine.conflicts)
+        rebuild(engine)
+
+    monkeypatch.setattr(cdcl.Engine, "_decide", checked_decide)
+    monkeypatch.setattr(cdcl.Engine, "_rebuild_heap", counted_rebuild)
+    return rebuilds
+
+
+class TestDecisionHeap:
+    def test_every_unassigned_variable_is_in_the_heap(self, checked_heap):
+        rng = random.Random(1723)
+        for _ in range(40):
+            f = random_formula(rng)
+            unsat = oracle_truth_table_sat(f.num_vars, f.clauses) is None
+            assert (solve_internal(f) == Unsat()) == unsat
+        # A growing engine: clauses, variables and units arrive between solves.
+        f = encode(13, 1, 3, 1, 3)
+        engine = cdcl.Engine(f.num_vars, f.clauses)
+        assert engine.solve()[0] == "sat"
+        engine.add_clauses([(1,)])
+        assert engine.solve()[0] == "sat"
+        grow_to_14(engine)
+        assert engine.solve() == ("unsat", None)
+        assert solve_internal(pigeonhole(5)) == Unsat()
+
+    def test_invariant_holds_across_activity_rescales(self, checked_heap, monkeypatch):
+        # A large var_inc makes _bump rescale the activities, and rebuild the
+        # heap, within a few conflicts. Checking at every call is too slow for
+        # much more than PHP(7,6).
+        start = cdcl.Engine._start_solve
+
+        def start_large(engine):
+            start(engine)
+            engine.var_inc = 1e98
+
+        monkeypatch.setattr(cdcl.Engine, "_start_solve", start_large)
+        f = pigeonhole(6)
+        engine = cdcl.Engine(f.num_vars, f.clauses)
+        assert engine.solve() == ("unsat", None)
+        # The rebuild at the start of the solve, then one rescale.
+        assert len(checked_heap) == 2 and checked_heap[1] > 0
+        assert engine.conflicts > checked_heap[1]
+
+
 class TestDimacs:
     def test_single_clause_bytes(self):
         f = CnfFormula(2, ((-1, -2),))
@@ -374,17 +458,6 @@ class TestDimacs:
         f = CnfFormula(0, ((),))
         assert write_dimacs(f) == b"p cnf 0 1\n0\n"
 
-    def test_comments_can_be_disabled(self):
-        f = encode(2, 1, 3, 1, 2)
-        assert not write_dimacs(f, comments=False).startswith(b"c")
-
-    def test_sink_receives_bytes(self, tmp_path):
-        f = CnfFormula(2, ((1, 2),))
-        path = tmp_path / "f.cnf"
-        with path.open("wb") as fh:
-            data = write_dimacs(f, fh)
-        assert path.read_bytes() == data
-
     def test_read_write_identity(self):
         rng = random.Random(555)
         for _ in range(50):
@@ -395,6 +468,10 @@ class TestDimacs:
         f = encode(3, 2, 3, 2, 3)
         g = read_dimacs(write_dimacs(f))
         assert (g.num_vars, g.clauses) == (f.num_vars, f.clauses)
+
+    def test_percent_line_ends_the_file(self):
+        f = read_dimacs("p cnf 2 1\n1 2 0\n%\n0\n")
+        assert f.clauses == ((1, 2),)
 
     def test_read_multiline_clause(self):
         f = read_dimacs("p cnf 3 1\n1 2\n3 0\n")
