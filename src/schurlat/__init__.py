@@ -7,7 +7,6 @@ from .lattice import (
     Coloring,
     Point,
     SchurTuple,
-    TupleFamily,
     Violation,
     det,
     enumerate_tuples,
@@ -41,12 +40,10 @@ from .sat import (
 )
 from .search import (
     Certificate,
-    Colorable,
     EngineConfig,
     Exact,
     Inconclusive,
     LowerBound,
-    NotColorable,
     Provenance,
     SearchOutcome,
     UnsatRecord,

@@ -57,9 +57,18 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
+def _json_str(value: object, what: str) -> str:
+    """value itself, if it is a JSON string; null or a number is not
+    silently turned into text."""
+    if type(value) is not str:
+        raise ParseError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def load_ramsey_table(path: str | Path | None = None) -> RamseyTable:
     """Load a Ramsey table file (the packaged one by default). The schema
-    version and every r, k, lower and upper must be JSON integers."""
+    version and every r, k, lower and upper must be JSON integers, and every
+    source a JSON string."""
     if path is None:
         text = resources.files("schurlat").joinpath("data/ramsey_table.json").read_text()
     else:
@@ -75,7 +84,7 @@ def load_ramsey_table(path: str | Path | None = None) -> RamseyTable:
         for row in doc["entries"]:
             entry = RamseyEntry(
                 *(_json_int(row[key], key) for key in ("r", "k", "lower", "upper")),
-                str(row["source"]),
+                _json_str(row["source"], "source"),
             )
             table[(entry.r, entry.k)] = entry
         return table

@@ -138,11 +138,10 @@ def cmd_witness(args) -> int:
         raise InputError("give exactly one of --coloring or --random-seed")
     table = bounds.load_ramsey_table(args.ramsey_table) if args.ramsey_table else None
     if args.coloring is not None:
-        if args.r is not None or args.n is not None:
-            raise InputError("--coloring takes r and n from the certificate; "
-                             "drop --r and --n")
-        cert = search.load_certificate(args.coloring)
-        chi = cert.coloring
+        if args.d is not None or args.r is not None or args.n is not None:
+            raise InputError("--coloring takes d, r and n from the certificate; "
+                             "drop --d, --r and --n")
+        chi = search.load_certificate(args.coloring).coloring
     else:
         if args.r is None:
             raise InputError("--random-seed mode needs --r")
@@ -152,10 +151,10 @@ def cmd_witness(args) -> int:
                 f"Ramsey number R_{args.r}({args.k}) is not exactly known; "
                 f"cannot pick a random-coloring box size"
             )
-        n = args.n if args.n is not None else entry.lower**args.d - 1
+        d = args.d if args.d is not None else 1
+        n = args.n if args.n is not None else entry.lower**d - 1
         rng = random.Random(args.random_seed)
-        chi = Coloring(n, args.d, args.r,
-                       tuple(rng.randint(1, args.r) for _ in range(n**args.d)))
+        chi = Coloring(n, d, args.r, tuple(rng.randint(1, args.r) for _ in range(n**d)))
     w = witness.extract_schur_witness(chi, args.k, table=table)
     d = chi.d
     vdet = witness.vandermonde_det(w.clique[: d + 1])
@@ -251,6 +250,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("witness", help="extract a monochromatic solution from a coloring "
                                        "(the construction's j is always d)")
     _add_param_flags(p, need_r=False, with_j=False)
+    p.set_defaults(d=None)  # 1 in --random-seed mode; --coloring refuses it
     p.add_argument("--coloring", default=None, metavar="CERT",
                    help="certificate file supplying the coloring")
     p.add_argument("--random-seed", type=int, default=None,

@@ -37,7 +37,6 @@ from .lattice import (
     Coloring,
     Point,
     SchurTuple,
-    TupleFamily,
     box_points,
     enumerate_tuples,
     point_from_index,
@@ -168,7 +167,6 @@ def encode(
     j: int,
     r: int,
     *,
-    family: TupleFamily | None = None,
     fix_first_point_color: bool = False,
 ) -> CnfFormula:
     """Compile "some r-coloring of [n]^d avoids every j-nondegenerate Schur
@@ -181,12 +179,9 @@ def encode(
     """
     if r < 1:
         raise InputError(f"need r >= 1, got r={r}")
-    if family is None:
-        family = enumerate_tuples(n, d, k, j)
-    elif (family.n, family.d, family.k, family.j) != (n, d, k, j):
-        raise InputError("supplied family does not match encoding parameters")
+    tuples = enumerate_tuples(n, d, k, j)
     meta = EncodingMeta(n, d, r, k, j)
-    clauses = encode_points(list(box_points(n, d)), family.tuples, {}, r,
+    clauses = encode_points(list(box_points(n, d)), tuples, {}, r,
                             fix_first_point_color=fix_first_point_color)
     return CnfFormula(meta.num_vars, tuple(clauses), meta)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -158,23 +158,6 @@ class SchurTuple:
 
 
 @dataclass(frozen=True)
-class TupleFamily:
-    """The deduplicated family of j-nondegenerate Schur k-tuples of [n]^d."""
-
-    n: int
-    d: int
-    k: int
-    j: int
-    tuples: tuple[SchurTuple, ...]
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __iter__(self) -> Iterator[SchurTuple]:
-        return iter(self.tuples)
-
-
-@dataclass(frozen=True)
 class Coloring:
     """A total assignment [n]^d -> {1, ..., r}, stored row-major."""
 
@@ -293,7 +276,7 @@ def enumerate_shell(s: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     return tuple(found)
 
 
-def enumerate_tuples(n: int, d: int, k: int, j: int) -> TupleFamily:
+def enumerate_tuples(n: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     """Enumerate every canonical j-nondegenerate Schur k-tuple in [n]^d.
 
     A tuple is a non-decreasing multiset of k-1 summand points whose
@@ -308,20 +291,16 @@ def enumerate_tuples(n: int, d: int, k: int, j: int) -> TupleFamily:
     found: list[SchurTuple] = []
     for total in box_points(n, d):
         _split_total(total, k, j, found)
-    return TupleFamily(n, d, k, j, tuple(found))
+    return tuple(found)
 
 
-def verify_free(coloring: Coloring, family: TupleFamily) -> Violation | None:
-    """Return None if no family tuple is monochromatic under the coloring,
-    else the first violating tuple (in family order) with its color."""
-    if (coloring.n, coloring.d) != (family.n, family.d):
-        raise InputError(
-            f"coloring is over [{coloring.n}]^{coloring.d}, "
-            f"family over [{family.n}]^{family.d}"
-        )
+def verify_free(coloring: Coloring, tuples: Iterable[SchurTuple]) -> Violation | None:
+    """Return None if no tuple is monochromatic under the coloring, else the
+    first violating tuple (in the order given) with its color. A tuple with a
+    point outside the coloring's box raises InputError."""
     color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
     try:
-        for t in family.tuples:
+        for t in tuples:
             c0 = color_of[t.summands[0]]
             if color_of[t.total] != c0:
                 continue
@@ -329,7 +308,7 @@ def verify_free(coloring: Coloring, family: TupleFamily) -> Violation | None:
                 return Violation(t, c0)
     except KeyError as e:
         raise InputError(
-            f"family point {e.args[0]} outside [{coloring.n}]^{coloring.d}"
+            f"tuple point {e.args[0]} outside [{coloring.n}]^{coloring.d}"
         ) from None
     return None
 

@@ -4,8 +4,8 @@ exhaustive brute-force oracle for tiny instances.
 A probe asks one question — does some r-coloring of [N]^d avoid the whole
 tuple family? — and a search walks N upward until the answer flips. Freeness
 of a coloring is monotone under restriction, so the first non-colorable N is
-the modified Schur number, and every Colorable answer below it is evidence
-that gets persisted as an independently re-verifiable certificate.
+the modified Schur number, and every colorable level below it leaves a
+Certificate that gets persisted and can be re-verified independently.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import cdcl, sat
-from .bounds import _json_int, schur_upper_bound
+from .bounds import _json_int, _json_str, schur_upper_bound
 from .encoder import (
     Clause,
     CnfFormula,
@@ -50,36 +50,35 @@ LEDGER_FIELDS = ["d", "j", "k", "r", "n", "outcome", "solver", "wall_ms"]
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a certificate came from. seed is kept for certificate schema v1:
-    the engine takes no seed, so new certificates record None."""
+    """Where a certificate came from."""
 
     solver: str
-    seed: int | None
     wall_ms: int
     created: str
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """A Free coloring bundled with its problem parameters and provenance.
+    """A free coloring, the k and j it is free for, and its provenance; n, d
+    and r are the coloring's. Provenance is advisory only: verify_certificate
+    recomputes everything."""
 
-    Provenance is advisory only; verify_certificate recomputes everything."""
-
-    d: int
-    j: int
-    k: int
-    r: int
-    n: int
     coloring: Coloring
+    k: int
+    j: int
     provenance: Provenance
 
-    def __post_init__(self) -> None:
-        c = self.coloring
-        if (c.n, c.d, c.r) != (self.n, self.d, self.r):
-            raise InputError(
-                f"certificate params (n={self.n}, d={self.d}, r={self.r}) do not "
-                f"match coloring (n={c.n}, d={c.d}, r={c.r})"
-            )
+    @property
+    def n(self) -> int:
+        return self.coloring.n
+
+    @property
+    def d(self) -> int:
+        return self.coloring.d
+
+    @property
+    def r(self) -> int:
+        return self.coloring.r
 
 
 @dataclass(frozen=True)
@@ -91,17 +90,7 @@ class UnsatRecord:
     wall_ms: int
 
 
-@dataclass(frozen=True)
-class Colorable:
-    certificate: Certificate
-
-
-@dataclass(frozen=True)
-class NotColorable:
-    record: UnsatRecord
-
-
-ProbeOutcome = Colorable | NotColorable | sat.Unknown
+ProbeOutcome = Certificate | UnsatRecord | sat.Unknown
 
 
 @dataclass(frozen=True)
@@ -177,9 +166,9 @@ class _Box:
 
     floor is the largest N whose tuple family is empty: shells 1..floor hold
     no tuple, so every coloring of [n]^d with n <= floor is free and a
-    NotColorable answer there is a fault. ceiling is the theorem's bound
+    refutation there is a fault. ceiling is the theorem's bound
     R_r(k)^j - 1 (from the upper end of the Ramsey table): no box [n]^d with
-    n >= ceiling has a free coloring, so a Colorable answer there is a fault.
+    n >= ceiling has a free coloring, so a certificate there is a fault.
     It is None when R_r(k) is not tabulated.
     """
 
@@ -255,7 +244,7 @@ class _Box:
                     f"[{n}]^{d} came back not colorable, but its tuple family is "
                     f"empty, so every coloring is free; the solver is wrong"
                 )
-            return NotColorable(UnsatRecord(n, solver, wall_ms))
+            return UnsatRecord(n, solver, wall_ms)
         coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
                                 bases=self.bases)
         violation = first_violation(coloring, k, j)
@@ -270,17 +259,15 @@ class _Box:
                 f"from N={self.ceiling} = R_{r}({k})^{j} - 1 on; the solver, the "
                 f"family or the Ramsey table is wrong"
             )
-        cert = Certificate(d, j, k, r, n, coloring,
-                           Provenance(solver, None, wall_ms, _utc_now()))
-        return Colorable(cert)
+        return Certificate(coloring, k, j, Provenance(solver, wall_ms, _utc_now()))
 
 
 def probe(
     n: int, d: int, k: int, j: int, r: int, config: EngineConfig | None = None
 ) -> ProbeOutcome:
     """Decide whether some r-coloring of [n]^d avoids every j-nondegenerate
-    Schur k-tuple. Colorable answers carry a certificate that has already been
-    re-verified against the family."""
+    Schur k-tuple. The answer is a Certificate, already re-verified against
+    the family, an UnsatRecord, or an Unknown."""
     return _Box(d, k, j, r, config or EngineConfig()).decide(n)
 
 
@@ -301,7 +288,7 @@ def find_schur_number(
     Linear ascent, proving every level on the way. The walk starts at the
     largest N whose tuple family is empty (the box's floor: 1 for k=3, j=1,
     2 for d=2, k=3, j=2), or at n_max when that is smaller. Every coloring of
-    that first box is free, so the first NotColorable level is the exact
+    that first box is free, so the first refuted level is the exact
     value and Exact outcomes always carry a verified certificate at value-1
     and a refutation at value. LowerBound(v) means every level through v was
     proven colorable (the number is >= v+1). Any Unknown halts the search as
@@ -322,12 +309,12 @@ def find_schur_number(
         t0 = time.monotonic()
         outcome = box.decide(n)
         wall_ms = int((time.monotonic() - t0) * 1000)
-        if isinstance(outcome, Colorable):
-            status, solver = "colorable", outcome.certificate.provenance.solver
+        if isinstance(outcome, Certificate):
+            status, solver = "colorable", outcome.provenance.solver
             if cert_dir is not None:
-                save_certificate(outcome.certificate, cert_dir)
-        elif isinstance(outcome, NotColorable):
-            status, solver = "not-colorable", outcome.record.solver
+                save_certificate(outcome, cert_dir)
+        elif isinstance(outcome, UnsatRecord):
+            status, solver = "not-colorable", outcome.solver
         else:
             status, solver = f"unknown: {outcome.reason}", ""
         statuses.append((n, status))
@@ -341,10 +328,10 @@ def find_schur_number(
             progress(n, status)
         if isinstance(outcome, sat.Unknown):
             return Inconclusive(tuple(statuses))
-        if isinstance(outcome, NotColorable):
+        if isinstance(outcome, UnsatRecord):
             # The first level is never refuted (_Box.decide), so witness is set.
-            return Exact(n, witness, outcome.record)
-        witness = outcome.certificate
+            return Exact(n, witness, outcome)
+        witness = outcome
         if n == n_max:
             return LowerBound(n, witness)
         n += 1
@@ -369,7 +356,7 @@ def brute_force_oracle(
     family = enumerate_tuples(n, d, k, j)
     tuple_idx = [
         tuple(point_index(p, n) - 1 for p in t.distinct_points())
-        for t in family.tuples
+        for t in family
     ]
     for colors in itertools.product(range(1, r + 1), repeat=npoints):
         for idxs in tuple_idx:
@@ -401,7 +388,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "colors": list(cert.coloring.colors),
         "provenance": {
             "solver": cert.provenance.solver,
-            "seed": cert.provenance.seed,
+            "seed": None,  # schema v1 keeps the key; the engine takes no seed
             "wall_ms": cert.provenance.wall_ms,
             "created": cert.provenance.created,
         },
@@ -453,9 +440,11 @@ def write_atomically(path: str | Path, data: bytes) -> None:
 
 
 def load_certificate(path: str | Path) -> Certificate:
-    """Parse a certificate file. Structural problems, including a param or a
-    color that is not a JSON integer, raise ParseError; use
-    verify_certificate to judge whether the coloring is actually free."""
+    """Parse a certificate file. Structural problems, including a param, a
+    color or provenance.wall_ms that is not a JSON integer, or a
+    provenance.solver or .created that is not a JSON string, raise
+    ParseError; provenance.seed is not read. Use verify_certificate to judge
+    whether the coloring is actually free."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as e:
@@ -472,18 +461,17 @@ def load_certificate(path: str | Path) -> Certificate:
         if not isinstance(prov, dict):
             raise ParseError(f"provenance must be a JSON object, got {prov!r}")
         return Certificate(
-            **params,
-            coloring=Coloring(params["n"], params["d"], params["r"], colors),
-            provenance=Provenance(
-                solver=str(prov.get("solver", "?")),
-                seed=prov.get("seed"),
-                wall_ms=int(prov.get("wall_ms", 0)),
-                created=str(prov.get("created", "?")),
+            Coloring(params["n"], params["d"], params["r"], colors),
+            params["k"], params["j"],
+            Provenance(
+                solver=_json_str(prov.get("solver", "?"), "solver"),
+                wall_ms=_json_int(prov.get("wall_ms", 0), "wall_ms"),
+                created=_json_str(prov.get("created", "?"), "created"),
             ),
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed certificate {path}: {e}") from None
 
 

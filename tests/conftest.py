@@ -75,7 +75,7 @@ def oracle_truth_table_sat(num_vars, clauses):
 
 
 def as_tuples(family):
-    return [(t.summands, t.total) for t in family.tuples]
+    return [(t.summands, t.total) for t in family]
 
 
 def make_tuple(summands, total) -> SchurTuple:

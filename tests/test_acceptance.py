@@ -135,7 +135,7 @@ def test_05_oracle_equivalence():
     )
     for n, d, k, j, r in cases:
         free = s.brute_force_oracle(n, d, k, j, r)
-        probe_says = isinstance(s.probe(n, d, k, j, r), s.Colorable)
+        probe_says = isinstance(s.probe(n, d, k, j, r), s.Certificate)
         assert (free is not None) == probe_says, (
             f"oracle and probe disagree at n={n} d={d} k={k} j={j} r={r}"
         )
@@ -242,7 +242,7 @@ def test_10_encoding_golden_files():
         j = rng.randint(1, min(d, k - 1))
         r = rng.randint(1, 4)
         family = s.enumerate_tuples(n, d, k, j)
-        formula = s.encode(n, d, k, j, r, family=family)
+        formula = s.encode(n, d, k, j, r)
         expected = n**d * (r - 1) * (r - 2) // 2 + r * len(family)
         assert formula.num_clauses == expected, (n, d, k, j, r)
     check(10, True, "golden DIMACS bytes match; clause-count formula holds on "

@@ -34,9 +34,8 @@ def run(args, capsys):
 @pytest.fixture
 def free_cert_path(tmp_path):
     cert = Certificate(
-        1, 1, 3, 2, 4,
-        Coloring(4, 1, 2, (1, 2, 2, 1)),
-        Provenance("handmade", None, 0, "2026-01-01T00:00:00Z"),
+        Coloring(4, 1, 2, (1, 2, 2, 1)), 3, 1,
+        Provenance("handmade", 0, "2026-01-01T00:00:00Z"),
     )
     return save_certificate(cert, tmp_path)
 
@@ -44,9 +43,8 @@ def free_cert_path(tmp_path):
 @pytest.fixture
 def invalid_cert_path(tmp_path):
     cert = Certificate(
-        2, 2, 3, 2, 3,
-        Coloring.constant(3, 2, 2),
-        Provenance("handmade", None, 0, "2026-01-01T00:00:00Z"),
+        Coloring.constant(3, 2, 2), 3, 2,
+        Provenance("handmade", 0, "2026-01-01T00:00:00Z"),
     )
     return save_certificate(cert, tmp_path / "bad")
 
@@ -334,10 +332,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("provenance, word", [
         ('[1, 2]', "provenance"),
-        ('{"solver": "x", "wall_ms": 1e400}', "malformed"),
-    ], ids=["provenance-not-an-object", "infinite-wall-ms"])
+        ('{"solver": "x", "wall_ms": 1e400}', "wall_ms must be an integer"),
+        ('{"solver": "x", "wall_ms": "12"}', "wall_ms must be an integer"),
+        ('{"solver": "x", "wall_ms": true}', "wall_ms must be an integer"),
+        ('{"solver": null}', "solver must be a string"),
+        ('{"solver": "x", "created": 4.5}', "created must be a string"),
+    ], ids=["provenance-not-an-object", "infinite-wall-ms", "string-wall-ms",
+            "bool-wall-ms", "null-solver", "number-created"])
     def test_bad_provenance_exits_4(self, free_cert_path, capsys, provenance, word):
-        # json reads 1e400 as an infinite float, which int() cannot convert.
+        # json reads 1e400 as an infinite float. Coerced, "12" and true loaded
+        # as the integers 12 and 1, and null and 4.5 as the strings 'None'
+        # and '4.5'.
         doc = json.loads(free_cert_path.read_text())
         doc["provenance"] = "PROVENANCE"
         free_cert_path.write_text(json.dumps(doc).replace('"PROVENANCE"', provenance))
@@ -360,9 +365,8 @@ class TestWitness:
     def test_coloring_mode_with_json_output(self, tmp_path, capsys):
         # a certificate big enough for extraction: constant coloring of [35]^2
         cert = Certificate(
-            2, 2, 3, 2, 35,
-            Coloring.constant(35, 2, 2),
-            Provenance("handmade", None, 0, "2026-01-01T00:00:00Z"),
+            Coloring.constant(35, 2, 2), 3, 2,
+            Provenance("handmade", 0, "2026-01-01T00:00:00Z"),
         )
         cert_path = save_certificate(cert, tmp_path)
         out_path = tmp_path / "witness.json"
@@ -403,10 +407,11 @@ class TestWitness:
         assert exc.value.code == EXIT_INVALID_INPUT
         assert "--j" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--r", "2"], ["--n", "4"], ["--r", "2", "--n", "4"]],
-                             ids=["r", "n", "r-and-n"])
+    @pytest.mark.parametrize("flags", [["--r", "2"], ["--n", "4"], ["--r", "2", "--n", "4"],
+                                       ["--d", "5"]],
+                             ids=["r", "n", "r-and-n", "d"])
     def test_coloring_refuses_r_and_n(self, free_cert_path, capsys, flags):
-        # The certificate fixes r and n; a flag for either would be ignored.
+        # The certificate fixes d, r and n; a flag for any would be ignored.
         code, out, err = run(["witness", "--coloring", str(free_cert_path), *flags],
                              capsys)
         assert code == EXIT_INVALID_INPUT
@@ -561,6 +566,19 @@ class TestBounds:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert f"{field} must be an integer" in err
+
+    @pytest.mark.parametrize("value", ["null", "7"], ids=["null-source", "number-source"])
+    def test_non_string_source_exits_4(self, tmp_path, capsys, value):
+        # Coerced, null printed "R_2(3) = 6  [None]" and exited 0.
+        row = {"r": 2, "k": 3, "lower": 6, "upper": 6, "source": value}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"schema_version": 1, "entries": [row]})
+                        .replace(f'"{value}"', value))
+        code, out, err = run(["bounds", "--d", "2", "--k", "3", "--r", "2",
+                              "--ramsey-table", str(path)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "source must be a string" in err
 
 
 class TestVersionAndHelp:

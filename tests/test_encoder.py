@@ -20,7 +20,6 @@ from schurlat.encoder import (
 from schurlat.errors import InputError, IntegrityError
 from schurlat.lattice import (
     Coloring,
-    TupleFamily,
     box_points,
     enumerate_tuples,
     verify_free,
@@ -65,11 +64,10 @@ def distinctness(n, d, r):
     return encode_points(list(box_points(n, d)), (), {}, r)
 
 
-def tuple_clauses(family, r):
-    """The clauses encode_points emits for the family's tuples, row-major."""
-    points = list(box_points(family.n, family.d))
-    clauses = encode_points(points, family.tuples, {}, r)
-    return clauses[len(distinctness(family.n, family.d, r)):]
+def tuple_clauses(n, d, tuples, r):
+    """The clauses encode_points emits for the tuples of [n]^d, row-major."""
+    clauses = encode_points(list(box_points(n, d)), tuples, {}, r)
+    return clauses[len(distinctness(n, d, r)):]
 
 
 class TestDistinctness:
@@ -90,32 +88,25 @@ class TestDistinctness:
 
 
 class TestTupleClauses:
-    def tuple_family(self, n, d, k, j, tuples):
-        return TupleFamily(n, d, k, j, tuple(tuples))
-
     def test_two_colors_three_distinct_points(self):
         t = make_tuple([(1, 1), (1, 2)], (2, 3))
-        fam = self.tuple_family(3, 2, 3, 2, [t])
         meta = EncodingMeta(3, 2, 2)
         a, b, c = (var_index(p, 1, meta) for p in t.distinct_points())
-        assert tuple_clauses(fam, 2) == [(-a, -b, -c), (a, b, c)]
+        assert tuple_clauses(3, 2, [t], 2) == [(-a, -b, -c), (a, b, c)]
 
     def test_three_colors_three_distinct_points(self):
         t = make_tuple([(1, 1), (1, 2)], (2, 3))
-        fam = self.tuple_family(3, 2, 3, 2, [t])
-        clauses = tuple_clauses(fam, 3)
+        clauses = tuple_clauses(3, 2, [t], 3)
         assert len(clauses) == 3
         assert all(len(cl) == 3 and all(l < 0 for l in cl) for cl in clauses[:2])
         assert len(clauses[2]) == 6 and all(l > 0 for l in clauses[2])
 
     def test_duplicate_points_are_merged(self):
         t = make_tuple([(1,), (1,)], (2,))
-        fam = self.tuple_family(2, 1, 3, 1, [t])
-        assert tuple_clauses(fam, 2) == [(-1, -2), (1, 2)]
+        assert tuple_clauses(2, 1, [t], 2) == [(-1, -2), (1, 2)]
 
     def test_empty_family(self):
-        fam = self.tuple_family(2, 2, 3, 2, [])
-        assert tuple_clauses(fam, 2) == []
+        assert tuple_clauses(2, 2, [], 2) == []
 
 
 class TestEncode:
@@ -136,7 +127,7 @@ class TestEncode:
             j = rng.randint(1, min(d, k - 1))
             r = rng.randint(1, 4)
             family = enumerate_tuples(n, d, k, j)
-            f = encode(n, d, k, j, r, family=family)
+            f = encode(n, d, k, j, r)
             expected = n**d * (r - 1) * (r - 2) // 2 + r * len(family)
             assert f.num_clauses == expected
             assert f.num_vars == (r - 1) * n**d
@@ -170,15 +161,11 @@ class TestEncode:
         f = encode(n, d, k, j, r, fix_first_point_color=sym)
         assert hashlib.sha256(write_dimacs(f)).hexdigest() == digest
 
-    def test_family_parameter_mismatch(self):
-        with pytest.raises(InputError):
-            encode(3, 2, 3, 2, 2, family=enumerate_tuples(4, 2, 3, 2))
-
     def test_round_trip_soundness_small(self):
         # every satisfying assignment decodes to a coloring the family accepts
         for n, d, k, j, r in [(3, 2, 3, 2, 2), (4, 1, 3, 1, 2), (5, 1, 3, 1, 3)]:
             family = enumerate_tuples(n, d, k, j)
-            f = encode(n, d, k, j, r, family=family)
+            f = encode(n, d, k, j, r)
             model = oracle_truth_table_sat(f.num_vars, f.clauses)
             assert model is not None
             coloring = decode_model(model, f.meta)
@@ -188,7 +175,7 @@ class TestEncode:
         # chi free  =>  phi_m(p) := (chi(p) == m) satisfies the formula
         n, d, k, j, r = 3, 2, 3, 2, 2
         family = enumerate_tuples(n, d, k, j)
-        f = encode(n, d, k, j, r, family=family)
+        f = encode(n, d, k, j, r)
         found = 0
         for colors in itertools.product((1, 2), repeat=9):
             chi = Coloring(n, d, r, colors)

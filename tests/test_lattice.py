@@ -19,7 +19,6 @@ from schurlat.errors import InputError
 from schurlat.lattice import (
     Coloring,
     SchurTuple,
-    TupleFamily,
     box_points,
     det,
     enumerate_shell,
@@ -208,7 +207,7 @@ class TestEnumerateTuples:
 
     def test_deterministic_canonical_order(self):
         fam = enumerate_tuples(5, 2, 3, 2)
-        keys = [(t.total, t.summands) for t in fam.tuples]
+        keys = [(t.total, t.summands) for t in fam]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -297,7 +296,7 @@ class TestVerifyFree:
         assert verify_free(Coloring.constant(2, 2, 2), fam) is None
 
     def test_tuple_outside_the_box(self):
-        stray = TupleFamily(2, 1, 3, 1, (SchurTuple(((1,), (2,)), (3,)),))
+        stray = (SchurTuple(((1,), (2,)), (3,)),)
         with pytest.raises(InputError):
             verify_free(Coloring.constant(2, 1, 2), stray)
 

@@ -5,12 +5,13 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 from collections import Counter
 
 import pytest
 
-from schurlat import search
+from schurlat import cdcl, cli, search
 from schurlat.bounds import SchurUpperBound, ramsey_number
 from schurlat.encoder import EncodingMeta, encode, var_index
 from schurlat.errors import InputError, IntegrityError, ParseError, SizeError
@@ -24,13 +25,12 @@ from schurlat.lattice import (
 from schurlat.sat import Budget, Sat, Unknown, solve_internal
 from schurlat.search import (
     Certificate,
-    Colorable,
     EngineConfig,
     Exact,
     Inconclusive,
     LowerBound,
-    NotColorable,
     Provenance,
+    UnsatRecord,
     _Box,
     brute_force_oracle,
     certificate_filename,
@@ -44,31 +44,29 @@ from schurlat.search import (
 
 def make_cert(n, d, j, k, r, coloring=None) -> Certificate:
     coloring = coloring or Coloring.constant(n, d, r)
-    return Certificate(d, j, k, r, n, coloring,
-                       Provenance("test", None, 0, "2026-01-01T00:00:00Z"))
+    return Certificate(coloring, k, j, Provenance("test", 0, "2026-01-01T00:00:00Z"))
 
 
 class TestProbe:
     def test_empty_family_is_trivially_colorable(self):
         out = probe(2, 2, 3, 2, 5)
-        assert isinstance(out, Colorable)
-        assert verify_certificate(out.certificate) is None
+        assert isinstance(out, Certificate)
+        assert verify_certificate(out) is None
 
     def test_figure_one_size_is_colorable(self):
         out = probe(6, 2, 3, 2, 2)
-        assert isinstance(out, Colorable)
-        cert = out.certificate
-        assert (cert.n, cert.d, cert.r) == (6, 2, 2)
-        assert verify_certificate(cert) is None
+        assert isinstance(out, Certificate)
+        assert (out.n, out.d, out.r) == (6, 2, 2)
+        assert verify_certificate(out) is None
 
     def test_seven_box_is_not_colorable(self):
         out = probe(7, 2, 3, 2, 2)
-        assert isinstance(out, NotColorable)
-        assert out.record.n == 7
+        assert isinstance(out, UnsatRecord)
+        assert out.n == 7
 
     def test_monotone_refutation(self):
-        assert isinstance(probe(5, 1, 3, 1, 2), NotColorable)
-        assert isinstance(probe(6, 1, 3, 1, 2), NotColorable)
+        assert isinstance(probe(5, 1, 3, 1, 2), UnsatRecord)
+        assert isinstance(probe(6, 1, 3, 1, 2), UnsatRecord)
 
     def test_unknown_propagates(self):
         config = EngineConfig(budget=Budget(conflicts=1), escalate=False)
@@ -81,8 +79,8 @@ class TestProbe:
             solver_command=tuple(internal_solver_cmd),
         )
         out = probe(5, 1, 3, 1, 2, config)
-        assert isinstance(out, NotColorable)
-        assert out.record.solver.startswith("external:")
+        assert isinstance(out, UnsatRecord)
+        assert out.solver.startswith("external:")
 
     def test_external_engine_without_command_errors(self, monkeypatch):
         monkeypatch.delenv("SCHUR_SOLVER", raising=False)
@@ -92,13 +90,53 @@ class TestProbe:
     def test_external_engine_via_env_var(self, internal_solver_cmd, monkeypatch):
         monkeypatch.setenv("SCHUR_SOLVER", " ".join(internal_solver_cmd))
         out = probe(4, 1, 3, 1, 2, EngineConfig(engine="external"))
-        assert isinstance(out, Colorable)
-        assert out.certificate.provenance.solver.startswith("external:")
+        assert isinstance(out, Certificate)
+        assert out.provenance.solver.startswith("external:")
 
     def test_symmetry_break_still_verifies(self):
         out = probe(6, 2, 3, 2, 2, EngineConfig(symmetry_break=True))
-        assert isinstance(out, Colorable)
-        assert out.certificate.coloring.color_of((1, 1)) == 1
+        assert isinstance(out, Certificate)
+        assert out.coloring.color_of((1, 1)) == 1
+
+
+class TestModelChecks:
+    """A model becomes a certificate only after two checks: against the
+    clauses the engine holds (sat.solve_engine), then, decoded, against the
+    whole family of the box (_Box.decide)."""
+
+    @pytest.fixture
+    def all_false_models(self, monkeypatch):
+        solve = cdcl.Engine.solve
+
+        def all_false(engine, **kwargs):
+            status, model = solve(engine, **kwargs)
+            return status, None if model is None else [False] * len(model)
+
+        monkeypatch.setattr(cdcl.Engine, "solve", all_false)
+
+    def test_model_that_fails_the_formula(self, all_false_models):
+        with pytest.raises(IntegrityError, match="model that fails the formula"):
+            probe(4, 1, 3, 1, 2)
+
+    def test_search_exits_5(self, all_false_models, tmp_path, capsys):
+        code = cli.main(["search", "--d", "1", "--k", "3", "--r", "2",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTEGRITY
+        assert "model that fails the formula" in capsys.readouterr().err
+
+    def test_decoded_model_admits_a_tuple(self, monkeypatch):
+        # Without the last clause of shell 5, (x_2 or x_3 or x_5), the engine
+        # may color 2, 3 and 5 alike; the engine's own clauses lack it too.
+        encode_points = search.encode_points
+
+        def drop_last_of_shell_5(points, *args, **kwargs):
+            clauses = encode_points(points, *args, **kwargs)
+            return clauses[:-1] if points == [(5,)] else clauses
+
+        monkeypatch.setattr(search, "encode_points", drop_last_of_shell_5)
+        t = SchurTuple(((2,), (3,)), (5,))
+        with pytest.raises(IntegrityError, match=re.escape(f"monochromatic tuple {t}")):
+            probe(5, 1, 3, 1, 2)
 
 
 class TestShellFormula:
@@ -280,7 +318,7 @@ class TestAscent:
     def test_matches_per_level_probes_and_oracle(self, tmp_path, d, k, j, r, n_max):
         out = find_schur_number(d, k, j, r, n_max=n_max, cert_dir=tmp_path)
         colorable = [
-            isinstance(probe(n, d, k, j, r), Colorable) for n in range(1, n_max + 1)
+            isinstance(probe(n, d, k, j, r), Certificate) for n in range(1, n_max + 1)
         ]
         # The row-major formula that `schurlat encode` writes, decided on its own.
         exported = [
@@ -382,11 +420,11 @@ class TestAscent:
 class TestCertificates:
     def test_round_trip(self, tmp_path):
         out = probe(4, 1, 3, 1, 2)
-        assert isinstance(out, Colorable)
-        path = save_certificate(out.certificate, tmp_path)
-        assert path.name == certificate_filename(out.certificate)
+        assert isinstance(out, Certificate)
+        path = save_certificate(out, tmp_path)
+        assert path.name == certificate_filename(out)
         loaded = load_certificate(path)
-        assert loaded == out.certificate
+        assert loaded == out
 
     def test_failed_write_leaves_no_partial_certificate(self, tmp_path, monkeypatch):
         cert = make_cert(2, 2, 2, 3, 2)
@@ -414,6 +452,35 @@ class TestCertificates:
         assert doc["colors"] == [1, 1, 1, 1]
         assert set(doc["provenance"]) == {"solver", "seed", "wall_ms", "created"}
 
+    def test_certificate_bytes_are_pinned(self, tmp_path):
+        # Schema v1: params, colors and provenance, with "seed": null.
+        coloring = Coloring(5, 2, 3, tuple((i * 7) % 3 + 1 for i in range(25)))
+        cert = Certificate(coloring, 3, 2,
+                           Provenance("schurlat-cdcl", 12, "2026-01-01T00:00:00Z"))
+        data = save_certificate(cert, tmp_path).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "b7a465f8c2338ad40abb3539af6ace921549df05127e62b532c4a53f07a6a71b")
+
+    def test_stored_seed_is_not_read(self, tmp_path):
+        cert = probe(6, 2, 3, 2, 2)
+        path = save_certificate(cert, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["provenance"]["seed"] = 7
+        path.write_text(json.dumps(doc))
+        loaded = load_certificate(path)
+        assert loaded == cert
+        assert verify_certificate(loaded) is None
+
+    def test_absent_provenance_keys_keep_their_defaults(self, tmp_path):
+        path = save_certificate(make_cert(2, 2, 2, 3, 2), tmp_path)
+        doc = json.loads(path.read_text())
+        doc["provenance"] = {}
+        path.write_text(json.dumps(doc))
+        assert load_certificate(path).provenance == Provenance("?", 0, "?")
+        del doc["provenance"]
+        path.write_text(json.dumps(doc))
+        assert load_certificate(path).provenance == Provenance("?", 0, "?")
+
     def test_verify_constant_coloring_invalid(self):
         cert = make_cert(3, 2, 2, 3, 2)
         violation = verify_certificate(cert)
@@ -422,11 +489,6 @@ class TestCertificates:
 
     def test_verify_empty_family_valid(self):
         assert verify_certificate(make_cert(2, 2, 2, 3, 2)) is None
-
-    def test_params_coloring_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            Certificate(2, 2, 3, 2, 5, Coloring.constant(4, 2, 2),
-                        Provenance("x", None, 0, "now"))
 
     def test_load_errors(self, tmp_path):
         bad = tmp_path / "bad.cert.json"
