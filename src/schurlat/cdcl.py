@@ -371,8 +371,9 @@ class Engine:
     # -- learned clause management ---------------------------------------------
 
     def _reduce_db(self) -> None:
-        """Keep the glue clauses (LBD <= 2), the binary ones, the reasons and
-        the better half of the rest by (LBD, length); drop the others.
+        """Keep the glue clauses (LBD <= 2), which include every binary one,
+        the reasons and the better half of the rest by (LBD, length); drop
+        the others.
 
         solve calls this on the conflict schedule of the module docstring,
         which does not depend on how many clauses the formula has."""
@@ -381,8 +382,7 @@ class Engine:
         drop: list[tuple[int, list[int]]] = []
         for entry in self.learnts:
             lbd, lits = entry
-            if (lbd <= 2 or len(lits) <= 2 or reason[lits[0] >> 1] is lits
-                    or reason[lits[1] >> 1] is lits):
+            if lbd <= 2 or reason[lits[0] >> 1] is lits or reason[lits[1] >> 1] is lits:
                 keep.append(entry)
             else:
                 drop.append(entry)

@@ -152,7 +152,13 @@ def cmd_witness(args) -> int:
                 f"cannot pick a random-coloring box size"
             )
         d = args.d if args.d is not None else 1
+        # From d = 25 on, a box with n >= 2 has more than 2^24 points.
+        if not 1 <= d < search.SIZE_CEILING.bit_length():
+            raise InputError(f"--random-seed needs 1 <= d <= 24, got d={d}")
         n = args.n if args.n is not None else entry.lower**d - 1
+        if n**d > search.SIZE_CEILING:
+            raise InputError(f"[{n}]^{d} has more than {search.SIZE_CEILING} points; "
+                             f"give a smaller --n or --d")
         rng = random.Random(args.random_seed)
         chi = Coloring(n, d, args.r, tuple(rng.randint(1, args.r) for _ in range(n**d)))
     w = witness.extract_schur_witness(chi, args.k, table=table)

@@ -55,14 +55,15 @@ def vector_sum(points: Sequence[Point]) -> Point:
 
 # -- exact linear algebra ----------------------------------------------------
 
-def rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of a list of integer vectors.
+def _bareiss(vectors: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of a list of integer vectors: their
+    rank over the rationals and the last pivot, signed by the row swaps.
 
-    Uses fraction-free (Bareiss) elimination; every intermediate value is an
-    exact integer. The empty list has rank 0.
+    Every intermediate value is an exact integer. For a square matrix of full
+    rank the signed last pivot is the determinant. The empty list gives (0, 1).
     """
     if not vectors:
-        return 0
+        return 0, 1
     dim = len(vectors[0])
     if dim < 1:
         raise InputError("vectors must have dimension >= 1")
@@ -73,6 +74,7 @@ def rank(vectors: Sequence[Sequence[int]]) -> int:
     rows = len(m)
     r = 0
     prev = 1
+    sign = 1
     for c in range(dim):
         for i in range(r, rows):
             if m[i][c]:
@@ -81,6 +83,7 @@ def rank(vectors: Sequence[Sequence[int]]) -> int:
             continue
         if i != r:
             m[r], m[i] = m[i], m[r]
+            sign = -sign
         pivot_row = m[r]
         pivot = pivot_row[c]
         for i in range(r + 1, rows):
@@ -93,32 +96,22 @@ def rank(vectors: Sequence[Sequence[int]]) -> int:
         r += 1
         if r == rows:
             break
-    return r
+    return r, sign * prev
+
+
+def rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of a list of integer vectors, by Bareiss
+    elimination. The empty list has rank 0."""
+    return _bareiss(vectors)[0]
 
 
 def det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix via Bareiss elimination."""
     n = len(matrix)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in matrix):
         raise InputError("matrix is not square")
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for cc in range(c + 1, n):
-                m[i][cc] = (m[i][cc] * m[c][c] - m[i][c] * m[c][cc]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+    r, pivot = _bareiss(matrix)
+    return pivot if r == n else 0
 
 
 def is_j_nondegenerate(summands: Sequence[Point], j: int) -> bool:
@@ -169,9 +162,11 @@ class Coloring:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1 or self.r < 1:
             raise InputError(f"bad coloring parameters n={self.n} d={self.d} r={self.r}")
-        if len(self.colors) != self.n**self.d:
+        size = len(self.colors)
+        # With n >= 2, d > size.bit_length() means n**d > size: no power is built.
+        if self.n > 1 and self.d > size.bit_length() or size != self.n**self.d:
             raise InputError(
-                f"coloring has {len(self.colors)} entries, expected {self.n**self.d}"
+                f"coloring has {size} entries, expected {self.n}^{self.d}"
             )
         bad = next((c for c in self.colors if not 1 <= c <= self.r), None)
         if bad is not None:
@@ -260,6 +255,16 @@ def _split(
                 found.append(SchurTuple(summands, total))
 
 
+def _family(totals: Iterable[Point], d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
+    """The j-nondegenerate Schur k-tuples whose total is one of totals, in the
+    order of the totals and then of the summands."""
+    _check_family_params(d, k, j)
+    found: list[SchurTuple] = []
+    for total in totals:
+        _split_total(total, k, j, found)
+    return tuple(found)
+
+
 def enumerate_shell(s: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     """The j-nondegenerate Schur k-tuples whose total lies in shell s.
 
@@ -267,13 +272,7 @@ def enumerate_shell(s: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     [s]^d that are not tuples of [s-1]^d: the family of [n]^d is the disjoint
     union of the shells 1..n. Order: lexicographic on (total, summands).
     """
-    if s < 1 or d < 1:
-        raise InputError(f"need s >= 1 and d >= 1, got s={s} d={d}")
-    _check_family_params(d, k, j)
-    found: list[SchurTuple] = []
-    for total in shell_points(s, d):
-        _split_total(total, k, j, found)
-    return tuple(found)
+    return _family(shell_points(s, d), d, k, j)
 
 
 def enumerate_tuples(n: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
@@ -285,13 +284,7 @@ def enumerate_tuples(n: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     Output order is deterministic: lexicographic on (total, summands), which
     is the order of the row-major walk over the totals.
     """
-    if n < 1 or d < 1:
-        raise InputError(f"need n >= 1 and d >= 1, got n={n} d={d}")
-    _check_family_params(d, k, j)
-    found: list[SchurTuple] = []
-    for total in box_points(n, d):
-        _split_total(total, k, j, found)
-    return tuple(found)
+    return _family(box_points(n, d), d, k, j)
 
 
 def verify_free(coloring: Coloring, tuples: Iterable[SchurTuple]) -> Violation | None:

@@ -241,7 +241,10 @@ def solve_external(
     argv = list(split_command(command) if isinstance(command, str) else command)
     if not argv:
         raise InputError("empty external solver command")
-    timeout = budget.seconds if budget and budget.seconds is not None else None
+    # subprocess waits at most 2**31 - 1 ms; a longer budget, inf too, is no limit.
+    timeout = budget.seconds if budget else None
+    if timeout is not None and timeout >= (2**31 - 1) // 1000:
+        timeout = None
     with tempfile.TemporaryDirectory(prefix="schurlat-") as tmp:
         path = Path(tmp) / "formula.cnf"
         path.write_bytes(write_dimacs(formula))

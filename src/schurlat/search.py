@@ -46,6 +46,9 @@ from .lattice import (
 CERT_SCHEMA_VERSION = 1
 SOLVER_ENV_VAR = "SCHUR_SOLVER"
 LEDGER_FIELDS = ["d", "j", "k", "r", "n", "outcome", "solver", "wall_ms"]
+# brute_force_oracle tries at most this many colorings, and `schurlat witness
+# --random-seed` colors at most this many points.
+SIZE_CEILING = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -98,17 +101,23 @@ class Exact:
     """The modified Schur number itself: a certified free coloring at value-1
     and a refutation at value."""
 
-    value: int
     witness: Certificate
     refutation: UnsatRecord
+
+    @property
+    def value(self) -> int:
+        return self.refutation.n
 
 
 @dataclass(frozen=True)
 class LowerBound:
     """value is the largest N proven colorable, so the number is >= value+1."""
 
-    value: int
     witness: Certificate
+
+    @property
+    def value(self) -> int:
+        return self.witness.n
 
 
 @dataclass(frozen=True)
@@ -216,17 +225,18 @@ class _Box:
         return (sat.solve_external(formula, command, self.config.budget),
                 "external:" + command[0])
 
-    def decide(self, n: int) -> ProbeOutcome:
+    def decide(self, n: int) -> tuple[ProbeOutcome, int]:
         """Grow the formula to [n]^d and run the configured engine, then the
         other one on Unknown when escalate is set and it is available. A model
         is decoded to a row-major coloring and must be free of the whole
         family of [n]^d, which first_violation derives from the lattice rather
-        than from the shells handed to the encoder."""
+        than from the shells handed to the encoder. Returns the outcome and
+        the level's wall time in ms, from growth to the last check."""
         if n <= self.n:
             raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
+        t0 = time.monotonic()
         self._grow(n)
         config = self.config
-        t0 = time.monotonic()
         result, solver = self._solve(config.engine)
         if isinstance(result, sat.Unknown) and config.escalate:
             other = "external" if config.engine == "internal" else "internal"
@@ -234,32 +244,34 @@ class _Box:
                 result2, solver2 = self._solve(other)
                 if not isinstance(result2, sat.Unknown):
                     result, solver = result2, solver2
-        wall_ms = int((time.monotonic() - t0) * 1000)
-        if isinstance(result, sat.Unknown):
-            return result
         d, k, j, r = self.d, self.k, self.j, self.r
-        if isinstance(result, sat.Unsat):
-            if n <= self.floor:
+        if isinstance(result, sat.Unsat) and n <= self.floor:
+            raise IntegrityError(
+                f"[{n}]^{d} came back not colorable, but its tuple family is "
+                f"empty, so every coloring is free; the solver is wrong"
+            )
+        if isinstance(result, sat.Sat):
+            coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
+                                    bases=self.bases)
+            violation = first_violation(coloring, k, j)
+            if violation is not None:
                 raise IntegrityError(
-                    f"[{n}]^{d} came back not colorable, but its tuple family is "
-                    f"empty, so every coloring is free; the solver is wrong"
+                    f"decoded model admits a monochromatic tuple {violation.tuple} "
+                    f"in color {violation.color}; encoder and solver disagree"
                 )
-            return UnsatRecord(n, solver, wall_ms)
-        coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
-                                bases=self.bases)
-        violation = first_violation(coloring, k, j)
-        if violation is not None:
-            raise IntegrityError(
-                f"decoded model admits a monochromatic tuple {violation.tuple} "
-                f"in color {violation.color}; encoder and solver disagree"
-            )
-        if self.ceiling is not None and n >= self.ceiling:
-            raise IntegrityError(
-                f"[{n}]^{d} came back colorable, but no free {r}-coloring exists "
-                f"from N={self.ceiling} = R_{r}({k})^{j} - 1 on; the solver, the "
-                f"family or the Ramsey table is wrong"
-            )
-        return Certificate(coloring, k, j, Provenance(solver, wall_ms, _utc_now()))
+            if self.ceiling is not None and n >= self.ceiling:
+                raise IntegrityError(
+                    f"[{n}]^{d} came back colorable, but no free {r}-coloring exists "
+                    f"from N={self.ceiling} = R_{r}({k})^{j} - 1 on; the solver, the "
+                    f"family or the Ramsey table is wrong"
+                )
+        wall_ms = int((time.monotonic() - t0) * 1000)
+        if isinstance(result, sat.Sat):
+            provenance = Provenance(solver, wall_ms, _utc_now())
+            return Certificate(coloring, k, j, provenance), wall_ms
+        if isinstance(result, sat.Unsat):
+            return UnsatRecord(n, solver, wall_ms), wall_ms
+        return result, wall_ms
 
 
 def probe(
@@ -268,7 +280,7 @@ def probe(
     """Decide whether some r-coloring of [n]^d avoids every j-nondegenerate
     Schur k-tuple. The answer is a Certificate, already re-verified against
     the family, an UnsatRecord, or an Unknown."""
-    return _Box(d, k, j, r, config or EngineConfig()).decide(n)
+    return _Box(d, k, j, r, config or EngineConfig()).decide(n)[0]
 
 
 def find_schur_number(
@@ -306,9 +318,7 @@ def find_schur_number(
     box = _Box(d, k, j, r, config)
     n = box.floor if n_max is None else min(box.floor, n_max)
     while True:
-        t0 = time.monotonic()
-        outcome = box.decide(n)
-        wall_ms = int((time.monotonic() - t0) * 1000)
+        outcome, wall_ms = box.decide(n)
         if isinstance(outcome, Certificate):
             status, solver = "colorable", outcome.provenance.solver
             if cert_dir is not None:
@@ -330,28 +340,26 @@ def find_schur_number(
             return Inconclusive(tuple(statuses))
         if isinstance(outcome, UnsatRecord):
             # The first level is never refuted (_Box.decide), so witness is set.
-            return Exact(n, witness, outcome)
+            return Exact(witness, outcome)
         witness = outcome
         if n == n_max:
-            return LowerBound(n, witness)
+            return LowerBound(witness)
         n += 1
 
 
-def brute_force_oracle(
-    n: int, d: int, k: int, j: int, r: int, *, ceiling: int = 1 << 24
-) -> Coloring | None:
+def brute_force_oracle(n: int, d: int, k: int, j: int, r: int) -> Coloring | None:
     """Exhaustively search all r^(n^d) colorings for a free one.
 
     Returns the first free coloring in lexicographic order, or None when every
-    coloring contains a monochromatic tuple. Refuses instances beyond the
-    ceiling. This is the independent correctness oracle for probe: it never
+    coloring contains a monochromatic tuple. Refuses more than SIZE_CEILING
+    colorings. This is the independent correctness oracle for probe: it never
     touches the encoder or the solver.
     """
     npoints = n**d
     total = r**npoints
-    if total > ceiling:
+    if total > SIZE_CEILING:
         raise SizeError(
-            f"{r}^{npoints} = {total} colorings exceeds the ceiling of {ceiling}"
+            f"{r}^{npoints} = {total} colorings exceeds the ceiling of {SIZE_CEILING}"
         )
     family = enumerate_tuples(n, d, k, j)
     tuple_idx = [

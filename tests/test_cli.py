@@ -5,6 +5,7 @@ import os
 import stat
 import sys
 import threading
+import time
 
 import pytest
 
@@ -303,6 +304,18 @@ class TestVerify:
         assert code == EXIT_INVALID_INPUT
         assert "error" in err
 
+    def test_huge_dimension_exits_4_at_once(self, tmp_path, capsys):
+        # [3]^(10^7) would need 3**10**7 colors; the file holds one.
+        bad = tmp_path / "huge.cert.json"
+        bad.write_text('{"schema_version": 1, "colors": [1], "params": '
+                       '{"n": 3, "d": 10000000, "r": 1, "k": 3, "j": 1}}')
+        t0 = time.monotonic()
+        code, out, err = run(["verify", str(bad)], capsys)
+        assert time.monotonic() - t0 < 1.0
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "expected 3^10000000" in err
+
     @pytest.mark.parametrize("params, colors", [
         ({"n": 4.9}, [1, 2, 2, 1]),
         ({}, [1.9, 2.2, 2.7, 1.1]),
@@ -390,6 +403,33 @@ class TestWitness:
         )
         assert code == EXIT_INVALID_INPUT
         assert out == ""
+
+    @pytest.mark.parametrize("flags, word", [
+        (["--d", "3", "--k", "4"], "[5831]^3 has more than 16777216 points"),
+        (["--d", "2", "--n", "4097"], "[4097]^2 has more than 16777216 points"),
+        (["--d", "10000000"], "1 <= d <= 24"),  # default n: 6**10**7 - 1
+        (["--d", "25", "--n", "2"], "1 <= d <= 24"),
+        (["--d", "0"], "1 <= d <= 24"),
+        (["--d", "-1"], "1 <= d <= 24"),
+    ], ids=["default-n", "explicit-n", "absurd-d", "d-25", "d-0", "negative-d"])
+    def test_box_beyond_the_ceiling_exits_4_at_once(self, capsys, flags, word):
+        # R_2(4) = 18 gives [18^3 - 1]^3, 1.98e11 points, by default.
+        t0 = time.monotonic()
+        code, out, err = run(["witness", "--r", "2", "--random-seed", "1", *flags],
+                             capsys)
+        assert time.monotonic() - t0 < 1.0
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert word in err
+
+    def test_three_color_plane_box_is_drawn(self, capsys):
+        # R_3(3) = 17: [288]^2 has 82,944 points, well below the ceiling.
+        code, out, _ = run(
+            ["witness", "--d", "2", "--k", "3", "--r", "3", "--random-seed", "1"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert "clique vertices:" in out
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(["witness", "--d", "1", "--r", "2"], capsys)

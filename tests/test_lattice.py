@@ -218,6 +218,8 @@ class TestEnumerateTuples:
             enumerate_tuples(3, 2, 3, 3)  # j > min(d, k-1)
         with pytest.raises(InputError):
             enumerate_tuples(0, 2, 3, 1)
+        with pytest.raises(InputError, match="box requires"):
+            enumerate_tuples(0, 2, 3, 2)
 
 
 class TestShells:
@@ -265,6 +267,8 @@ class TestShells:
     def test_shell_validation(self):
         with pytest.raises(InputError):
             enumerate_shell(0, 2, 3, 1)
+        with pytest.raises(InputError, match="box requires"):
+            enumerate_shell(0, 2, 3, 2)
         with pytest.raises(InputError):
             enumerate_shell(3, 2, 2, 1)
         with pytest.raises(InputError):
@@ -316,6 +320,9 @@ class TestColoring:
             Coloring(2, 2, 2, (1, 2, 1))  # wrong length
         with pytest.raises(InputError):
             Coloring(2, 1, 2, (1, 3))  # color out of range
+        # 3**10**7 has 4.8 million digits; the length test never builds it.
+        with pytest.raises(InputError, match=r"expected 3\^10000000"):
+            Coloring(3, 10**7, 1, (1,))
 
     def test_color_of_row_major(self):
         chi = Coloring(2, 2, 4, (1, 2, 3, 4))

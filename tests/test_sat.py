@@ -547,6 +547,15 @@ class TestSolveExternal:
         assert isinstance(result, Unknown)
         assert "timed out" in result.reason
 
+    @pytest.mark.parametrize("seconds", [float("inf"), 1e7])
+    def test_budget_too_long_to_wait_for_is_no_limit(self, internal_solver_cmd, seconds):
+        # subprocess cannot wait 2**31 ms or more; the internal engine reads
+        # inf as no limit too.
+        f = encode(4, 1, 3, 1, 2)
+        result = solve_external(f, internal_solver_cmd, Budget(seconds=seconds))
+        assert isinstance(result, Sat)
+        assert check_model(f, result.model)
+
     def test_garbage_output_is_unknown(self, tmp_path):
         noisy = tmp_path / "noisy.py"
         noisy.write_text("print('hello world')\n")

@@ -82,6 +82,12 @@ class TestProbe:
         assert isinstance(out, UnsatRecord)
         assert out.solver.startswith("external:")
 
+    @pytest.mark.parametrize("n, r, word", [(0, 2, "N=0"), (3, 0, "r >= 1")],
+                             ids=["n=0", "r=0"])
+    def test_bad_parameters(self, n, r, word):
+        with pytest.raises(InputError, match=word):
+            probe(n, 1, 3, 1, r)
+
     def test_external_engine_without_command_errors(self, monkeypatch):
         monkeypatch.delenv("SCHUR_SOLVER", raising=False)
         with pytest.raises(InputError):
@@ -222,6 +228,25 @@ class TestFindSchurNumber:
             rows = list(csv.DictReader(fh))
         assert [r["n"] for r in rows] == ["1", "2", "3", "4", "5"]
         assert rows[-1]["outcome"] == "not-colorable"
+
+    @pytest.mark.parametrize("d, k, j, r, n_max", [(2, 3, 2, 3, 17), (1, 3, 1, 2, None)])
+    def test_certificates_and_refutation_record_the_ledger_time(
+            self, tmp_path, d, k, j, r, n_max):
+        # A level has one clock: its certificate or refutation and its ledger
+        # row hold the same wall time.
+        ledger = tmp_path / "ledger.csv"
+        out = find_schur_number(d, k, j, r, n_max=n_max, cert_dir=tmp_path,
+                                ledger_path=ledger)
+        with ledger.open() as fh:
+            rows = {int(row["n"]): int(row["wall_ms"]) for row in csv.DictReader(fh)}
+        certs = [load_certificate(p) for p in tmp_path.glob("*.cert.json")]
+        assert sorted(c.n for c in certs) == sorted(rows)[:len(certs)]
+        for cert in certs:
+            assert cert.provenance.wall_ms == rows[cert.n]
+        if isinstance(out, Exact):
+            assert out.refutation.wall_ms == rows[out.value]
+        else:
+            assert isinstance(out, LowerBound) and len(certs) == len(rows) == 16
 
     def test_n_max_gives_lower_bound(self):
         out = find_schur_number(2, 3, 2, 2, n_max=3)

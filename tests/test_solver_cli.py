@@ -48,6 +48,20 @@ class TestMain:
         assert "c error: literal 5 outside [1, 2]" in out
         assert out.rstrip().endswith("s UNKNOWN")
 
+    @pytest.mark.parametrize("text, word", [
+        ("p dnf 1 1\n1 0\n", "bad DIMACS header"),
+        ("p cnf 1\n1 0\n", "bad DIMACS header"),
+        ("p cnf 1 1\n1 x 0\n", "bad DIMACS clause line"),
+    ], ids=["dnf-header", "short-header", "non-integer-literal"])
+    def test_malformed_dimacs_is_unknown(self, tmp_path, capsys, text, word):
+        path = tmp_path / "f.cnf"
+        path.write_text(text)
+        code = main([str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"c error: {word}" in out
+        assert out.rstrip().endswith("s UNKNOWN")
+
     def test_tautological_clause_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 2 2\n1 -1 0\n2 0\n")
