@@ -84,6 +84,7 @@ class Engine:
         self.activity = [0.0]
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = []
+        self.in_heap = bytearray(1)  # 1 while (-activity[v], v) is in heap
         self.phase = bytearray(1)  # 1 -> decide positive first
         self.clauses: list[list[int]] = []
         self.learnts: list[tuple[int, list[int]]] = []  # (lbd, literals)
@@ -108,6 +109,7 @@ class Engine:
         self.reason.extend([None] * count)
         self.activity.extend([0.0] * count)
         self.phase.extend(bytes(count))
+        self.in_heap.extend(bytes(count))
         self._seen.extend(bytes(count))
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
@@ -183,22 +185,32 @@ class Engine:
         self.trail.append(lit)
 
     def _backtrack(self, target_level: int) -> None:
+        """Unassign every literal above target_level, saving its phase. A
+        variable gets a heap entry only if its flag is clear: one that was
+        propagated, and neither bumped nor popped since, keeps its entry."""
         if len(self.trail_lim) <= target_level:
             return
         limit = self.trail_lim[target_level]
         heap = self.heap
         activity = self.activity
-        for i in range(len(self.trail) - 1, limit - 1, -1):
-            lit = self.trail[i]
+        in_heap = self.in_heap
+        phase = self.phase
+        val = self.val
+        reason = self.reason
+        trail = self.trail
+        for i in range(len(trail) - 1, limit - 1, -1):
+            lit = trail[i]
             v = lit >> 1
-            self.phase[v] = 1 - (lit & 1)
-            self.val[lit] = _UNDEF
-            self.val[lit ^ 1] = _UNDEF
-            self.reason[v] = None
-            heapq.heappush(heap, (-activity[v], v))
-        del self.trail[limit:]
+            phase[v] = 1 - (lit & 1)
+            val[lit] = _UNDEF
+            val[lit ^ 1] = _UNDEF
+            reason[v] = None
+            if not in_heap[v]:
+                in_heap[v] = 1
+                heapq.heappush(heap, (-activity[v], v))
+        del trail[limit:]
         del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     # -- propagation -------------------------------------------------------
 
@@ -270,24 +282,33 @@ class Engine:
     # -- conflict analysis ---------------------------------------------------
 
     def _bump(self, v: int) -> None:
+        """Raise v's activity. v is assigned, being in a conflict clause or a
+        reason, so nothing is pushed: its entry, if any, goes stale and its
+        flag is cleared, and _backtrack pushes a fresh entry when it
+        unassigns v. Past 1e100 every activity is rescaled and the heap
+        rebuilt."""
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
+        self.in_heap[v] = 0
         if act > 1e100:
             scale = 1e-100
             for u in range(1, self.n + 1):
                 self.activity[u] *= scale
             self.var_inc *= scale
             self._rebuild_heap()
-        else:
-            heapq.heappush(self.heap, (-act, v))
 
     def _rebuild_heap(self) -> None:
-        self.heap = [
-            (-self.activity[v], v)
-            for v in range(1, self.n + 1)
-            if self.val[2 * v] == _UNDEF
-        ]
-        heapq.heapify(self.heap)
+        """A heap of the live entries of the unassigned variables alone, with
+        exactly their flags set; every stale entry is dropped."""
+        activity = self.activity
+        val = self.val
+        in_heap = self.in_heap = bytearray(self.n + 1)
+        heap = self.heap = []
+        for v in range(1, self.n + 1):
+            if val[2 * v] == _UNDEF:
+                heap.append((-activity[v], v))
+                in_heap[v] = 1
+        heapq.heapify(heap)
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int, int]:
         """First-UIP learning. Returns (learnt clause, backjump level, lbd);
@@ -395,17 +416,28 @@ class Engine:
     # -- decisions ----------------------------------------------------------------
 
     def _decide(self) -> int:
-        """Next decision literal, or 0 when every variable is assigned. Every
-        unassigned variable v has its live entry (-activity[v], v) in the heap:
-        solve and _bump's rescale rebuild the heap over them, _bump pushes a
-        bumped variable's entry and _backtrack each variable it unassigns."""
+        """Next decision literal, or 0 when every variable is assigned: the
+        unassigned variable of highest activity, the lowest index on ties.
+
+        The heap is lazy. An entry (-activity[v], v) is live while v's
+        activity is unchanged, and v's flag in_heap[v] is set exactly while
+        its live entry is in the heap, so each variable has at most one.
+        Every unassigned variable has one: solve and _bump's rescale rebuild
+        the heap over the unassigned variables, and _backtrack pushes an entry
+        for each variable it unassigns whose flag is clear. _bump clears the
+        flag, as its entry goes stale, and so does this pop of a live entry,
+        whether its variable is assigned or not; stale entries are dropped.
+        """
         val = self.val
         heap = self.heap
         activity = self.activity
+        in_heap = self.in_heap
         while heap:
             negact, v = heapq.heappop(heap)
-            if val[2 * v] == _UNDEF and -negact == activity[v]:
-                return 2 * v + (0 if self.phase[v] else 1)
+            if -negact == activity[v]:
+                in_heap[v] = 0
+                if val[2 * v] == _UNDEF:
+                    return 2 * v + (0 if self.phase[v] else 1)
         return 0
 
     # -- main loop --------------------------------------------------------------------

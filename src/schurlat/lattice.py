@@ -314,8 +314,13 @@ def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
     color, so a tuple is built only when it is monochromatic and a free
     coloring builds none. Family order is the order of the totals and then of
     the summands, so the first tuple found is the first violation.
+
+    Every coordinate of a total is at least k-1, so a box with n < k-1 has
+    no tuple: it is free whatever its d, and no point is built.
     """
     _check_family_params(coloring.d, k, j)
+    if coloring.n < k - 1:
+        return None
     color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
     for total, color in color_of.items():
         found: list[SchurTuple] = []

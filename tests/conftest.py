@@ -5,6 +5,7 @@ tuple families via unpruned exhaustive enumeration, and SAT via truth tables.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import sys
 
@@ -111,6 +112,26 @@ def solve_stats(monkeypatch) -> list[tuple[int, int, int, int, int]]:
     return _after_each_solve(monkeypatch, lambda engine: (
         engine.conflicts, engine.decisions, engine.propagations, len(engine.learnts),
         engine.reductions))
+
+
+@pytest.fixture
+def decision_digest(monkeypatch):
+    """A sha256 over every value Engine._decide returns, in call order, each
+    written as its decimal literal code and a newline; 0 marks a search that
+    found every variable assigned. Read it with .hexdigest() after the run:
+    a change not meant to alter the search leaves it as it is."""
+    from schurlat import cdcl
+
+    digest = hashlib.sha256()
+    decide = cdcl.Engine._decide
+
+    def recording_decide(engine):
+        lit = decide(engine)
+        digest.update(b"%d\n" % lit)
+        return lit
+
+    monkeypatch.setattr(cdcl.Engine, "_decide", recording_decide)
+    return digest
 
 
 @pytest.fixture

@@ -316,6 +316,18 @@ class TestVerify:
         assert out == ""
         assert "expected 3^10000000" in err
 
+    def test_box_too_small_for_a_tuple_is_valid_at_once(self, tmp_path, capsys):
+        # [1]^(10^9) has one point, and a total needs every coordinate >= k-1
+        # = 2, so it is free; no point of 10^9 coordinates is built.
+        cert = tmp_path / "tiny.cert.json"
+        cert.write_text('{"schema_version": 1, "colors": [1], "params": '
+                        '{"n": 1, "d": 1000000000, "r": 1, "k": 3, "j": 1}}')
+        t0 = time.monotonic()
+        code, out, err = run(["verify", str(cert)], capsys)
+        assert time.monotonic() - t0 < 1.0
+        assert code == EXIT_OK
+        assert out.startswith("Valid: free coloring of [1]^1000000000")
+
     @pytest.mark.parametrize("params, colors", [
         ({"n": 4.9}, [1, 2, 2, 1]),
         ({}, [1.9, 2.2, 2.7, 1.1]),

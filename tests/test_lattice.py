@@ -299,6 +299,16 @@ class TestVerifyFree:
         fam = enumerate_tuples(2, 2, 3, 2)
         assert verify_free(Coloring.constant(2, 2, 2), fam) is None
 
+    def test_box_below_k_minus_1_is_free_at_the_boundary(self):
+        # A total needs every coordinate >= k-1: [2]^2 holds no 4-term tuple,
+        # [3]^1 holds (1)+(1)+(1)=(3). Parameters are checked either way.
+        assert enumerate_tuples(2, 2, 4, 2) == ()
+        assert first_violation(Coloring.constant(2, 2, 1), 4, 2) is None
+        violation = first_violation(Coloring.constant(3, 1, 1), 4, 1)
+        assert violation is not None and violation.tuple.total == (3,)
+        with pytest.raises(InputError):
+            first_violation(Coloring.constant(1, 1, 1), 3, 2)
+
     def test_tuple_outside_the_box(self):
         stray = (SchurTuple(((1,), (2,)), (3,)),)
         with pytest.raises(InputError):

@@ -326,6 +326,14 @@ class TestLearntClauseDeletion:
         assert rounds == 2
         assert counters == (6073, 7564, 234135, 3443)
 
+    def test_decisions_are_pinned(self, decision_digest):
+        # The reduced_engine solve again, read decision by decision: 7,564
+        # literals and the closing 0.
+        clauses = random_3sat(4, 200, 852)
+        assert cdcl.Engine(200, clauses).solve()[0] == "sat"
+        assert decision_digest.hexdigest() == (
+            "0c26426f81af0ad426eac6032c15ac075fdb8dd2fb9b00351e209d52ca9e32c7")
+
     def test_watch_lists_hold_only_live_clauses(self, reduced_engine):
         _, engine, _, _, _ = reduced_engine
         assert len(engine.learnts) > 0
@@ -374,23 +382,39 @@ class TestLearntClauseDeletion:
         assert engine.restarts == engine.reductions == 0
 
 
+def assert_flags_match_heap(engine: cdcl.Engine) -> None:
+    """in_heap[v] is set exactly when the heap holds (-activity[v], v)."""
+    live = set(engine.heap)
+    for v in range(1, engine.n + 1):
+        assert engine.in_heap[v] == ((-engine.activity[v], v) in live)
+
+
 @pytest.fixture
 def checked_heap(monkeypatch) -> list[int]:
     """Check, before every _decide call, that each unassigned variable has its
     live entry (-activity[v], v) in the decision heap, and after it, that 0
     comes back only when every variable is assigned; _decide returns 0 when
-    the heap runs dry, which is sound only under that invariant. Returns the
-    list of heap rebuilds, one entry per _rebuild_heap call."""
+    the heap runs dry, which is sound only under that invariant. The variable
+    decided must be the unassigned one a linear scan finds first by
+    (-activity[v], v), and before and after the call each flag must be set
+    exactly when the heap holds its variable's live entry. Returns the list of
+    heap rebuilds, one entry per _rebuild_heap call."""
     decide, rebuild = cdcl.Engine._decide, cdcl.Engine._rebuild_heap
     rebuilds: list[int] = []
 
     def checked_decide(engine):
         live = set(engine.heap)
-        for v in range(1, engine.n + 1):
-            if engine.val[2 * v] == cdcl._UNDEF:
-                assert (-engine.activity[v], v) in live
+        unassigned = [
+            v for v in range(1, engine.n + 1) if engine.val[2 * v] == cdcl._UNDEF
+        ]
+        for v in unassigned:
+            assert (-engine.activity[v], v) in live
+        assert_flags_match_heap(engine)
         lit = decide(engine)
         assert lit or all(engine.val[2 * v] for v in range(1, engine.n + 1))
+        if unassigned:
+            assert lit >> 1 == min(unassigned, key=lambda v: (-engine.activity[v], v))
+        assert_flags_match_heap(engine)
         return lit
 
     def counted_rebuild(engine):

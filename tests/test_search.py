@@ -378,7 +378,7 @@ class TestAscent:
         assert isinstance(out, LowerBound) and out.value == 17
         assert solve_conflicts == [0] * 13 + [12, 70, 8]
 
-    def test_whole_plane_search_counters_are_pinned(self, solve_stats):
+    def test_whole_plane_search_counters_are_pinned(self, solve_stats, decision_digest):
         # The refutation of N=18 crosses the 1e100 activity rescale and runs
         # learnt-clause deletion; no level below it reaches a deletion round.
         out = find_schur_number(2, 3, 2, 3)
@@ -386,6 +386,10 @@ class TestAscent:
         assert [s[0] for s in solve_stats] == [0] * 13 + [12, 70, 8, 10568]
         assert all(s[4] == 0 for s in solve_stats[:-1]) and solve_stats[-1][4] >= 1
         assert solve_stats[-1] == (10568, 12680, 187855, 3279, 4)
+        # Every decision of the 17 solves, in order: 13,901 literals and a 0
+        # closing each of the 16 satisfiable levels.
+        assert decision_digest.hexdigest() == (
+            "7c4ed5dd124fff17ce1e390d5df059f67400f889fcddd7c4bdd737ff37592478")
 
     def test_conflict_budget_applies_per_level(self, solve_conflicts):
         per_level = solve_conflicts
