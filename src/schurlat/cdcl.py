@@ -19,7 +19,8 @@ Everything is deterministic for a fixed sequence of calls: ties in the
 decision heap break on variable index, restarts follow the Luby sequence, and
 wall-clock budgets can only turn a would-be answer into "unknown", never
 change it. Every clause, whether given to the constructor or added between
-solves, is loaded by add_clauses, which sorts its literal codes once.
+solves, is loaded by add_clauses, which looks its literals' codes up in the
+engine's code table and sorts them once.
 
 A clause is a plain list of literal codes; the watch lists, the reasons and the
 clause store all hold that list itself, and a learnt clause is kept beside its
@@ -27,7 +28,10 @@ LBD as an (lbd, literals) pair. A learnt clause that is dropped leaves the
 watch lists at once, so propagation never meets a dead clause.
 
 Literal coding: variable v (1-based) maps to literal codes 2v (positive) and
-2v+1 (negative); code^1 negates.
+2v+1 (negative); code^1 negates. The code table, a dict from each signed
+literal +-v to its code, holds one int object per code, which every loaded
+clause shares; a literal that is not in it (0, or beyond +-n) is an
+InputError.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from __future__ import annotations
 import heapq
 import time
 from typing import Iterable, Sequence
+
+from .errors import InputError
 
 _UNDEF = 0
 _TRUE = 1
@@ -95,6 +101,7 @@ class Engine:
         self.restarts = 0
         self.reductions = 0
         self._seen = bytearray(1)
+        self.code: dict[int, int] = {}  # signed literal -> literal code
         self.add_vars(num_vars)
         self.add_clauses(clauses)
 
@@ -102,6 +109,10 @@ class Engine:
 
     def add_vars(self, count: int) -> None:
         """Append count fresh variables, numbered after the existing ones."""
+        code = self.code
+        for v in range(self.n + 1, self.n + count + 1):
+            code[v] = 2 * v
+            code[-v] = 2 * v + 1
         self.n += count
         self.val.extend(bytes(2 * count))
         self.watches.extend([] for _ in range(2 * count))
@@ -121,15 +132,21 @@ class Engine:
         at level 0 or holding a literal and its negation is not stored. Sorting
         a clause's codes once puts a repeat next to its first copy and a
         negation (codes 2v, 2v+1) next to its partner: one pass decides it.
+        Codes come from the code table, so the stored clauses share one int
+        object per code. A literal outside +-1..n raises InputError; the
+        clauses before it stay added.
         """
         self._backtrack(0)
         val = self.val
         watches = self.watches
+        code = self.code.__getitem__
         for signed in clauses:
             if not self.ok:
                 return
-            codes = [2 * l if l > 0 else -2 * l + 1 for l in signed]
-            codes.sort()
+            try:
+                codes = sorted(map(code, signed))
+            except KeyError as e:
+                raise InputError(f"literal {e.args[0]!r} outside [1, {self.n}]") from None
             lits: list[int] = []
             prev = 0
             for lit in codes:

@@ -86,10 +86,14 @@ class CnfFormula:
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise InputError("num_vars must be >= 0")
-        for clause in self.clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise InputError(f"literal {lit} outside [1, {self.num_vars}]")
+        n = self.num_vars
+        values = set(itertools.chain.from_iterable(self.clauses))
+        if values and (0 in values or min(values) < -n or max(values) > n):
+            # Name the first bad literal in clause order.
+            for clause in self.clauses:
+                for lit in clause:
+                    if lit == 0 or abs(lit) > n:
+                        raise InputError(f"literal {lit} outside [1, {n}]")
 
     @property
     def num_clauses(self) -> int:

@@ -135,20 +135,42 @@ def write_dimacs(formula: CnfFormula) -> bytes:
     return "".join(lines).encode("ascii")
 
 
+class _Literals(dict):
+    """DIMACS token -> int, one int object per value: a token seen before is
+    a dict lookup, and a new one ("+3", "03", ...) is parsed by int() and
+    shares the object of any earlier token of the same value. The values are
+    kept in the same dict under their int keys; tokens are always strings."""
+
+    def __missing__(self, token: str) -> int:
+        value = int(token)
+        value = self[token] = self.setdefault(value, value)
+        return value
+
+
 def read_dimacs(text: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF text in one pass. Comment lines are ignored, clauses
-    may span lines, and a "%" line ends the file."""
+    may span lines, and a "%" line ends the file. There is exactly one
+    "p cnf" header, and it comes before the first clause.
+
+    Every occurrence of a literal value in the clauses is the same int
+    object, so a formula of many clauses over few variables costs one
+    pointer per literal, not one int each."""
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
+    literal = _Literals().__getitem__
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError(f"second DIMACS header: {line!r}")
+            if clauses or current:
+                raise ParseError(f"DIMACS header after clauses: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad DIMACS header: {line!r}")
@@ -160,14 +182,19 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
         if line == "%":
             break
         try:
-            for t in map(int, line.split()):
-                if t:
-                    current.append(t)
-                else:
-                    clauses.append(tuple(current))
-                    current.clear()
+            values = list(map(literal, line.split()))
         except ValueError:
             raise ParseError(f"bad DIMACS clause line: {line!r}") from None
+        if not current and values[-1] == 0 and values.count(0) == 1:
+            values.pop()  # the usual line: one whole clause
+            clauses.append(tuple(values))
+            continue
+        for t in values:
+            if t:
+                current.append(t)
+            else:
+                clauses.append(tuple(current))
+                current.clear()
     if num_vars is None or num_clauses is None:
         raise ParseError("missing DIMACS 'p cnf' header")
     if current:

@@ -1,8 +1,10 @@
 """Embedded solver, DIMACS round trips, and the external solver bridge."""
 
+import gc
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -282,6 +284,85 @@ class TestIncrementalEngine:
         assert again.conflicts == refutation
 
 
+class ReferenceLoader(cdcl.Engine):
+    """The engine with the loader it had before the code table: a list
+    comprehension per clause for the codes, a sort, and the one pass."""
+
+    def add_clauses(self, clauses):
+        self._backtrack(0)
+        for signed in clauses:
+            if not self.ok:
+                return
+            codes = [2 * l if l > 0 else -2 * l + 1 for l in signed]
+            codes.sort()
+            lits = []
+            prev = 0
+            for lit in codes:
+                if lit == prev:
+                    continue
+                if self.val[lit] == cdcl._TRUE or lit == prev ^ 1:
+                    break
+                if self.val[lit] == cdcl._UNDEF:
+                    lits.append(lit)
+                prev = lit
+            else:
+                if not lits:
+                    self.ok = False
+                elif len(lits) == 1:
+                    self._enqueue(lits[0], None)
+                else:
+                    self.clauses.append(lits)
+                    self.watches[lits[0]].append(lits)
+                    self.watches[lits[1]].append(lits)
+
+
+def loaded_state(engine: cdcl.Engine):
+    """The stored clauses, each watch list as the positions of its clauses in
+    the store, the trail and ok."""
+    position = {id(c): i for i, c in enumerate(engine.clauses)}
+    watches = [[position[id(c)] for c in ws] for ws in engine.watches]
+    return engine.clauses, watches, engine.trail, engine.ok
+
+
+def shuffled(rng: random.Random, f: CnfFormula) -> list[tuple[int, ...]]:
+    """f's clauses in a random order, each with its literals shuffled."""
+    clauses = [tuple(rng.sample(c, len(c))) for c in f.clauses]
+    rng.shuffle(clauses)
+    return clauses
+
+
+class TestLoader:
+    def test_matches_the_reference_loader_on_messy_clauses(self):
+        rng = random.Random(6151)
+        mess = random.Random(1516)
+        for _ in range(200):
+            f = random_formula(rng)
+            messy = messy_clauses(mess, f)
+            assert loaded_state(cdcl.Engine(f.num_vars, messy)) == \
+                loaded_state(ReferenceLoader(f.num_vars, messy))
+
+    def test_matches_the_reference_loader_on_a_shuffled_encoding(self):
+        f = encode(8, 2, 3, 2, 3)
+        clauses = shuffled(random.Random(883), f)
+        engine = cdcl.Engine(f.num_vars, clauses)
+        reference = ReferenceLoader(f.num_vars, clauses)
+        assert loaded_state(engine) == loaded_state(reference)
+        assert engine.solve() == reference.solve()
+        assert (engine.conflicts, engine.decisions, engine.propagations) == \
+            (reference.conflicts, reference.decisions, reference.propagations)
+
+    @pytest.mark.parametrize("lit", [0, 4, -4, 6, -7],
+                             ids=["zero", "n+1", "-(n+1)", "2n", "-(2n+1)"])
+    def test_literal_outside_the_variables_is_input_error(self, lit):
+        # n = 3. A table indexed from the end would read 2n and -(2n+1) as
+        # other variables' codes; 0 used to make its clause a tautology.
+        with pytest.raises(InputError, match=rf"^literal {lit} outside \[1, 3\]$"):
+            cdcl.Engine(3, [(1, 2), (-1, lit, 3)])
+        engine = cdcl.Engine(3, [])
+        with pytest.raises(InputError, match=rf"^literal {lit} outside"):
+            engine.add_clauses([(lit,)])
+
+
 def random_3sat(seed: int, num_vars: int, num_clauses: int) -> list[tuple[int, ...]]:
     rng = random.Random(seed)
     clauses = []
@@ -510,6 +591,44 @@ class TestDimacs:
             read_dimacs("p cnf 2 1\n1 2\n")  # unterminated
         with pytest.raises(ParseError):
             read_dimacs("p cnf 2 2\n1 0\n")  # count mismatch
+
+
+def distinct_objects(clauses) -> tuple[int, int]:
+    """How many int objects, and how many distinct values, the clauses hold."""
+    lits = [l for c in clauses for l in c]
+    return len(set(map(id, lits))), len(set(lits))
+
+
+class TestLiteralSharing:
+    def test_one_object_per_value(self):
+        f = encode(14, 2, 3, 2, 4)  # 588 variables, most literals beyond the small-int cache
+        g = read_dimacs(write_dimacs(CnfFormula(f.num_vars, tuple(shuffled(random.Random(2), f)))))
+        objects, values = distinct_objects(g.clauses)
+        assert objects == values > 1000
+        engine = cdcl.Engine(g.num_vars, g.clauses)
+        objects, values = distinct_objects(engine.clauses)
+        assert objects == values > 1000
+
+    def test_spellings_of_one_value_share_it(self):
+        f = read_dimacs("p cnf 300 2\n300 -300 0\n+300 0300 -0300 0\n")
+        assert f.clauses == ((300, -300), (300, 300, -300))
+        assert distinct_objects(f.clauses) == (2, 2)
+
+    def test_reading_and_loading_retain_under_70_bytes_per_literal(self):
+        # 73,968 literals over 588 variables. One int object per occurrence,
+        # in the parsed clauses and again in the engine's codes, retained 94.
+        data = write_dimacs(encode(14, 2, 3, 2, 4))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            f = read_dimacs(data)
+            engine = cdcl.Engine(f.num_vars, f.clauses)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        literals = sum(map(len, f.clauses))
+        assert literals == 73968 and engine.ok
+        assert retained / literals < 70
 
 
 class TestParseSolverOutput:

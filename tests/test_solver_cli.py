@@ -52,7 +52,10 @@ class TestMain:
         ("p dnf 1 1\n1 0\n", "bad DIMACS header"),
         ("p cnf 1\n1 0\n", "bad DIMACS header"),
         ("p cnf 1 1\n1 x 0\n", "bad DIMACS clause line"),
-    ], ids=["dnf-header", "short-header", "non-integer-literal"])
+        ("p cnf 2 1\np cnf 3 1\n3 0\n", "second DIMACS header"),
+        ("1 2 0\np cnf 2 1\n", "DIMACS header after clauses"),
+    ], ids=["dnf-header", "short-header", "non-integer-literal", "second-header",
+            "clauses-before-header"])
     def test_malformed_dimacs_is_unknown(self, tmp_path, capsys, text, word):
         path = tmp_path / "f.cnf"
         path.write_text(text)
