@@ -1,8 +1,8 @@
 """Satisfiability layer: embedded solving, DIMACS exchange, external solvers.
 
-Every satisfying assignment that leaves this module — whether produced by the
-embedded engine or parsed from an external solver — has been checked against
-the formula by an independent clause evaluator first.
+check_model is the one clause evaluator: solve_internal and solve_external
+check their models with it. solve_engine leaves its model to the caller (a
+search checks it against the lattice instead, see search._Box.decide).
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import cdcl
-from .encoder import Clause, CnfFormula
+from .encoder import CnfFormula
 from .errors import InputError, IntegrityError, ParseError
 
 INTERNAL_SOLVER_NAME = "schurlat-cdcl"
@@ -60,14 +60,8 @@ SolveResult = Sat | Unsat | Unknown
 def check_model(formula: CnfFormula, model: Mapping[int, bool]) -> bool:
     """Independent clause evaluator: true iff the model satisfies every clause.
     Variables absent from the model count as false."""
-    return _satisfies(formula.clauses,
-                      {**dict.fromkeys(range(1, formula.num_vars + 1), False), **model})
-
-
-def _satisfies(clauses: Iterable[Clause], model: Mapping[int, bool]) -> bool:
-    """True iff each clause has a literal true in the model, which is total."""
-    true = {v if value else -v for v, value in model.items()}
-    return not any(map(true.isdisjoint, clauses))
+    true = {v if model.get(v) else -v for v in range(1, formula.num_vars + 1)}
+    return not any(map(true.isdisjoint, formula.clauses))
 
 
 def solve_internal(formula: CnfFormula, budget: Budget | None = None) -> SolveResult:
@@ -75,17 +69,17 @@ def solve_internal(formula: CnfFormula, budget: Budget | None = None) -> SolveRe
 
     Sound and complete within budget, and deterministic.
     """
-    engine = cdcl.Engine(formula.num_vars, formula.clauses)
-    return solve_engine(engine, formula.clauses, budget)
+    result = solve_engine(cdcl.Engine(formula.num_vars, formula.clauses), budget)
+    if isinstance(result, Sat) and not check_model(formula, result.model):
+        raise IntegrityError("internal solver returned a model that fails the formula")
+    return result
 
 
-def solve_engine(
-    engine: cdcl.Engine, clauses: Sequence[Clause], budget: Budget | None = None
-) -> SolveResult:
-    """Run an engine that holds exactly `clauses`, which may have been added
-    across several calls. A model is checked against every clause before it is
-    returned; an Unknown's reason gives the engine's counters at the moment the
-    budget ran out."""
+def solve_engine(engine: cdcl.Engine, budget: Budget | None = None) -> SolveResult:
+    """Run an engine on the clauses it holds, which may have been added across
+    several calls. The model, total over the engine's variables, is returned
+    unchecked: the caller checks it. An Unknown's reason gives the engine's
+    counters at the moment the budget ran out."""
     status, raw = engine.solve(
         max_seconds=budget.seconds if budget else None,
         max_conflicts=budget.conflicts if budget else None,
@@ -104,10 +98,7 @@ def solve_engine(
             f"{engine.reductions} deletion rounds"
         )
     assert raw is not None
-    model = {v: raw[v] for v in range(1, engine.n + 1)}
-    if not _satisfies(clauses, model):
-        raise IntegrityError("internal solver returned a model that fails the formula")
-    return Sat(model)
+    return Sat({v: raw[v] for v in range(1, engine.n + 1)})
 
 
 # -- DIMACS ------------------------------------------------------------------

@@ -162,8 +162,8 @@ def _utc_now() -> str:
 
 
 class _Box:
-    """The formula of [n]^d in shell numbering, and one internal engine that
-    holds it. Every level a search or probe decides is decided here.
+    """One internal engine that holds the formula of [n]^d in shell
+    numbering. Every level a search or probe decides is decided here.
 
     encode_points numbers the points shell by shell, so the formula of [n+1]^d
     is the formula of [n]^d plus the clauses of shell n+1, and the engine that
@@ -171,7 +171,9 @@ class _Box:
     solve starts afresh except for the clauses, level-0 facts and saved
     phases, so the last level's model seeds the next level's decisions. The
     engine receives every shell even when the external engine is configured,
-    because it is the escalation target.
+    because it is the escalation target. The box keeps only the engine and
+    the points' variable bases; formula() rebuilds the clauses, shell by
+    shell in the same numbering, for an external solver.
 
     floor is the largest N whose tuple family is empty: shells 1..floor hold
     no tuple, so every coloring of [n]^d with n <= floor is free and a
@@ -188,7 +190,6 @@ class _Box:
         self.config = config
         self.n = 0
         self.bases: dict[Point, int] = {}
-        self.clauses: list[Clause] = []
         self.engine = cdcl.Engine(0, ())
         self.floor = 0
         while not enumerate_shell(self.floor + 1, d, k, j):
@@ -198,22 +199,30 @@ class _Box:
         except NotTabulatedError:
             self.ceiling = None
 
+    def _shell(self, s: int, bases: dict[Point, int]) -> list[Clause]:
+        """The clauses of shell s, its points numbered after those in bases."""
+        return encode_points(shell_points(s, self.d),
+                             enumerate_shell(s, self.d, self.k, self.j), bases, self.r,
+                             fix_first_point_color=self.config.symmetry_break)
+
     def _grow(self, n: int) -> None:
         for s in range(self.n + 1, n + 1):
-            points = shell_points(s, self.d)
-            shell = enumerate_shell(s, self.d, self.k, self.j)
-            clauses = encode_points(points, shell, self.bases, self.r,
-                                    fix_first_point_color=self.config.symmetry_break)
-            self.engine.add_vars(len(points) * (self.r - 1))
+            clauses = self._shell(s, self.bases)
+            self.engine.add_vars(len(self.bases) * (self.r - 1) - self.engine.n)
             self.engine.add_clauses(clauses)
-            self.clauses.extend(clauses)
         self.n = n
+
+    def formula(self) -> CnfFormula:
+        """The formula the engine holds, rebuilt shell by shell."""
+        bases: dict[Point, int] = {}
+        clauses = [c for s in range(1, self.n + 1) for c in self._shell(s, bases)]
+        return CnfFormula(self.engine.n, tuple(clauses))
 
     def _solve(self, engine: str) -> tuple[sat.SolveResult, str]:
         """Run one engine on the current formula; returns the result and the
         name of the engine."""
         if engine == "internal":
-            return (sat.solve_engine(self.engine, self.clauses, self.config.budget),
+            return (sat.solve_engine(self.engine, self.config.budget),
                     sat.INTERNAL_SOLVER_NAME)
         command = self.config.external_command()
         if command is None:
@@ -221,17 +230,21 @@ class _Box:
                 f"external engine selected but no solver command given "
                 f"(set --solver-cmd or ${SOLVER_ENV_VAR})"
             )
-        formula = CnfFormula(self.engine.n, tuple(self.clauses))
-        return (sat.solve_external(formula, command, self.config.budget),
+        return (sat.solve_external(self.formula(), command, self.config.budget),
                 "external:" + command[0])
 
     def decide(self, n: int) -> tuple[ProbeOutcome, int]:
         """Grow the formula to [n]^d and run the configured engine, then the
-        other one on Unknown when escalate is set and it is available. A model
-        is decoded to a row-major coloring and must be free of the whole
-        family of [n]^d, which first_violation derives from the lattice rather
-        than from the shells handed to the encoder. Returns the outcome and
-        the level's wall time in ms, from growth to the last check."""
+        other one on Unknown when escalate is set and it is available. Returns
+        the outcome and the level's wall time in ms, from growth to the last
+        check.
+
+        A model is checked against the lattice, and passes exactly when it
+        satisfies every clause: decode_model checks the at-most-one clauses;
+        given those, a tuple's r clauses hold unless its points share a color,
+        and first_violation, which derives the family of [n]^d (the tuples of
+        shells 1..n) from the lattice, checks every tuple; the symmetry unit
+        phi_1(origin) is the one clause left."""
         if n <= self.n:
             raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
         t0 = time.monotonic()
@@ -253,6 +266,9 @@ class _Box:
         if isinstance(result, sat.Sat):
             coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
                                     bases=self.bases)
+            if config.symmetry_break and coloring.colors[0] != 1:
+                raise IntegrityError(f"decoded model gives the origin color "
+                                     f"{coloring.colors[0]}, not 1")
             violation = first_violation(coloring, k, j)
             if violation is not None:
                 raise IntegrityError(

@@ -97,7 +97,7 @@ class TestSolveInternal:
             messy = messy_clauses(mess, f)
             for clauses, result in (
                 (f.clauses, solve_internal(f)),
-                (messy, solve_engine(cdcl.Engine(f.num_vars, messy), messy)),
+                (messy, solve_engine(cdcl.Engine(f.num_vars, messy))),
             ):
                 expected = oracle_truth_table_sat(f.num_vars, clauses)
                 if expected is None:
@@ -119,7 +119,7 @@ class TestSolveInternal:
         assert "budget" in result.reason
         # The reason gives the engine's counters when the budget ran out.
         engine = cdcl.Engine(f.num_vars, f.clauses)
-        result = solve_engine(engine, f.clauses, Budget(conflicts=5))
+        result = solve_engine(engine, Budget(conflicts=5))
         assert isinstance(result, Unknown)
         assert engine.conflicts == 5 and engine.decisions > 0
         assert result.reason.endswith(
@@ -141,7 +141,7 @@ class TestSolveInternal:
         assert engine.solve(max_seconds=1e-9) == ("unknown", None)
         assert (engine.conflicts, engine.decisions) == (0, 1023)
         engine = cdcl.Engine(n, chain)
-        assert solve_engine(engine, chain, Budget(seconds=1e-9)) == Unknown(
+        assert solve_engine(engine, Budget(seconds=1e-9)) == Unknown(
             "internal solver budget exhausted (1e-09s) after 0 conflicts, "
             "1023 decisions, 0 deletion rounds")
 
@@ -234,7 +234,7 @@ class TestIncrementalEngine:
                     engine.add_clauses(chunk)
                     added.extend(chunk)
                     expected = oracle_truth_table_sat(engine.n, added)
-                    result = solve_engine(engine, added)
+                    result = solve_engine(engine)
                     if expected is None:
                         assert result == Unsat()
                     else:

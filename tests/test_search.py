@@ -1,17 +1,20 @@
 """Probe loop, search outcomes, certificates, oracle, and the results ledger."""
 
 import csv
+import gc
 import hashlib
+import itertools
 import json
 import os
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from schurlat import cdcl, cli, search
+from schurlat import cdcl, cli, search, solver_cli
 from schurlat.bounds import SchurUpperBound, ramsey_number
 from schurlat.encoder import EncodingMeta, encode, var_index
 from schurlat.errors import InputError, IntegrityError, ParseError, SizeError
@@ -22,7 +25,7 @@ from schurlat.lattice import (
     enumerate_tuples,
     verify_free,
 )
-from schurlat.sat import Budget, Sat, Unknown, solve_internal
+from schurlat.sat import Budget, Sat, Unknown, check_model, solve_internal, write_dimacs
 from schurlat.search import (
     Certificate,
     EngineConfig,
@@ -106,9 +109,11 @@ class TestProbe:
 
 
 class TestModelChecks:
-    """A model becomes a certificate only after two checks: against the
-    clauses the engine holds (sat.solve_engine), then, decoded, against the
-    whole family of the box (_Box.decide)."""
+    """A search's model becomes a certificate only after _Box.decide has
+    decoded it and checked it against the lattice: at most one color per
+    point, no monochromatic tuple of the box's family and, under symmetry
+    breaking, color 1 at the origin. solve_internal, and so schurlat-solve,
+    check their models against their own formula instead."""
 
     @pytest.fixture
     def all_false_models(self, monkeypatch):
@@ -121,14 +126,24 @@ class TestModelChecks:
         monkeypatch.setattr(cdcl.Engine, "solve", all_false)
 
     def test_model_that_fails_the_formula(self, all_false_models):
-        with pytest.raises(IntegrityError, match="model that fails the formula"):
+        with pytest.raises(IntegrityError, match="monochromatic tuple"):
             probe(4, 1, 3, 1, 2)
 
     def test_search_exits_5(self, all_false_models, tmp_path, capsys):
         code = cli.main(["search", "--d", "1", "--k", "3", "--r", "2",
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_INTEGRITY
-        assert "model that fails the formula" in capsys.readouterr().err
+        assert "monochromatic tuple" in capsys.readouterr().err
+
+    def test_solve_internal_checks_its_formula(self, all_false_models):
+        with pytest.raises(IntegrityError, match="model that fails the formula"):
+            solve_internal(encode(4, 1, 3, 1, 2))
+
+    def test_schurlat_solve_checks_its_formula(self, all_false_models, tmp_path):
+        path = tmp_path / "f.cnf"
+        path.write_bytes(write_dimacs(encode(4, 1, 3, 1, 2)))
+        with pytest.raises(IntegrityError, match="model that fails the formula"):
+            solver_cli.main([str(path)])
 
     def test_decoded_model_admits_a_tuple(self, monkeypatch):
         # Without the last clause of shell 5, (x_2 or x_3 or x_5), the engine
@@ -166,8 +181,9 @@ class TestShellFormula:
         def multiset(clauses):
             return Counter(tuple(sorted(c)) for c in clauses)
 
-        renamed = [[rename[l] if l > 0 else -rename[-l] for l in c] for c in box.clauses]
-        assert box.engine.n == meta.num_vars
+        formula = box.formula()
+        renamed = [[rename[l] if l > 0 else -rename[-l] for l in c] for c in formula.clauses]
+        assert box.engine.n == formula.num_vars == meta.num_vars
         assert multiset(renamed) == multiset(encode(n, d, k, j, r,
                                                     fix_first_point_color=sym).clauses)
 
@@ -177,14 +193,80 @@ class TestShellFormula:
         (2, 3, 2, 4, 14, 16764,
          "2e89919cadeb5d5b0f0ce587cb8a72f0a2227ce36eecea0add9ba8ed2c77b2bc"),
     ], ids=["d2-r3-n12", "d2-r4-n14"])
-    def test_box_clause_order_is_pinned(self, d, k, j, r, n, count, digest):
+    def test_box_clause_order_is_pinned(self, d, k, j, r, n, count, digest, monkeypatch):
         # The shell-numbered clauses in the order the engine receives them,
-        # literal order included, which the engine's counters depend on.
+        # literal order included, which the engine's counters depend on; the
+        # rebuilt formula hands them over in the same order.
+        received = []
+        add_clauses = cdcl.Engine.add_clauses
+
+        def record(engine, clauses):
+            received.extend(clauses)
+            add_clauses(engine, clauses)
+
+        monkeypatch.setattr(cdcl.Engine, "add_clauses", record)
         box = _Box(d, k, j, r, EngineConfig())
         box._grow(n)
-        text = "".join(" ".join(map(str, c)) + " 0\n" for c in box.clauses)
-        assert len(box.clauses) == count
+        clauses = box.formula().clauses
+        assert list(clauses) == received
+        text = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+        assert len(clauses) == count
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_box_keeps_no_clause_list(self):
+        # The engine's clause lists are the box's one copy of the formula:
+        # grown to N=14, d2 r4 holds 73,968 stored literals and the box
+        # retains about 34 bytes per literal; a second copy of the clauses
+        # as tuples adds about 20 more.
+        tracemalloc.start()
+        try:
+            box = _Box(2, 3, 2, 4, EngineConfig())
+            box._grow(14)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        literals = sum(map(len, box.engine.clauses))
+        assert literals == 73968
+        assert retained / literals < 44
+
+
+class TestLatticeChecksCoverTheFormula:
+    """_Box.decide checks a model against the lattice, never against the
+    clauses. Over every assignment of some tiny boxes, it returns a
+    certificate exactly when check_model accepts the assignment on the box's
+    formula, and raises IntegrityError on every other assignment.
+    satisfying counts the free colorings of the box, with color 1 at the
+    origin under symmetry breaking."""
+
+    @pytest.mark.parametrize("d, k, j, r, n, sym, satisfying", [
+        (1, 3, 1, 2, 4, False, 2),
+        (1, 3, 1, 3, 5, True, 22),
+        (2, 3, 2, 2, 3, False, 208),
+        (2, 3, 2, 2, 3, True, 104),  # half of the 208 free colorings
+        (2, 3, 1, 3, 2, True, 18),
+        (1, 4, 1, 3, 5, False, 132),
+    ])
+    def test_decide_accepts_exactly_the_models(self, d, k, j, r, n, sym, satisfying,
+                                               monkeypatch):
+        config = EngineConfig(symmetry_break=sym)
+        box = _Box(d, k, j, r, config)
+        box._grow(n)
+        formula = box.formula()
+        assignment: list[bool] = []
+        monkeypatch.setattr(cdcl.Engine, "solve",
+                            lambda engine, **kwargs: ("sat", [False, *assignment]))
+        accepted = 0
+        for bits in itertools.product((False, True), repeat=formula.num_vars):
+            assignment[:] = bits
+            box = _Box(d, k, j, r, config)
+            if check_model(formula, dict(enumerate(bits, 1))):
+                assert isinstance(box.decide(n)[0], Certificate)
+                accepted += 1
+            else:
+                with pytest.raises(IntegrityError):
+                    box.decide(n)
+        assert accepted == satisfying
 
 
 class TestBruteForceOracle:
