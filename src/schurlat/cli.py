@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -65,7 +66,8 @@ def _effective_j(args) -> int:
 
 def _engine_config(args) -> search.EngineConfig:
     budget = Budget(seconds=args.budget_s) if args.budget_s is not None else None
-    command = split_command(args.solver_cmd) if args.solver_cmd else None
+    line = os.environ.get("SCHUR_SOLVER") if args.solver_cmd is None else args.solver_cmd
+    command = split_command(line) if line else None
     return search.EngineConfig(
         engine=args.engine,
         solver_command=command,
@@ -145,17 +147,11 @@ def cmd_witness(args) -> int:
     else:
         if args.r is None:
             raise InputError("--random-seed mode needs --r")
-        entry = bounds.ramsey_number(args.r, args.k, table)
-        if not entry.is_exact:
-            raise InputError(
-                f"Ramsey number R_{args.r}({args.k}) is not exactly known; "
-                f"cannot pick a random-coloring box size"
-            )
         d = args.d if args.d is not None else 1
         # From d = 25 on, a box with n >= 2 has more than 2^24 points.
         if not 1 <= d < search.SIZE_CEILING.bit_length():
             raise InputError(f"--random-seed needs 1 <= d <= 24, got d={d}")
-        n = args.n if args.n is not None else entry.lower**d - 1
+        _, n = witness.guarantee(d, args.r, args.k, args.n, table)
         if n**d > search.SIZE_CEILING:
             raise InputError(f"[{n}]^{d} has more than {search.SIZE_CEILING} points; "
                              f"give a smaller --n or --d")

@@ -44,7 +44,6 @@ from .lattice import (
 )
 
 CERT_SCHEMA_VERSION = 1
-SOLVER_ENV_VAR = "SCHUR_SOLVER"
 LEDGER_FIELDS = ["d", "j", "k", "r", "n", "outcome", "solver", "wall_ms"]
 # brute_force_oracle tries at most this many colorings, and `schurlat witness
 # --random-seed` colors at most this many points.
@@ -136,8 +135,9 @@ class EngineConfig:
 
     engine selects the primary decision procedure; on an Unknown outcome the
     other one is tried as well (when available) before giving up, unless
-    escalate is disabled. symmetry_break adds the documented unit-clause
-    extension to the encoding.
+    escalate is disabled. The external engine is available only through
+    solver_command, which engine="external" requires. symmetry_break adds the
+    documented unit-clause extension to the encoding.
     """
 
     engine: str = "internal"
@@ -149,12 +149,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("internal", "external"):
             raise InputError(f"engine must be internal or external, got {self.engine!r}")
-
-    def external_command(self) -> tuple[str, ...] | None:
-        if self.solver_command:
-            return self.solver_command
-        env = os.environ.get(SOLVER_ENV_VAR)
-        return sat.split_command(env) if env else None
+        if self.engine == "external" and not self.solver_command:
+            raise InputError("external engine selected but no solver command given")
 
 
 def _utc_now() -> str:
@@ -175,6 +171,9 @@ class _Box:
     the points' variable bases; formula() rebuilds the clauses, shell by
     shell in the same numbering, for an external solver.
 
+    engines, fixed here once, is the order decide runs: the configured
+    engine, then, under escalate, the other one when it is available.
+
     floor is the largest N whose tuple family is empty: shells 1..floor hold
     no tuple, so every coloring of [n]^d with n <= floor is free and a
     refutation there is a fault. ceiling is the theorem's bound
@@ -188,6 +187,10 @@ class _Box:
             raise InputError(f"need r >= 1, got r={r}")
         self.d, self.k, self.j, self.r = d, k, j, r
         self.config = config
+        engines = ("internal", "external") if config.solver_command else ("internal",)
+        if config.engine == "external":
+            engines = engines[::-1]
+        self.engines = engines if config.escalate else engines[:1]
         self.n = 0
         self.bases: dict[Point, int] = {}
         self.engine = cdcl.Engine(0, ())
@@ -224,19 +227,14 @@ class _Box:
         if engine == "internal":
             return (sat.solve_engine(self.engine, self.config.budget),
                     sat.INTERNAL_SOLVER_NAME)
-        command = self.config.external_command()
-        if command is None:
-            raise InputError(
-                f"external engine selected but no solver command given "
-                f"(set --solver-cmd or ${SOLVER_ENV_VAR})"
-            )
+        command = self.config.solver_command
         return (sat.solve_external(self.formula(), command, self.config.budget),
                 "external:" + command[0])
 
     def decide(self, n: int) -> tuple[ProbeOutcome, int]:
-        """Grow the formula to [n]^d and run the configured engine, then the
-        other one on Unknown when escalate is set and it is available. Returns
-        the outcome and the level's wall time in ms, from growth to the last
+        """Grow the formula to [n]^d and run the engines in order until one
+        answers; when none does, the first one's Unknown stands. Returns the
+        outcome and the level's wall time in ms, from growth to the last
         check.
 
         A model is checked against the lattice, and passes exactly when it
@@ -249,14 +247,12 @@ class _Box:
             raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
         t0 = time.monotonic()
         self._grow(n)
-        config = self.config
-        result, solver = self._solve(config.engine)
-        if isinstance(result, sat.Unknown) and config.escalate:
-            other = "external" if config.engine == "internal" else "internal"
-            if other == "internal" or config.external_command() is not None:
-                result2, solver2 = self._solve(other)
-                if not isinstance(result2, sat.Unknown):
-                    result, solver = result2, solver2
+        result, solver = self._solve(self.engines[0])
+        for engine in self.engines[1:]:
+            if isinstance(result, sat.Unknown):
+                answer = self._solve(engine)
+                if not isinstance(answer[0], sat.Unknown):
+                    result, solver = answer
         d, k, j, r = self.d, self.k, self.j, self.r
         if isinstance(result, sat.Unsat) and n <= self.floor:
             raise IntegrityError(
@@ -266,7 +262,7 @@ class _Box:
         if isinstance(result, sat.Sat):
             coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
                                     bases=self.bases)
-            if config.symmetry_break and coloring.colors[0] != 1:
+            if self.config.symmetry_break and coloring.colors[0] != 1:
                 raise IntegrityError(f"decoded model gives the origin color "
                                      f"{coloring.colors[0]}, not 1")
             violation = first_violation(coloring, k, j)
@@ -368,15 +364,16 @@ def brute_force_oracle(n: int, d: int, k: int, j: int, r: int) -> Coloring | Non
 
     Returns the first free coloring in lexicographic order, or None when every
     coloring contains a monochromatic tuple. Refuses more than SIZE_CEILING
-    colorings. This is the independent correctness oracle for probe: it never
-    touches the encoder or the solver.
+    points or colorings, before building a number larger than that. This is
+    the independent correctness oracle for probe: it never touches the
+    encoder or the solver.
     """
-    npoints = n**d
-    total = r**npoints
-    if total > SIZE_CEILING:
-        raise SizeError(
-            f"{r}^{npoints} = {total} colorings exceeds the ceiling of {SIZE_CEILING}"
-        )
+    if min(n, d, r) < 1:
+        raise InputError(f"need n, d, r >= 1, got n={n}, d={d}, r={r}")
+    npoints = _power_at_most(n, d, SIZE_CEILING)
+    if npoints is None or _power_at_most(r, npoints, SIZE_CEILING) is None:
+        raise SizeError(f"[{n}]^{d} in {r} colors has more than {SIZE_CEILING} "
+                        f"points or colorings")
     family = enumerate_tuples(n, d, k, j)
     tuple_idx = [
         tuple(point_index(p, n) - 1 for p in t.distinct_points())
@@ -390,6 +387,19 @@ def brute_force_oracle(n: int, d: int, k: int, j: int, r: int) -> Coloring | Non
         else:
             return Coloring(n, d, r, colors)
     return None
+
+
+def _power_at_most(base: int, exp: int, cap: int) -> int | None:
+    """base**exp for base, exp >= 1 when it is at most cap, else None; no
+    partial product exceeds cap * base."""
+    if base == 1:
+        return 1
+    value = 1
+    for _ in range(exp):
+        value *= base
+        if value > cap:
+            return None
+    return value
 
 
 # -- certificate persistence ---------------------------------------------------

@@ -1,10 +1,12 @@
 """schurlat-solve: a DIMACS-conformant command-line SAT solver.
 
 Reads a CNF file, prints the standard "s"/"v" result lines, and exits with
-code 10 (satisfiable), 20 (unsatisfiable), or 0 (unknown). This makes the
-package's own engine usable as an external solver — including by this
-package's external-solver bridge, which is deliberately agnostic about what
-sits behind the command it runs.
+code 10 (satisfiable), 20 (unsatisfiable), or 0 (unknown). A model that fails
+the formula it read is never printed: the command prints "c integrity error"
+and "s UNKNOWN" and exits 5, as schurlat does on an integrity error. This
+makes the package's own engine usable as an external solver — including by
+this package's external-solver bridge, which is deliberately agnostic about
+what sits behind the command it runs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import InputError, ParseError
+from .errors import InputError, IntegrityError, ParseError
 from .sat import Budget, Sat, Unknown, Unsat, read_dimacs, solve_internal
 
 
@@ -44,7 +46,12 @@ def main(argv: list[str] | None = None) -> int:
         print("s UNKNOWN")
         return 0
 
-    result = solve_internal(formula, budget)
+    try:
+        result = solve_internal(formula, budget)
+    except IntegrityError as e:
+        print(f"c integrity error: {e}")
+        print("s UNKNOWN")
+        return 5
 
     print(f"c schurlat-solve {__version__}")
     if isinstance(result, Unsat):

@@ -60,16 +60,37 @@ def vandermonde_points(m: int, d: int) -> list[Point]:
     return [tuple(i**t for t in range(1, d + 1)) for i in range(1, m + 1)]
 
 
+def guarantee(d: int, r: int, k: int, n: int | None = None,
+              table=None) -> tuple[int, int]:
+    """The construction's guarantee, stated once: every r-coloring of [n]^d
+    with k >= d+1 and n >= R_r(k)^d - 1 holds a monochromatic solution of
+    x_1 + ... + x_(k-1) = x_k whose first d summands are independent.
+
+    Returns (m, n): m = R_r(k), the vertex count of the Ramsey graph, and the
+    box size n, which defaults to the threshold m^d - 1. Refuses k < d+1, an
+    R_r(k) that is not known exactly (the threshold would be a guess), and an
+    n below the threshold."""
+    if k < d + 1:
+        raise InputError(f"need k >= d+1 = {d + 1}, got k={k}")
+    entry = ramsey_number(r, k, table)
+    if not entry.is_exact:
+        raise InputError(
+            f"Ramsey number R_{r}({k}) is not exactly known (only in "
+            f"[{entry.lower}, {entry.upper}]); cannot pick a sound threshold"
+        )
+    m = entry.lower
+    threshold = m**d - 1
+    if n is not None and n < threshold:
+        raise InputError(f"box [{n}]^{d} below the guarantee threshold [{threshold}]^{d}")
+    return m, threshold if n is None else n
+
+
 def graph_from_lattice_coloring(chi: Coloring, m: int, d: int) -> EdgeColoredGraph:
     """Color edge {i, j} (i < j) of the complete graph on m vertices with the
-    lattice color of y_j - y_i."""
+    lattice color of y_j - y_i. A box too small to hold every difference is
+    an InputError from chi.color_of."""
     if chi.d != d:
         raise InputError(f"coloring has dimension {chi.d}, expected {d}")
-    threshold = m**d - 1
-    if chi.n < threshold:
-        raise InputError(
-            f"coloring box [{chi.n}]^{d} too small: differences need [{threshold}]^{d}"
-        )
     ys = vandermonde_points(m, d)
     edges = {}
     for i, j in itertools.combinations(range(1, m + 1), 2):
@@ -93,27 +114,12 @@ def find_monochromatic_clique(g: EdgeColoredGraph, k: int) -> tuple[int, ...] | 
 
 def extract_schur_witness(chi: Coloring, k: int = 3, *, table=None) -> SchurWitness:
     """Extract a monochromatic solution with independent first-d summands from
-    any coloring of a box of size at least R_r(k)^d - 1.
-
-    Refuses (rather than guesses) when the Ramsey number for (r, k) is not
-    exactly known. A missing clique after that means the Ramsey table itself
-    is wrong, and is reported as an integrity error.
+    any coloring the guarantee covers (see guarantee, which refuses the rest
+    rather than guessing). A missing clique after that means the Ramsey table
+    itself is wrong, and is reported as an integrity error.
     """
     d, r = chi.d, chi.r
-    if k < d + 1:
-        raise InputError(f"need k >= d+1 = {d + 1}, got k={k}")
-    entry = ramsey_number(r, k, table)
-    if not entry.is_exact:
-        raise InputError(
-            f"Ramsey number for r={r}, k={k} only known in [{entry.lower}, "
-            f"{entry.upper}]; cannot pick a sound threshold"
-        )
-    m = entry.lower
-    threshold = m**d - 1
-    if chi.n < threshold:
-        raise InputError(
-            f"box [{chi.n}]^{d} below the guarantee threshold [{threshold}]^{d}"
-        )
+    m, _ = guarantee(d, r, k, chi.n, table)
     graph = graph_from_lattice_coloring(chi, m, d)
     clique = find_monochromatic_clique(graph, k)
     if clique is None:

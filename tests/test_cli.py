@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import shlex
 import stat
 import sys
 import threading
@@ -212,8 +214,7 @@ class TestSearch:
             main(["search", "--d", "1", "--out", str(tmp_path)])
         assert exc.value.code == EXIT_INVALID_INPUT
 
-    def test_external_engine_without_command_exits_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("SCHUR_SOLVER", raising=False)
+    def test_external_engine_without_command_exits_4(self, tmp_path, capsys):
         code, _, err = run(
             ["search", "--d", "1", "--r", "2", "--engine", "external",
              "--out", str(tmp_path), "-q"],
@@ -283,6 +284,44 @@ class TestSearch:
         )
         assert code == EXIT_INVALID_INPUT
         assert "solver command" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--budget-s", "1e-9"]],
+                             ids=["no-budget", "budget"])
+    def test_unparsable_solver_env_exits_4_before_any_level(self, tmp_path, capsys,
+                                                            monkeypatch, flags):
+        # $SCHUR_SOLVER is the default of --solver-cmd, so it is checked even
+        # when the internal engine might never need it.
+        monkeypatch.setenv("SCHUR_SOLVER", "kissat '-q")
+        code, out, err = run(["search", "--d", "1", "--r", "3", *flags,
+                              "--out", str(tmp_path / "certs"), "-q"], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "cannot parse solver command" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_solver_env_is_the_default_solver_cmd(self, tmp_path, capsys, monkeypatch,
+                                                  internal_solver_cmd):
+        monkeypatch.setenv("SCHUR_SOLVER", shlex.join(internal_solver_cmd))
+        out_dir = tmp_path / "certs"
+        code, out, _ = run(["search", "--d", "1", "--r", "2", "--engine", "external",
+                            "--no-escalate", "--out", str(out_dir), "-q"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("Exact 5")
+        doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
+        assert doc["provenance"]["solver"] == "external:" + internal_solver_cmd[0]
+
+    def test_solver_cmd_wins_over_the_env(self, tmp_path, capsys, monkeypatch,
+                                          internal_solver_cmd):
+        # Were the exported command run, it could not start: an Unknown, exit 3.
+        monkeypatch.setenv("SCHUR_SOLVER", str(tmp_path / "no-such-solver"))
+        out_dir = tmp_path / "certs"
+        code, out, _ = run(["search", "--d", "1", "--r", "2", "--engine", "external",
+                            "--solver-cmd", shlex.join(internal_solver_cmd),
+                            "--no-escalate", "--out", str(out_dir), "-q"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("Exact 5")
+        doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
+        assert doc["provenance"]["solver"] == "external:" + internal_solver_cmd[0]
 
 
 class TestVerify:
@@ -477,6 +516,23 @@ class TestWitness:
         )
         assert code == EXIT_INVALID_INPUT
         assert "not exactly known" in err
+
+    @pytest.mark.parametrize("flags, word", [
+        (["--d", "3", "--k", "3", "--r", "2"], "need k >= d+1 = 4, got k=3"),
+        (["--d", "2", "--k", "3", "--r", "4"], "not exactly known"),
+        (["--d", "2", "--k", "3", "--r", "2", "--n", "34"],
+         "box [34]^2 below the guarantee threshold [35]^2"),
+    ], ids=["k-below-d+1", "inexact-ramsey", "n-below-threshold"])
+    def test_guarantee_is_checked_before_any_color_is_drawn(self, capsys, monkeypatch,
+                                                           flags, word):
+        def no_rng(*args):
+            raise AssertionError("a random coloring was started")
+
+        monkeypatch.setattr(random, "Random", no_rng)
+        code, out, err = run(["witness", *flags, "--random-seed", "1"], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert word in err
 
 
 class TestRender:

@@ -57,6 +57,14 @@ class TestVarIndex:
             var_index((1,), 1, meta)  # wrong dimension
         with pytest.raises(InputError):
             var_index((1,), 1, EncodingMeta(3, 1, 1))  # r=1 has no variables
+        for v in (0, meta.num_vars + 1):
+            with pytest.raises(InputError, match=f"variable {v} outside"):
+                var_point_color(v, meta)
+
+    @pytest.mark.parametrize("n, d, r", [(0, 2, 3), (3, 0, 3), (3, 2, 0)])
+    def test_bad_meta_parameters(self, n, d, r):
+        with pytest.raises(InputError, match="bad encoding parameters"):
+            EncodingMeta(n, d, r)
 
 
 def distinctness(n, d, r):
@@ -143,6 +151,10 @@ class TestEncode:
         with pytest.raises(InputError):
             encode(2, 1, 3, 1, 1, fix_first_point_color=True)
 
+    def test_no_colors_refused(self):
+        with pytest.raises(InputError, match="need r >= 1"):
+            encode(2, 1, 3, 1, 0)
+
     @pytest.mark.parametrize("n, d, k, j, r, sym, digest", [
         (9, 1, 3, 1, 2, False,
          "8875bc3888e5c29975384583bc072fa73bc3f0db2d1c78d08dee59bae0c23281"),
@@ -193,6 +205,8 @@ class TestCnfFormula:
             CnfFormula(2, ((1, 3),))
         with pytest.raises(InputError):
             CnfFormula(2, ((0,),))
+        with pytest.raises(InputError, match="num_vars must be >= 0"):
+            CnfFormula(-1, ())
 
     def test_opposite_literals_accepted(self):
         # DIMACS allows a clause to hold a literal and its negation; it is
@@ -236,3 +250,9 @@ class TestDecodeModel:
         for _ in range(20):
             chi = Coloring(2, 2, 3, tuple(rng.randint(1, 3) for _ in range(4)))
             assert decode_model(coloring_to_assignment(chi, meta), meta) == chi
+
+    @pytest.mark.parametrize("chi", [Coloring.constant(3, 2, 3), Coloring.constant(2, 1, 3),
+                                     Coloring.constant(2, 2, 2)], ids=["n", "d", "r"])
+    def test_assignment_of_a_mismatched_coloring_refused(self, chi):
+        with pytest.raises(InputError, match="does not match"):
+            coloring_to_assignment(chi, EncodingMeta(2, 2, 3))

@@ -58,6 +58,9 @@ class TestPointIndex:
             point_index((0, 1), 3)
         with pytest.raises(InputError):
             point_index((1, 4), 3)
+        for idx in (0, 10):
+            with pytest.raises(InputError, match=f"index {idx} outside"):
+                point_from_index(idx, 3, 2)
 
 
 class TestRank:

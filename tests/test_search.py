@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import shlex
 import sys
 import tracemalloc
 from collections import Counter
@@ -91,16 +92,9 @@ class TestProbe:
         with pytest.raises(InputError, match=word):
             probe(n, 1, 3, 1, r)
 
-    def test_external_engine_without_command_errors(self, monkeypatch):
-        monkeypatch.delenv("SCHUR_SOLVER", raising=False)
+    def test_external_engine_without_command_errors(self):
         with pytest.raises(InputError):
             probe(3, 1, 3, 1, 2, EngineConfig(engine="external"))
-
-    def test_external_engine_via_env_var(self, internal_solver_cmd, monkeypatch):
-        monkeypatch.setenv("SCHUR_SOLVER", " ".join(internal_solver_cmd))
-        out = probe(4, 1, 3, 1, 2, EngineConfig(engine="external"))
-        assert isinstance(out, Certificate)
-        assert out.provenance.solver.startswith("external:")
 
     def test_symmetry_break_still_verifies(self):
         out = probe(6, 2, 3, 2, 2, EngineConfig(symmetry_break=True))
@@ -139,11 +133,15 @@ class TestModelChecks:
         with pytest.raises(IntegrityError, match="model that fails the formula"):
             solve_internal(encode(4, 1, 3, 1, 2))
 
-    def test_schurlat_solve_checks_its_formula(self, all_false_models, tmp_path):
+    def test_schurlat_solve_checks_its_formula(self, all_false_models, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_bytes(write_dimacs(encode(4, 1, 3, 1, 2)))
-        with pytest.raises(IntegrityError, match="model that fails the formula"):
-            solver_cli.main([str(path)])
+        assert solver_cli.main([str(path)]) == cli.EXIT_INTEGRITY
+        out = capsys.readouterr().out
+        assert "c integrity error: " in out
+        assert "model that fails the formula" in out
+        assert out.rstrip().endswith("s UNKNOWN")
+        assert "\nv " not in out
 
     def test_decoded_model_admits_a_tuple(self, monkeypatch):
         # Without the last clause of shell 5, (x_2 or x_3 or x_5), the engine
@@ -287,6 +285,18 @@ class TestBruteForceOracle:
         with pytest.raises(SizeError):
             brute_force_oracle(5, 2, 3, 2, 2)  # 2^25 colorings
 
+    @pytest.mark.parametrize("n, d, r", [(100, 2, 3), (2, 10**18, 2), (10**18, 1, 1)],
+                             ids=["3^10000-colorings", "hostile-d", "hostile-n"])
+    def test_size_refused_before_the_count_is_built(self, n, d, r):
+        # 3^10000 has 4,772 digits, too many to format; nothing that large is built.
+        with pytest.raises(SizeError, match=f"more than {search.SIZE_CEILING} points"):
+            brute_force_oracle(n, d, 3, 1, r)
+
+    @pytest.mark.parametrize("n, d, r", [(0, 1, 2), (3, 0, 2), (3, 1, 0)])
+    def test_bad_parameters(self, n, d, r):
+        with pytest.raises(InputError, match="need n, d, r >= 1"):
+            brute_force_oracle(n, d, 3, 1, r)
+
 
 class TestFindSchurNumber:
     def test_one_color_degenerate(self):
@@ -341,6 +351,23 @@ class TestFindSchurNumber:
         out = find_schur_number(1, 3, 1, 3, config=config)
         assert isinstance(out, Inconclusive)
         assert out.statuses[-1][1].startswith("unknown")
+
+    def test_exported_solver_is_not_read(self, tmp_path, monkeypatch):
+        # Only the CLI reads $SCHUR_SOLVER. The library has no external engine
+        # to escalate to, so the first Unknown ends the search, on record.
+        monkeypatch.setenv("SCHUR_SOLVER", "kissat '-q")
+        ledger = tmp_path / "results.csv"
+        config = EngineConfig(budget=Budget(conflicts=1))
+        out = find_schur_number(1, 3, 1, 3, config=config, cert_dir=tmp_path,
+                                ledger_path=ledger)
+        assert isinstance(out, Inconclusive)
+        assert out.statuses[-1] == (10, "unknown: internal solver budget exhausted "
+                                        "(1 conflicts) after 1 conflicts, 7 decisions, "
+                                        "0 deletion rounds")
+        with ledger.open(newline="") as fh:
+            rows = [(int(row["n"]), row["outcome"]) for row in csv.DictReader(fh)]
+        assert rows == list(out.statuses)
+        assert len(list(tmp_path.glob("*.cert.json"))) == 9
 
     def test_dimension_lifting_never_increases_value(self):
         d1 = find_schur_number(1, 3, 1, 2)
@@ -682,10 +709,23 @@ class TestEngineConfig:
         with pytest.raises(InputError):
             EngineConfig(engine="quantum")
 
-    def test_external_command_precedence(self, monkeypatch):
-        monkeypatch.setenv("SCHUR_SOLVER", "env-solver --flag")
-        assert EngineConfig().external_command() == ("env-solver", "--flag")
-        explicit = EngineConfig(solver_command=("mine",))
-        assert explicit.external_command() == ("mine",)
-        monkeypatch.delenv("SCHUR_SOLVER")
-        assert EngineConfig().external_command() is None
+    def test_external_engine_needs_a_solver_command(self, internal_solver_cmd,
+                                                    monkeypatch):
+        # A valid exported $SCHUR_SOLVER does not stand in for solver_command.
+        monkeypatch.setenv("SCHUR_SOLVER", shlex.join(internal_solver_cmd))
+        with pytest.raises(InputError, match="no solver command"):
+            EngineConfig(engine="external")
+        with pytest.raises(InputError, match="no solver command"):
+            EngineConfig(engine="external", solver_command=())
+
+    @pytest.mark.parametrize("engine, command, escalate, order", [
+        ("internal", None, True, ("internal",)),
+        ("internal", ("s",), True, ("internal", "external")),
+        ("internal", ("s",), False, ("internal",)),
+        ("external", ("s",), True, ("external", "internal")),
+        ("external", ("s",), False, ("external",)),
+    ], ids=["internal", "internal-then-external", "internal-no-escalate",
+            "external-then-internal", "external-no-escalate"])
+    def test_box_fixes_its_engine_order(self, engine, command, escalate, order):
+        config = EngineConfig(engine=engine, solver_command=command, escalate=escalate)
+        assert _Box(1, 3, 1, 2, config).engines == order

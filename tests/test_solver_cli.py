@@ -54,8 +54,9 @@ class TestMain:
         ("p cnf 1 1\n1 x 0\n", "bad DIMACS clause line"),
         ("p cnf 2 1\np cnf 3 1\n3 0\n", "second DIMACS header"),
         ("1 2 0\np cnf 2 1\n", "DIMACS header after clauses"),
+        ("p cnf -1 0\n", "num_vars must be >= 0"),
     ], ids=["dnf-header", "short-header", "non-integer-literal", "second-header",
-            "clauses-before-header"])
+            "clauses-before-header", "negative-num-vars"])
     def test_malformed_dimacs_is_unknown(self, tmp_path, capsys, text, word):
         path = tmp_path / "f.cnf"
         path.write_text(text)

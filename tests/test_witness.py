@@ -14,6 +14,7 @@ from schurlat.witness import (
     extract_schur_witness,
     find_monochromatic_clique,
     graph_from_lattice_coloring,
+    guarantee,
     vandermonde_det,
     vandermonde_points,
     vandermonde_product,
@@ -105,6 +106,8 @@ class TestFindMonochromaticClique:
     def test_graph_totality_validation(self):
         with pytest.raises(InputError):
             EdgeColoredGraph(3, {(1, 2): 1, (1, 3): 1})  # (2,3) missing
+        with pytest.raises(InputError, match="at least one vertex"):
+            EdgeColoredGraph(0, {})
 
 
 def check_witness(w, chi):
@@ -145,6 +148,12 @@ class TestExtractSchurWitness:
         with pytest.raises(InputError) as err:
             extract_schur_witness(Coloring.constant(60**2 - 1, 2, 4), 3)
         assert "not" in str(err.value) or "[51, 62]" in str(err.value)
+
+    def test_guarantee_defaults_to_the_threshold(self):
+        assert guarantee(2, 2, 3) == (6, 35)
+        assert guarantee(1, 3, 3, 20) == (17, 20)
+        with pytest.raises(InputError, match="threshold"):
+            guarantee(2, 2, 3, 34)
 
     def test_k_must_exceed_dimension(self):
         with pytest.raises(InputError):
