@@ -1,8 +1,9 @@
 """Command-line entry point: encode, search, verify, witness, render, bounds.
 
 Exit codes: 0 success (including Exact search results), 2 a search ended with
-only a lower bound, 3 a search was inconclusive, 4 invalid input, 5 integrity
-error (a cross-check failed, e.g. an invalid certificate or a lying solver).
+only a lower bound, 3 a search was inconclusive, 4 invalid input (a path that
+cannot be read or written included), 5 integrity error (a cross-check failed,
+e.g. an invalid certificate or a lying solver).
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--symmetry-break", action="store_true",
                    help="add the unit clause fixing the color of (1,...,1); "
                         "a sound extension of the default encoding")
-    p.add_argument("--no-escalate", action="store_true",
-                   help="never fall back to the other engine on Unknown")
 
 
 def _effective_j(args) -> int:
@@ -73,7 +72,6 @@ def _engine_config(args) -> search.EngineConfig:
         solver_command=command,
         budget=budget,
         symmetry_break=args.symmetry_break,
-        escalate=not args.no_escalate,
     )
 
 
@@ -284,6 +282,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, InputError, NotTabulatedError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except OSError as e:
+        # A path that cannot be opened or created is bad input; a failure
+        # that names no path, such as a full disk mid-write, is not.
+        if e.filename is None:
+            raise
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except IntegrityError as e:

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, IntegrityError
+from .errors import InputError, IntegrityError, shown
 from .lattice import (
     Coloring,
     Point,
@@ -58,7 +58,8 @@ class EncodingMeta:
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1 or self.r < 1:
-            raise InputError(f"bad encoding parameters n={self.n} d={self.d} r={self.r}")
+            raise InputError(f"bad encoding parameters n={shown(self.n)} "
+                             f"d={shown(self.d)} r={shown(self.r)}")
 
     @property
     def num_points(self) -> int:

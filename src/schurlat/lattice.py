@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, shown
 
 Point = tuple[int, ...]
 
@@ -161,16 +161,17 @@ class Coloring:
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1 or self.r < 1:
-            raise InputError(f"bad coloring parameters n={self.n} d={self.d} r={self.r}")
+            raise InputError(f"bad coloring parameters n={shown(self.n)} "
+                             f"d={shown(self.d)} r={shown(self.r)}")
         size = len(self.colors)
         # With n >= 2, d > size.bit_length() means n**d > size: no power is built.
         if self.n > 1 and self.d > size.bit_length() or size != self.n**self.d:
             raise InputError(
-                f"coloring has {size} entries, expected {self.n}^{self.d}"
+                f"coloring has {size} entries, expected {shown(self.n)}^{shown(self.d)}"
             )
         bad = next((c for c in self.colors if not 1 <= c <= self.r), None)
         if bad is not None:
-            raise InputError(f"color {bad} outside [1, {self.r}]")
+            raise InputError(f"color {shown(bad)} outside [1, {shown(self.r)}]")
 
     def color_of(self, p: Point) -> int:
         return self.colors[point_index(p, self.n) - 1]
@@ -205,9 +206,10 @@ def shell_points(s: int, d: int) -> list[Point]:
 
 def _check_family_params(d: int, k: int, j: int) -> None:
     if k < 3:
-        raise InputError(f"need k >= 3, got k={k}")
+        raise InputError(f"need k >= 3, got k={shown(k)}")
     if not 1 <= j <= min(d, k - 1):
-        raise InputError(f"j={j} outside [1, min(d={d}, k-1={k - 1})]")
+        raise InputError(f"j={shown(j)} outside [1, min(d={shown(d)}, "
+                         f"k-1={shown(k - 1)})]")
 
 
 def _split_total(

@@ -31,11 +31,19 @@ from .encoder import (
     decode_model,
     encode_points,
 )
-from .errors import InputError, IntegrityError, NotTabulatedError, ParseError, SizeError
+from .errors import (
+    InputError,
+    IntegrityError,
+    NotTabulatedError,
+    ParseError,
+    SizeError,
+    shown,
+)
 from .lattice import (
     Coloring,
     Point,
     Violation,
+    _check_family_params,
     enumerate_shell,
     enumerate_tuples,
     first_violation,
@@ -134,17 +142,16 @@ class EngineConfig:
     """How probes get decided.
 
     engine selects the primary decision procedure; on an Unknown outcome the
-    other one is tried as well (when available) before giving up, unless
-    escalate is disabled. The external engine is available only through
-    solver_command, which engine="external" requires. symmetry_break adds the
-    documented unit-clause extension to the encoding.
+    other one is tried as well (when available) before giving up. The
+    external engine is available only through solver_command, which
+    engine="external" requires. symmetry_break adds the documented
+    unit-clause extension to the encoding.
     """
 
     engine: str = "internal"
     solver_command: tuple[str, ...] | None = None
     budget: sat.Budget | None = None
     symmetry_break: bool = False
-    escalate: bool = True
 
     def __post_init__(self) -> None:
         if self.engine not in ("internal", "external"):
@@ -167,12 +174,12 @@ class _Box:
     solve starts afresh except for the clauses, level-0 facts and saved
     phases, so the last level's model seeds the next level's decisions. The
     engine receives every shell even when the external engine is configured,
-    because it is the escalation target. The box keeps only the engine and
+    because it is the fallback. The box keeps only the engine and
     the points' variable bases; formula() rebuilds the clauses, shell by
     shell in the same numbering, for an external solver.
 
-    engines, fixed here once, is the order decide runs: the configured
-    engine, then, under escalate, the other one when it is available.
+    engines, fixed here once, is the order decide runs: ("internal",) with
+    no solver command, else the configured engine and then the other one.
 
     floor is the largest N whose tuple family is empty: shells 1..floor hold
     no tuple, so every coloring of [n]^d with n <= floor is free and a
@@ -188,9 +195,7 @@ class _Box:
         self.d, self.k, self.j, self.r = d, k, j, r
         self.config = config
         engines = ("internal", "external") if config.solver_command else ("internal",)
-        if config.engine == "external":
-            engines = engines[::-1]
-        self.engines = engines if config.escalate else engines[:1]
+        self.engines = engines[::-1] if config.engine == "external" else engines
         self.n = 0
         self.bases: dict[Point, int] = {}
         self.engine = cdcl.Engine(0, ())
@@ -364,16 +369,21 @@ def brute_force_oracle(n: int, d: int, k: int, j: int, r: int) -> Coloring | Non
 
     Returns the first free coloring in lexicographic order, or None when every
     coloring contains a monochromatic tuple. Refuses more than SIZE_CEILING
-    points or colorings, before building a number larger than that. This is
-    the independent correctness oracle for probe: it never touches the
+    points or colorings, before building a number larger than that. A box
+    with n < k-1 holds no tuple, so it gets the all-1 coloring at once. This
+    is the independent correctness oracle for probe: it never touches the
     encoder or the solver.
     """
     if min(n, d, r) < 1:
-        raise InputError(f"need n, d, r >= 1, got n={n}, d={d}, r={r}")
+        raise InputError(f"need n, d, r >= 1, got n={shown(n)}, d={shown(d)}, "
+                         f"r={shown(r)}")
+    _check_family_params(d, k, j)
     npoints = _power_at_most(n, d, SIZE_CEILING)
     if npoints is None or _power_at_most(r, npoints, SIZE_CEILING) is None:
-        raise SizeError(f"[{n}]^{d} in {r} colors has more than {SIZE_CEILING} "
-                        f"points or colorings")
+        raise SizeError(f"[{shown(n)}]^{shown(d)} in {shown(r)} colors has more than "
+                        f"{SIZE_CEILING} points or colorings")
+    if n < k - 1:
+        return Coloring(n, d, r, (1,) * npoints)
     family = enumerate_tuples(n, d, k, j)
     tuple_idx = [
         tuple(point_index(p, n) - 1 for p in t.distinct_points())

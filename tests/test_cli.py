@@ -137,17 +137,24 @@ class TestSearch:
         assert out.startswith("LowerBound 3")
 
     def test_inconclusive_exit_code(self, tmp_path, capsys):
-        garbage = tmp_path / "garbage.py"
-        garbage.write_text("print('nothing useful')\n")
-        code, out, _ = run(
-            ["search", "--d", "1", "--j", "1", "--k", "3", "--r", "2",
-             "--engine", "external",
-             "--solver-cmd", f"{sys.executable} {garbage}",
-             "--no-escalate", "--out", str(tmp_path), "-q"],
+        # The budget is checked every 256 conflicts: the levels below N=18
+        # need fewer, and N=18 runs out.
+        code, out, err = run(
+            ["search", "--d", "2", "--r", "3", "--budget-s", "1e-9",
+             "--out", str(tmp_path)],
             capsys,
         )
         assert code == EXIT_INCONCLUSIVE
         assert out.startswith("Inconclusive")
+        assert "N=18: unknown" in err
+
+    def test_no_escalate_is_an_unknown_flag(self, tmp_path, capsys):
+        # An Unknown always goes to the other engine when there is one.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "1", "--r", "2", "--no-escalate",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "--no-escalate" in capsys.readouterr().err
 
     def test_progress_lines_on_stderr(self, tmp_path, capsys):
         _, _, err = run(
@@ -202,7 +209,7 @@ class TestSearch:
         liar.write_text("print('s UNSATISFIABLE')\n")
         code, _, err = run(
             ["search", "--d", "2", "--r", "2", "--engine", "external",
-             "--solver-cmd", f"{sys.executable} {liar}", "--no-escalate",
+             "--solver-cmd", f"{sys.executable} {liar}",
              "--out", str(tmp_path / "certs"), "-q"],
             capsys,
         )
@@ -254,18 +261,6 @@ class TestSearch:
         doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
         assert doc["provenance"]["solver"] == "schurlat-cdcl"
 
-    def test_unreadable_external_answer_without_escalation(self, tmp_path, capsys,
-                                                           malformed_solver):
-        code, out, err = run(
-            ["search", "--d", "1", "--r", "2", "--engine", "external",
-             "--solver-cmd", malformed_solver, "--no-escalate",
-             "--out", str(tmp_path / "certs")],
-            capsys,
-        )
-        assert code == EXIT_INCONCLUSIVE
-        assert out.startswith("Inconclusive")
-        assert "unreadable solver output" in err
-
     def test_unbalanced_quote_in_solver_cmd_exits_4(self, tmp_path, capsys):
         code, _, err = run(
             ["search", "--d", "1", "--r", "2", "--engine", "external",
@@ -304,7 +299,7 @@ class TestSearch:
         monkeypatch.setenv("SCHUR_SOLVER", shlex.join(internal_solver_cmd))
         out_dir = tmp_path / "certs"
         code, out, _ = run(["search", "--d", "1", "--r", "2", "--engine", "external",
-                            "--no-escalate", "--out", str(out_dir), "-q"], capsys)
+                            "--out", str(out_dir), "-q"], capsys)
         assert code == EXIT_OK
         assert out.startswith("Exact 5")
         doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
@@ -317,7 +312,7 @@ class TestSearch:
         out_dir = tmp_path / "certs"
         code, out, _ = run(["search", "--d", "1", "--r", "2", "--engine", "external",
                             "--solver-cmd", shlex.join(internal_solver_cmd),
-                            "--no-escalate", "--out", str(out_dir), "-q"], capsys)
+                            "--out", str(out_dir), "-q"], capsys)
         assert code == EXIT_OK
         assert out.startswith("Exact 5")
         doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
@@ -589,6 +584,22 @@ class TestOutFiles:
             main(args + ["--out", str(out)])
         assert [p.name for p in out.parent.iterdir()] == ["result"]
         assert out.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("args", [
+        ["encode", "--n", "3", "--r", "2"],
+        ["render", "CERT"],
+        ["witness", "--r", "2", "--random-seed", "7"],
+        ["search", "--d", "1", "--r", "2", "-q"],
+    ], ids=["encode", "render", "witness", "search"])
+    def test_unwritable_out_path_exits_4(self, args, free_cert_path, tmp_path, capsys):
+        # The output's parent is a regular file, so nothing can be created there.
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        args = [str(free_cert_path) if a == "CERT" else a for a in args]
+        code, _, err = run(args + ["--out", str(blocker / "x")], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert blocker.read_text() == ""
 
     def test_new_file_follows_the_umask_and_a_replaced_one_keeps_its_mode(self, tmp_path):
         args = ["encode", "--n", "3", "--r", "2", "--out"]

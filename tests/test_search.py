@@ -73,7 +73,7 @@ class TestProbe:
         assert isinstance(probe(6, 1, 3, 1, 2), UnsatRecord)
 
     def test_unknown_propagates(self):
-        config = EngineConfig(budget=Budget(conflicts=1), escalate=False)
+        config = EngineConfig(budget=Budget(conflicts=1))
         out = probe(14, 1, 3, 1, 3, config)
         assert isinstance(out, Unknown)
 
@@ -297,6 +297,29 @@ class TestBruteForceOracle:
         with pytest.raises(InputError, match="need n, d, r >= 1"):
             brute_force_oracle(n, d, 3, 1, r)
 
+    def test_box_without_a_tuple_builds_no_point(self):
+        # The one point of [1]^(10**18) would have 10**18 coordinates.
+        chi = brute_force_oracle(1, 10**18, 3, 1, 2)
+        assert (chi.n, chi.d, chi.r, chi.colors) == (1, 10**18, 2, (1,))
+
+    @pytest.mark.parametrize("n, d, k, j, r", [(2, 2, 4, 2, 3), (3, 1, 5, 1, 2)])
+    def test_box_without_a_tuple_gets_the_all_one_coloring(self, n, d, k, j, r):
+        # Every coloring is free, and all-1 comes first in lexicographic order.
+        assert brute_force_oracle(n, d, k, j, r) == Coloring.constant(n, d, r)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: brute_force_oracle(10**5000, 1, 3, 1, 2), SizeError),
+    (lambda: Coloring(10**5000, 1, 2, (1,)), InputError),
+    (lambda: Coloring(2, 10**5000, 2, (1,)), InputError),
+    (lambda: EncodingMeta(-10**5000, 1, 2), InputError),
+], ids=["oracle-n", "coloring-n", "coloring-d", "meta-n"])
+def test_refusal_of_a_huge_integer_does_not_format_it(call, error):
+    # str() refuses an integer of more than 4,300 digits with a bare
+    # ValueError; the refusal must stay the documented type.
+    with pytest.raises(error):
+        call()
+
 
 class TestFindSchurNumber:
     def test_one_color_degenerate(self):
@@ -347,7 +370,7 @@ class TestFindSchurNumber:
         assert verify_certificate(out.witness) is None
 
     def test_unknown_halts_as_inconclusive(self):
-        config = EngineConfig(budget=Budget(conflicts=1), escalate=False)
+        config = EngineConfig(budget=Budget(conflicts=1))
         out = find_schur_number(1, 3, 1, 3, config=config)
         assert isinstance(out, Inconclusive)
         assert out.statuses[-1][1].startswith("unknown")
@@ -434,7 +457,7 @@ class TestFindSchurNumber:
         # The first level's family is empty, so a solver that refutes it lies.
         liar = tmp_path / "liar.py"
         liar.write_text("print('s UNSATISFIABLE')\n")
-        config = EngineConfig(engine="external", escalate=False,
+        config = EngineConfig(engine="external",
                               solver_command=(sys.executable, str(liar)))
         with pytest.raises(IntegrityError, match="empty"):
             find_schur_number(2, 3, 2, 2, config=config, ledger_path=tmp_path / "l.csv")
@@ -505,7 +528,7 @@ class TestAscent:
         assert find_schur_number(1, 3, 1, 3).value == 14
         budget = max(per_level) + 1
         assert budget < sum(per_level)  # a whole-search budget would run out
-        config = EngineConfig(budget=Budget(conflicts=budget), escalate=False)
+        config = EngineConfig(budget=Budget(conflicts=budget))
         out = find_schur_number(1, 3, 1, 3, config=config)
         assert isinstance(out, Exact) and out.value == 14
 
@@ -553,6 +576,16 @@ class TestAscent:
         assert out.witness.provenance.solver == "schurlat-cdcl"
         assert out.refutation.solver == "schurlat-cdcl"
         assert verify_certificate(out.witness) is None
+
+    def test_first_engines_unknown_stands(self):
+        # N=10 is the first level that needs a conflict: the silent external
+        # solver and the budgeted internal engine both give up there, and the
+        # level records the external engine's reason.
+        config = EngineConfig(engine="external", budget=Budget(conflicts=1),
+                              solver_command=(sys.executable, "-c", "pass"))
+        out = find_schur_number(1, 3, 1, 3, config=config)
+        assert isinstance(out, Inconclusive)
+        assert out.statuses[-1] == (10, "unknown: no status line")
 
 
 class TestCertificates:
@@ -718,14 +751,11 @@ class TestEngineConfig:
         with pytest.raises(InputError, match="no solver command"):
             EngineConfig(engine="external", solver_command=())
 
-    @pytest.mark.parametrize("engine, command, escalate, order", [
-        ("internal", None, True, ("internal",)),
-        ("internal", ("s",), True, ("internal", "external")),
-        ("internal", ("s",), False, ("internal",)),
-        ("external", ("s",), True, ("external", "internal")),
-        ("external", ("s",), False, ("external",)),
-    ], ids=["internal", "internal-then-external", "internal-no-escalate",
-            "external-then-internal", "external-no-escalate"])
-    def test_box_fixes_its_engine_order(self, engine, command, escalate, order):
-        config = EngineConfig(engine=engine, solver_command=command, escalate=escalate)
+    @pytest.mark.parametrize("engine, command, order", [
+        ("internal", None, ("internal",)),
+        ("internal", ("s",), ("internal", "external")),
+        ("external", ("s",), ("external", "internal")),
+    ], ids=["internal", "internal-then-external", "external-then-internal"])
+    def test_box_fixes_its_engine_order(self, engine, command, order):
+        config = EngineConfig(engine=engine, solver_command=command)
         assert _Box(1, 3, 1, 2, config).engines == order
