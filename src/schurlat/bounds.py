@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import InputError, NotTabulatedError, ParseError
+from .errors import InputError, NotTabulatedError, ParseError, shown
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def ramsey_number(r: int, k: int, table: RamseyTable | None = None) -> RamseyEnt
     deciding new Ramsey numbers is emphatically not this module's job.
     """
     if r < 1 or k < 1:
-        raise InputError(f"need r >= 1 and k >= 1, got r={r} k={k}")
+        raise InputError(f"need r >= 1 and k >= 1, got r={shown(r)} k={shown(k)}")
     if k == 1:
         return RamseyEntry(r, 1, 1, 1, "trivial: a single vertex is a K_1")
     if k == 2:
@@ -117,7 +117,8 @@ def ramsey_number(r: int, k: int, table: RamseyTable | None = None) -> RamseyEnt
         return RamseyEntry(1, k, k, k, "trivial: one color needs K_k itself")
     entry = (table if table is not None else _default()).get((r, k))
     if entry is None:
-        raise NotTabulatedError(f"R_{r}({k}) is not in the table and not trivial")
+        raise NotTabulatedError(
+            f"R_{shown(r)}({shown(k)}) is not in the table and not trivial")
     return entry
 
 
@@ -127,7 +128,8 @@ def schur_upper_bound(
     """The dimension-lifted upper bound R_r(k)^j - 1 for the modified Schur
     number with independence parameter j (the bound depends on j, not d)."""
     if not 1 <= j <= min(d, k - 1):
-        raise InputError(f"j={j} outside [1, min(d={d}, k-1={k - 1})]")
+        raise InputError(f"j={shown(j)} outside [1, min(d={shown(d)}, "
+                         f"k-1={shown(k - 1)})]")
     entry = ramsey_number(r, k, table)
     return SchurUpperBound(entry.upper**j - 1, entry.is_exact, entry)
 

@@ -1,9 +1,12 @@
-"""Conflict-driven clause-learning engine.
+"""Conflict-driven clause-learning engine, and the package's result types.
 
-This is the embedded decision procedure behind sat.solve_internal: two watched
-literals per clause, first-UIP clause learning with recursive minimization,
-VSIDS decision scores with deterministic index tie-breaking, saved phases,
-Luby restarts, and LBD-based deletion of learned clauses.
+This is the embedded decision procedure behind sat.solve_internal and every
+level a search decides: two watched literals per clause, first-UIP clause
+learning with recursive minimization, VSIDS decision scores with
+deterministic index tie-breaking, saved phases, Luby restarts, and LBD-based
+deletion of learned clauses. Engine.solve answers under a Budget with Sat,
+Unsat or Unknown, the types every solver in the package answers with; sat
+re-exports them.
 
 Deletion runs on Glucose 2's conflict schedule (Audemard & Simon, IJCAI 2009):
 the first round at the first decision point at or after conflict 2,000 of a
@@ -17,7 +20,7 @@ visits.
 
 Everything is deterministic for a fixed sequence of calls: ties in the
 decision heap break on variable index, restarts follow the Luby sequence, and
-wall-clock budgets can only turn a would-be answer into "unknown", never
+wall-clock budgets can only turn a would-be answer into Unknown, never
 change it. Every clause, whether given to the constructor or added between
 solves, is loaded by add_clauses, which looks its literals' codes up in the
 engine's code table and sorts them once.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -52,6 +56,42 @@ _FIRST_REDUCE = 2000
 _REDUCE_INC = 300
 
 
+@dataclass(frozen=True)
+class Budget:
+    """Optional wall-clock / conflict limits for a single solve call."""
+
+    seconds: float | None = None
+    conflicts: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.seconds is not None and not self.seconds > 0:  # NaN too
+            raise InputError("budget seconds must be positive")
+        if self.conflicts is not None and self.conflicts <= 0:
+            raise InputError("budget conflicts must be positive")
+
+
+@dataclass(frozen=True)
+class Sat:
+    """Satisfiable, with a total assignment variable -> boolean."""
+
+    model: dict[int, bool]
+
+
+@dataclass(frozen=True)
+class Unsat:
+    """No satisfying assignment exists."""
+
+
+@dataclass(frozen=True)
+class Unknown:
+    """No answer within budget, or the solver failed; reason is human-readable."""
+
+    reason: str
+
+
+SolveResult = Sat | Unsat | Unknown
+
+
 def _luby(i: int) -> int:
     """i-th term (1-based) of the Luby restart sequence 1,1,2,1,1,2,4,..."""
     while True:
@@ -64,7 +104,8 @@ def _luby(i: int) -> int:
 
 
 class Engine:
-    """CDCL solver over integer-coded clauses.
+    """CDCL solver over integer-coded clauses; solve(budget) answers Sat,
+    Unsat or Unknown.
 
     A formula can grow between solves: add_vars and add_clauses extend it at
     decision level 0, which is how a search reuses one engine for every box
@@ -459,23 +500,22 @@ class Engine:
 
     # -- main loop --------------------------------------------------------------------
 
-    def solve(
-        self,
-        *,
-        max_seconds: float | None = None,
-        max_conflicts: int | None = None,
-    ) -> tuple[str, list[bool] | None]:
-        """Run the search to an answer or a budget. Returns ("sat", model) with
-        model indexed by variable, ("unsat", None), or ("unknown", None)."""
+    def solve(self, budget: Budget | None = None) -> SolveResult:
+        """Run the search on the clauses held, which may have been added
+        across several calls, to an answer or the budget. Sat's model is total
+        over the engine's variables and unchecked: the caller checks it. An
+        Unknown's reason gives the counters at the moment the budget ran out."""
         self._start_solve()
         if not self.ok:
-            return "unsat", None
+            return Unsat()
         if self._propagate() is not None:
             self.ok = False
-            return "unsat", None
+            return Unsat()
         self._rebuild_heap()
 
-        deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+        seconds = budget.seconds if budget else None
+        max_conflicts = budget.conflicts if budget else None
+        deadline = time.monotonic() + seconds if seconds is not None else None
         restart_limit = 100 * _luby(1)
         conflicts_at_restart = 0
         next_reduce = _FIRST_REDUCE
@@ -486,7 +526,7 @@ class Engine:
                 self.conflicts += 1
                 if not self.trail_lim:
                     self.ok = False
-                    return "unsat", None
+                    return Unsat()
                 learnt, bj, lbd = self._analyze(confl)
                 self._backtrack(bj)
                 if len(learnt) == 1:
@@ -498,10 +538,10 @@ class Engine:
                     self._enqueue(learnt[0], learnt)
                 self.var_inc /= 0.95
                 if max_conflicts is not None and self.conflicts >= max_conflicts:
-                    return "unknown", None
+                    return self._out_of(budget)
                 if deadline is not None and self.conflicts % 256 == 0:
                     if time.monotonic() > deadline:
-                        return "unknown", None
+                        return self._out_of(budget)
                 continue
 
             if self.conflicts - conflicts_at_restart >= restart_limit:
@@ -517,13 +557,24 @@ class Engine:
 
             if deadline is not None and self.decisions & 1023 == 1023:
                 if time.monotonic() > deadline:
-                    return "unknown", None
+                    return self._out_of(budget)
             lit = self._decide()
             if lit == 0:
-                model = [False] * (self.n + 1)
-                for v in range(1, self.n + 1):
-                    model[v] = self.val[2 * v] == _TRUE
-                return "sat", model
+                val = self.val
+                return Sat({v: val[2 * v] == _TRUE for v in range(1, self.n + 1)})
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
+
+    def _out_of(self, budget: Budget) -> Unknown:
+        """The answer of a solve that ran out of budget."""
+        limits = []
+        if budget.seconds is not None:
+            limits.append(f"{budget.seconds:g}s")
+        if budget.conflicts is not None:
+            limits.append(f"{budget.conflicts} conflicts")
+        return Unknown(
+            f"internal solver budget exhausted ({', '.join(limits)}) after "
+            f"{self.conflicts} conflicts, {self.decisions} decisions, "
+            f"{self.reductions} deletion rounds"
+        )

@@ -104,9 +104,9 @@ class CnfFormula:
 def var_index(p: Point, m: int, meta: EncodingMeta) -> int:
     """DIMACS variable number of "point p has color m"."""
     if not 1 <= m <= meta.r - 1:
-        raise InputError(f"color index m={m} outside [1, {meta.r - 1}]")
+        raise InputError(f"color index m={shown(m)} outside [1, {shown(meta.r - 1)}]")
     if len(p) != meta.d:
-        raise InputError(f"point {p} is not {meta.d}-dimensional")
+        raise InputError(f"point {shown(p)} is not {shown(meta.d)}-dimensional")
     return (point_index(p, meta.n) - 1) * (meta.r - 1) + m
 
 
@@ -183,7 +183,7 @@ def encode(
     default encoding; golden files cover the default only.
     """
     if r < 1:
-        raise InputError(f"need r >= 1, got r={r}")
+        raise InputError(f"need r >= 1, got r={shown(r)}")
     tuples = enumerate_tuples(n, d, k, j)
     meta = EncodingMeta(n, d, r, k, j)
     clauses = encode_points(list(box_points(n, d)), tuples, {}, r,

@@ -23,7 +23,8 @@ Point = tuple[int, ...]
 def box_points(n: int, d: int) -> Iterator[Point]:
     """All points of [n]^d in row-major (lexicographic) order."""
     if n < 1 or d < 1:
-        raise InputError(f"box requires n >= 1 and d >= 1, got n={n} d={d}")
+        raise InputError(f"box requires n >= 1 and d >= 1, "
+                         f"got n={shown(n)} d={shown(d)}")
     return itertools.product(range(1, n + 1), repeat=d)
 
 
@@ -32,7 +33,8 @@ def point_index(p: Point, n: int) -> int:
     idx = 0
     for c in p:
         if not 1 <= c <= n:
-            raise InputError(f"coordinate {c} of {p} outside [1, {n}]")
+            raise InputError(
+                f"coordinate {shown(c)} of {shown(p)} outside [1, {shown(n)}]")
         idx = idx * n + (c - 1)
     return idx + 1
 
@@ -40,7 +42,7 @@ def point_index(p: Point, n: int) -> int:
 def point_from_index(idx: int, n: int, d: int) -> Point:
     """Inverse of point_index."""
     if not 1 <= idx <= n**d:
-        raise InputError(f"index {idx} outside [1, {n}^{d}]")
+        raise InputError(f"index {shown(idx)} outside [1, {shown(n)}^{shown(d)}]")
     rem = idx - 1
     coords = []
     for _ in range(d):
@@ -125,7 +127,7 @@ def is_j_nondegenerate(summands: Sequence[Point], j: int) -> bool:
     d = len(summands[0])
     if not 1 <= j <= min(d, len(summands)):
         raise InputError(
-            f"j={j} outside [1, min(d={d}, {len(summands)} summands)]"
+            f"j={shown(j)} outside [1, min(d={d}, {len(summands)} summands)]"
         )
     return rank(summands) >= j
 

@@ -8,8 +8,9 @@ the bottom-left. d = 1 colorings render as a single row.
 
 from __future__ import annotations
 
-from .errors import RenderError
+from .errors import RenderError, shown
 from .lattice import Coloring
+from .search import SIZE_CEILING
 
 # 12 visually distinguishable colors; index c-1 is the fill for color c.
 PALETTE = [
@@ -49,9 +50,10 @@ def render_ascii(coloring: Coloring) -> str:
 
 
 def render_ppm(coloring: Coloring, scale: int = 1) -> bytes:
-    """Binary P6 image, one scale x scale cell per lattice point."""
+    """Binary P6 image, one scale x scale cell per lattice point, of at most
+    SIZE_CEILING pixels."""
     if scale < 1:
-        raise RenderError(f"scale must be >= 1, got {scale}")
+        raise RenderError(f"scale must be >= 1, got {shown(scale)}")
     if coloring.r > len(PALETTE):
         raise RenderError(
             f"palette has {len(PALETTE)} colors, certificate uses {coloring.r}; "
@@ -60,6 +62,9 @@ def render_ppm(coloring: Coloring, scale: int = 1) -> bytes:
     rows = _rows(coloring)
     width = len(rows[0]) * scale
     height = len(rows) * scale
+    if width * height > SIZE_CEILING:
+        raise RenderError(f"a {shown(width)}x{shown(height)} image has more than "
+                          f"{SIZE_CEILING} pixels; use a smaller scale")
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     body = bytearray()
     for row in rows:

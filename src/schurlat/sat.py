@@ -1,8 +1,10 @@
 """Satisfiability layer: embedded solving, DIMACS exchange, external solvers.
 
-check_model is the one clause evaluator: solve_internal and solve_external
-check their models with it. solve_engine leaves its model to the caller (a
-search checks it against the lattice instead, see search._Box.decide).
+Every solver answers with the result types of cdcl (Budget, Sat, Unsat,
+Unknown), which this module re-exports. check_model is the one clause
+evaluator: solve_internal and solve_external check their models with it.
+cdcl.Engine.solve leaves its model to the caller (a search checks it against
+the lattice instead, see search._Box.decide).
 """
 
 from __future__ import annotations
@@ -10,51 +12,15 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import cdcl
+from .cdcl import Budget, Sat, SolveResult, Unknown, Unsat
 from .encoder import CnfFormula
 from .errors import InputError, IntegrityError, ParseError
 
 INTERNAL_SOLVER_NAME = "schurlat-cdcl"
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Optional wall-clock / conflict limits for a single solve call."""
-
-    seconds: float | None = None
-    conflicts: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.seconds is not None and not self.seconds > 0:  # NaN too
-            raise InputError("budget seconds must be positive")
-        if self.conflicts is not None and self.conflicts <= 0:
-            raise InputError("budget conflicts must be positive")
-
-
-@dataclass(frozen=True)
-class Sat:
-    """Satisfiable, with a total assignment variable -> boolean."""
-
-    model: dict[int, bool]
-
-
-@dataclass(frozen=True)
-class Unsat:
-    """No satisfying assignment exists."""
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """No answer within budget, or the solver failed; reason is human-readable."""
-
-    reason: str
-
-
-SolveResult = Sat | Unsat | Unknown
 
 
 def check_model(formula: CnfFormula, model: Mapping[int, bool]) -> bool:
@@ -69,36 +35,10 @@ def solve_internal(formula: CnfFormula, budget: Budget | None = None) -> SolveRe
 
     Sound and complete within budget, and deterministic.
     """
-    result = solve_engine(cdcl.Engine(formula.num_vars, formula.clauses), budget)
+    result = cdcl.Engine(formula.num_vars, formula.clauses).solve(budget)
     if isinstance(result, Sat) and not check_model(formula, result.model):
         raise IntegrityError("internal solver returned a model that fails the formula")
     return result
-
-
-def solve_engine(engine: cdcl.Engine, budget: Budget | None = None) -> SolveResult:
-    """Run an engine on the clauses it holds, which may have been added across
-    several calls. The model, total over the engine's variables, is returned
-    unchecked: the caller checks it. An Unknown's reason gives the engine's
-    counters at the moment the budget ran out."""
-    status, raw = engine.solve(
-        max_seconds=budget.seconds if budget else None,
-        max_conflicts=budget.conflicts if budget else None,
-    )
-    if status == "unsat":
-        return Unsat()
-    if status == "unknown":
-        parts = []
-        if budget and budget.seconds is not None:
-            parts.append(f"{budget.seconds:g}s")
-        if budget and budget.conflicts is not None:
-            parts.append(f"{budget.conflicts} conflicts")
-        return Unknown(
-            f"internal solver budget exhausted ({', '.join(parts)}) after "
-            f"{engine.conflicts} conflicts, {engine.decisions} decisions, "
-            f"{engine.reductions} deletion rounds"
-        )
-    assert raw is not None
-    return Sat({v: raw[v] for v in range(1, engine.n + 1)})
 
 
 # -- DIMACS ------------------------------------------------------------------
@@ -246,17 +186,20 @@ def split_command(command: str) -> tuple[str, ...]:
 
 def solve_external(
     formula: CnfFormula,
-    command: str | Sequence[str],
+    command: Sequence[str],
     budget: Budget | None = None,
 ) -> SolveResult:
     """Decide a formula by invoking `<command> <cnf-path>` on a temp DIMACS file.
+    The command is argv words; a str is refused (split_command splits one).
 
     Sat models are re-checked against the formula in-process before being
     returned; a model that fails the formula is an integrity error, never a
     silent wrong answer. Spawn failures, timeouts and output that cannot be
     parsed come back as Unknown.
     """
-    argv = list(split_command(command) if isinstance(command, str) else command)
+    if isinstance(command, str):
+        raise InputError("solver command must be argv words, not a str")
+    argv = list(command)
     if not argv:
         raise InputError("empty external solver command")
     # subprocess waits at most 2**31 - 1 ms; a longer budget, inf too, is no limit.

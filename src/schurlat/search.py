@@ -53,8 +53,9 @@ from .lattice import (
 
 CERT_SCHEMA_VERSION = 1
 LEDGER_FIELDS = ["d", "j", "k", "r", "n", "outcome", "solver", "wall_ms"]
-# brute_force_oracle tries at most this many colorings, and `schurlat witness
-# --random-seed` colors at most this many points.
+# brute_force_oracle tries at most this many colorings, `schurlat witness
+# --random-seed` colors at most this many points, and render_ppm draws at most
+# this many pixels.
 SIZE_CEILING = 1 << 24
 
 
@@ -143,8 +144,8 @@ class EngineConfig:
 
     engine selects the primary decision procedure; on an Unknown outcome the
     other one is tried as well (when available) before giving up. The
-    external engine is available only through solver_command, which
-    engine="external" requires. symmetry_break adds the documented
+    external engine is available only through solver_command, argv words
+    that engine="external" requires. symmetry_break adds the documented
     unit-clause extension to the encoding.
     """
 
@@ -156,6 +157,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("internal", "external"):
             raise InputError(f"engine must be internal or external, got {self.engine!r}")
+        if isinstance(self.solver_command, str):
+            raise InputError("solver command must be argv words, not a str")
         if self.engine == "external" and not self.solver_command:
             raise InputError("external engine selected but no solver command given")
 
@@ -191,7 +194,7 @@ class _Box:
 
     def __init__(self, d: int, k: int, j: int, r: int, config: EngineConfig) -> None:
         if r < 1:
-            raise InputError(f"need r >= 1, got r={r}")
+            raise InputError(f"need r >= 1, got r={shown(r)}")
         self.d, self.k, self.j, self.r = d, k, j, r
         self.config = config
         engines = ("internal", "external") if config.solver_command else ("internal",)
@@ -230,8 +233,7 @@ class _Box:
         """Run one engine on the current formula; returns the result and the
         name of the engine."""
         if engine == "internal":
-            return (sat.solve_engine(self.engine, self.config.budget),
-                    sat.INTERNAL_SOLVER_NAME)
+            return self.engine.solve(self.config.budget), sat.INTERNAL_SOLVER_NAME
         command = self.config.solver_command
         return (sat.solve_external(self.formula(), command, self.config.budget),
                 "external:" + command[0])
@@ -297,6 +299,8 @@ def probe(
     """Decide whether some r-coloring of [n]^d avoids every j-nondegenerate
     Schur k-tuple. The answer is a Certificate, already re-verified against
     the family, an UnsatRecord, or an Unknown."""
+    if n < 1:
+        raise InputError(f"need n >= 1, got n={shown(n)}")
     return _Box(d, k, j, r, config or EngineConfig()).decide(n)[0]
 
 
@@ -327,7 +331,7 @@ def find_schur_number(
     grow shell by shell, whichever engine answers it.
     """
     if n_max is not None and n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max}")
+        raise InputError(f"n_max must be >= 1, got {shown(n_max)}")
     config = config or EngineConfig()
     cert_dir = Path(cert_dir) if cert_dir else None
     ledger_path = Path(ledger_path) if ledger_path else None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .bounds import ramsey_number
-from .errors import InputError, IntegrityError
+from .errors import InputError, IntegrityError, shown
 from .lattice import Coloring, Point, det, rank, vector_sum
 
 
@@ -71,7 +71,7 @@ def guarantee(d: int, r: int, k: int, n: int | None = None,
     R_r(k) that is not known exactly (the threshold would be a guess), and an
     n below the threshold."""
     if k < d + 1:
-        raise InputError(f"need k >= d+1 = {d + 1}, got k={k}")
+        raise InputError(f"need k >= d+1 = {shown(d + 1)}, got k={shown(k)}")
     entry = ramsey_number(r, k, table)
     if not entry.is_exact:
         raise InputError(

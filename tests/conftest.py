@@ -98,8 +98,8 @@ def _after_each_solve(monkeypatch, read):
     readings = []
     solve = cdcl.Engine.solve
 
-    def recording_solve(engine, **kwargs):
-        result = solve(engine, **kwargs)
+    def recording_solve(engine, *args):
+        result = solve(engine, *args)
         readings.append(read(engine))
         return result
 

@@ -546,6 +546,18 @@ class TestRender:
         assert code == EXIT_OK
         assert out_path.read_bytes().startswith(b"P6\n8 2\n255\n")
 
+    def test_ppm_over_the_pixel_ceiling_exits_4(self, free_cert_path, tmp_path, capsys):
+        # 400000x100000 pixels, refused before the image is built.
+        out_path = tmp_path / "fig.ppm"
+        code, out, err = run(
+            ["render", str(free_cert_path), "--format", "ppm",
+             "--scale", "100000", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "pixels" in err
+        assert out == "" and not out_path.exists()
+
     def test_svg_to_file(self, free_cert_path, tmp_path, capsys):
         out_path = tmp_path / "fig.svg"
         code, _, _ = run(

@@ -61,6 +61,9 @@ class TestPpm:
     def test_bad_scale(self):
         with pytest.raises(RenderError):
             render_ppm(free_three_box(), scale=0)
+        # A 24576x24576 image, over the pixel ceiling: refused, not drawn.
+        with pytest.raises(RenderError, match="pixels"):
+            render_ppm(free_three_box(), scale=1 << 13)
 
 
 class TestSvg:

@@ -9,8 +9,9 @@ from collections import Counter
 
 import pytest
 
+import schurlat
 from conftest import oracle_truth_table_sat
-from schurlat import cdcl
+from schurlat import cdcl, sat
 from schurlat.encoder import CnfFormula, encode, encode_points
 from schurlat.lattice import enumerate_shell, shell_points
 from schurlat.errors import InputError, IntegrityError, ParseError
@@ -22,7 +23,6 @@ from schurlat.sat import (
     check_model,
     parse_solver_output,
     read_dimacs,
-    solve_engine,
     solve_external,
     solve_internal,
     write_dimacs,
@@ -76,6 +76,11 @@ def pigeonhole(holes: int) -> CnfFormula:
     return CnfFormula(pigeons * holes, tuple(clauses))
 
 
+@pytest.mark.parametrize("name", ["Budget", "Sat", "Unsat", "Unknown"])
+def test_the_engine_answers_in_the_package_result_types(name):
+    assert getattr(schurlat, name) is getattr(sat, name) is getattr(cdcl, name)
+
+
 class TestSolveInternal:
     def test_empty_clause_list_is_sat_all_false(self):
         result = solve_internal(CnfFormula(3, ()))
@@ -97,7 +102,7 @@ class TestSolveInternal:
             messy = messy_clauses(mess, f)
             for clauses, result in (
                 (f.clauses, solve_internal(f)),
-                (messy, solve_engine(cdcl.Engine(f.num_vars, messy))),
+                (messy, cdcl.Engine(f.num_vars, messy).solve()),
             ):
                 expected = oracle_truth_table_sat(f.num_vars, clauses)
                 if expected is None:
@@ -119,7 +124,7 @@ class TestSolveInternal:
         assert "budget" in result.reason
         # The reason gives the engine's counters when the budget ran out.
         engine = cdcl.Engine(f.num_vars, f.clauses)
-        result = solve_engine(engine, Budget(conflicts=5))
+        result = engine.solve(Budget(conflicts=5))
         assert isinstance(result, Unknown)
         assert engine.conflicts == 5 and engine.decisions > 0
         assert result.reason.endswith(
@@ -130,7 +135,7 @@ class TestSolveInternal:
         # before its 1,023rd decision.
         f = pigeonhole(8)
         engine = cdcl.Engine(f.num_vars, f.clauses)
-        assert engine.solve(max_seconds=1e-9) == ("unknown", None)
+        assert isinstance(engine.solve(Budget(seconds=1e-9)), Unknown)
         assert (engine.conflicts, engine.decisions) == (256, 382)
 
     def test_wall_clock_budget_checked_every_1024_decisions(self):
@@ -138,10 +143,10 @@ class TestSolveInternal:
         n = 3000
         chain = [(-v, v + 1) for v in range(1, n)]
         engine = cdcl.Engine(n, chain)
-        assert engine.solve(max_seconds=1e-9) == ("unknown", None)
+        assert isinstance(engine.solve(Budget(seconds=1e-9)), Unknown)
         assert (engine.conflicts, engine.decisions) == (0, 1023)
         engine = cdcl.Engine(n, chain)
-        assert solve_engine(engine, Budget(seconds=1e-9)) == Unknown(
+        assert engine.solve(Budget(seconds=1e-9)) == Unknown(
             "internal solver budget exhausted (1e-09s) after 0 conflicts, "
             "1023 decisions, 0 deletion rounds")
 
@@ -234,7 +239,7 @@ class TestIncrementalEngine:
                     engine.add_clauses(chunk)
                     added.extend(chunk)
                     expected = oracle_truth_table_sat(engine.n, added)
-                    result = solve_engine(engine)
+                    result = engine.solve()
                     if expected is None:
                         assert result == Unsat()
                     else:
@@ -243,44 +248,44 @@ class TestIncrementalEngine:
 
     def test_level_zero_facts_simplify_added_clauses(self):
         engine = cdcl.Engine(2, [(1,)])
-        assert engine.solve()[0] == "sat"
+        assert isinstance(engine.solve(), Sat)
         engine.add_clauses([(1, 2)])  # already true at level 0: not stored
         assert engine.clauses == []
         engine.add_clauses([(-1, 2)])  # -1 is false at level 0: unit 2
-        assert engine.solve() == ("sat", [False, True, True])
+        assert engine.solve() == Sat({1: True, 2: True})
         engine.add_clauses([(-2, -1)])  # both false: the formula is refuted
-        assert engine.solve() == ("unsat", None)
+        assert engine.solve() == Unsat()
         assert not engine.ok
 
     def test_new_variables_take_part(self):
         engine = cdcl.Engine(1, [(1,)])
-        assert engine.solve() == ("sat", [False, True])
+        assert engine.solve() == Sat({1: True})
         engine.add_vars(2)
         engine.add_clauses([(-1, -2), (2, 3)])
-        assert engine.solve() == ("sat", [False, True, False, True])
+        assert engine.solve() == Sat({1: True, 2: False, 3: True})
 
     def test_empty_clause_refutes(self):
         engine = cdcl.Engine(1, ())
         engine.add_clauses([()])
-        assert engine.solve() == ("unsat", None)
+        assert engine.solve() == Unsat()
 
     def test_each_solve_counts_only_its_own_conflicts(self):
         f = encode(13, 1, 3, 1, 3)
         engine = cdcl.Engine(f.num_vars, f.clauses)
-        assert engine.solve()[0] == "sat"
+        assert isinstance(engine.solve(), Sat)
         assert engine.conflicts > 0 and engine.learnts
         # The saved phases are the model, so the second solve needs no conflict.
-        assert engine.solve()[0] == "sat"
+        assert isinstance(engine.solve(), Sat)
         assert engine.conflicts == 0 and engine.learnts == []
         grow_to_14(engine)
-        assert engine.solve() == ("unsat", None)
+        assert engine.solve() == Unsat()
         refutation = engine.conflicts
         assert refutation > 0
         # The same refutation fits a budget of exactly its own conflicts.
         again = cdcl.Engine(f.num_vars, f.clauses)
         again.solve()
         grow_to_14(again)
-        assert again.solve(max_conflicts=refutation) == ("unsat", None)
+        assert again.solve(Budget(conflicts=refutation)) == Unsat()
         assert again.conflicts == refutation
 
 
@@ -402,8 +407,8 @@ class TestLearntClauseDeletion:
     def test_counters_are_pinned(self, reduced_engine):
         # The deterministic search through two deletion rounds; a change that is
         # not meant to alter the search must leave every counter as it is.
-        clauses, _, (answer, model), counters, rounds = reduced_engine
-        assert answer == "sat" and satisfies(clauses, model)
+        clauses, _, answer, counters, rounds = reduced_engine
+        assert isinstance(answer, Sat) and satisfies(clauses, answer.model)
         assert rounds == 2
         assert counters == (6073, 7564, 234135, 3443)
 
@@ -411,7 +416,7 @@ class TestLearntClauseDeletion:
         # The reduced_engine solve again, read decision by decision: 7,564
         # literals and the closing 0.
         clauses = random_3sat(4, 200, 852)
-        assert cdcl.Engine(200, clauses).solve()[0] == "sat"
+        assert isinstance(cdcl.Engine(200, clauses).solve(), Sat)
         assert decision_digest.hexdigest() == (
             "0c26426f81af0ad426eac6032c15ac075fdb8dd2fb9b00351e209d52ca9e32c7")
 
@@ -420,7 +425,7 @@ class TestLearntClauseDeletion:
         assert len(engine.learnts) > 0
         assert_watches_consistent(engine)
         # The next solve drops every learnt clause before it starts.
-        assert engine.solve()[0] == "sat"
+        assert isinstance(engine.solve(), Sat)
         assert engine.learnts == []
         assert_watches_consistent(engine)
 
@@ -441,8 +446,8 @@ class TestLearntClauseDeletion:
         monkeypatch.setattr(cdcl.Engine, "_decide", recording("decide", decide))
         clauses = random_3sat(4, 200, 852)
         engine = cdcl.Engine(200, clauses)
-        answer, model = engine.solve()
-        assert answer == "sat" and satisfies(clauses, model)
+        answer = engine.solve()
+        assert isinstance(answer, Sat) and satisfies(clauses, answer.model)
         due, done = 2000, 0
         for i, (name, c) in enumerate(events):
             if name == "reduce":
@@ -459,7 +464,7 @@ class TestLearntClauseDeletion:
         gaps = [100 * cdcl._luby(x) for x in range(1, engine.restarts + 1)]
         assert engine.restarts > 0 and sum(gaps) <= engine.conflicts
         # Both counters, like the schedule, start again with the next solve.
-        assert engine.solve()[0] == "sat"
+        assert isinstance(engine.solve(), Sat)
         assert engine.restarts == engine.reductions == 0
 
 
@@ -517,11 +522,11 @@ class TestDecisionHeap:
         # A growing engine: clauses, variables and units arrive between solves.
         f = encode(13, 1, 3, 1, 3)
         engine = cdcl.Engine(f.num_vars, f.clauses)
-        assert engine.solve()[0] == "sat"
+        assert isinstance(engine.solve(), Sat)
         engine.add_clauses([(1,)])
-        assert engine.solve()[0] == "sat"
+        assert isinstance(engine.solve(), Sat)
         grow_to_14(engine)
-        assert engine.solve() == ("unsat", None)
+        assert engine.solve() == Unsat()
         assert solve_internal(pigeonhole(5)) == Unsat()
 
     def test_invariant_holds_across_activity_rescales(self, checked_heap, monkeypatch):
@@ -537,7 +542,7 @@ class TestDecisionHeap:
         monkeypatch.setattr(cdcl.Engine, "_start_solve", start_large)
         f = pigeonhole(6)
         engine = cdcl.Engine(f.num_vars, f.clauses)
-        assert engine.solve() == ("unsat", None)
+        assert engine.solve() == Unsat()
         # The rebuild at the start of the solve, then one rescale.
         assert len(checked_heap) == 2 and checked_heap[1] > 0
         assert engine.conflicts > checked_heap[1]
@@ -671,10 +676,9 @@ class TestSolveExternal:
         result = solve_external(CnfFormula(1, ((1,), (-1,))), internal_solver_cmd)
         assert result == Unsat()
 
-    def test_string_command_is_split(self, internal_solver_cmd):
-        cmd = " ".join(internal_solver_cmd)
-        result = solve_external(CnfFormula(1, ((1,),)), cmd)
-        assert isinstance(result, Sat)
+    def test_string_command_refused(self, internal_solver_cmd):
+        with pytest.raises(InputError, match="argv words, not a str"):
+            solve_external(CnfFormula(1, ((1,),)), " ".join(internal_solver_cmd))
 
     def test_missing_executable_is_unknown(self):
         result = solve_external(CnfFormula(1, ((1,),)), ["/no/such/solver"])

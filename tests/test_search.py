@@ -15,10 +15,16 @@ from collections import Counter
 
 import pytest
 
-from schurlat import cdcl, cli, search, solver_cli
+from schurlat import bounds, cdcl, cli, lattice, search, solver_cli, witness
 from schurlat.bounds import SchurUpperBound, ramsey_number
 from schurlat.encoder import EncodingMeta, encode, var_index
-from schurlat.errors import InputError, IntegrityError, ParseError, SizeError
+from schurlat.errors import (
+    InputError,
+    IntegrityError,
+    NotTabulatedError,
+    ParseError,
+    SizeError,
+)
 from schurlat.lattice import (
     Coloring,
     SchurTuple,
@@ -86,8 +92,11 @@ class TestProbe:
         assert isinstance(out, UnsatRecord)
         assert out.solver.startswith("external:")
 
-    @pytest.mark.parametrize("n, r, word", [(0, 2, "N=0"), (3, 0, "r >= 1")],
-                             ids=["n=0", "r=0"])
+    @pytest.mark.parametrize("n, r, word", [
+        (0, 2, "^need n >= 1, got n=0$"),
+        (-1, 2, "^need n >= 1, got n=-1$"),
+        (3, 0, "r >= 1"),
+    ], ids=["n=0", "n=-1", "r=0"])
     def test_bad_parameters(self, n, r, word):
         with pytest.raises(InputError, match=word):
             probe(n, 1, 3, 1, r)
@@ -113,9 +122,11 @@ class TestModelChecks:
     def all_false_models(self, monkeypatch):
         solve = cdcl.Engine.solve
 
-        def all_false(engine, **kwargs):
-            status, model = solve(engine, **kwargs)
-            return status, None if model is None else [False] * len(model)
+        def all_false(engine, *args):
+            result = solve(engine, *args)
+            if isinstance(result, Sat):
+                return Sat(dict.fromkeys(result.model, False))
+            return result
 
         monkeypatch.setattr(cdcl.Engine, "solve", all_false)
 
@@ -253,7 +264,7 @@ class TestLatticeChecksCoverTheFormula:
         formula = box.formula()
         assignment: list[bool] = []
         monkeypatch.setattr(cdcl.Engine, "solve",
-                            lambda engine, **kwargs: ("sat", [False, *assignment]))
+                            lambda engine, *args: Sat(dict(enumerate(assignment, 1))))
         accepted = 0
         for bits in itertools.product((False, True), repeat=formula.num_vars):
             assignment[:] = bits
@@ -308,12 +319,29 @@ class TestBruteForceOracle:
         assert brute_force_oracle(n, d, k, j, r) == Coloring.constant(n, d, r)
 
 
+BIG = 10**5000
+
+
 @pytest.mark.parametrize("call, error", [
-    (lambda: brute_force_oracle(10**5000, 1, 3, 1, 2), SizeError),
-    (lambda: Coloring(10**5000, 1, 2, (1,)), InputError),
-    (lambda: Coloring(2, 10**5000, 2, (1,)), InputError),
-    (lambda: EncodingMeta(-10**5000, 1, 2), InputError),
-], ids=["oracle-n", "coloring-n", "coloring-d", "meta-n"])
+    (lambda: brute_force_oracle(BIG, 1, 3, 1, 2), SizeError),
+    (lambda: Coloring(BIG, 1, 2, (1,)), InputError),
+    (lambda: Coloring(2, BIG, 2, (1,)), InputError),
+    (lambda: EncodingMeta(-BIG, 1, 2), InputError),
+    (lambda: lattice.point_from_index(0, BIG, 1), InputError),
+    (lambda: lattice.point_index((BIG,), 2), InputError),
+    (lambda: next(lattice.box_points(-BIG, 1)), InputError),
+    (lambda: lattice.is_j_nondegenerate([(1,)], BIG), InputError),
+    (lambda: bounds.ramsey_number(2, BIG), NotTabulatedError),
+    (lambda: bounds.schur_upper_bound(1, 1, 2, BIG), NotTabulatedError),
+    (lambda: encode(3, 1, 3, 1, -BIG), InputError),
+    (lambda: var_index((1,), BIG, EncodingMeta(2, 1, 2)), InputError),
+    (lambda: probe(3, 1, 3, 1, -BIG), InputError),
+    (lambda: find_schur_number(1, 3, 1, 2, n_max=-BIG), InputError),
+    (lambda: witness.guarantee(BIG, 2, 3), InputError),
+], ids=["oracle-n", "coloring-n", "coloring-d", "meta-n", "point-from-index-n",
+        "point-index-coordinate", "box-points-n", "nondegenerate-j", "ramsey-k",
+        "schur-upper-bound-k", "encode-r", "var-index-m", "probe-r", "search-n-max",
+        "guarantee-d"])
 def test_refusal_of_a_huge_integer_does_not_format_it(call, error):
     # str() refuses an integer of more than 4,300 digits with a bare
     # ValueError; the refusal must stay the documented type.
@@ -750,6 +778,12 @@ class TestEngineConfig:
             EngineConfig(engine="external")
         with pytest.raises(InputError, match="no solver command"):
             EngineConfig(engine="external", solver_command=())
+
+    def test_string_solver_command_refused(self):
+        # Provenance names command[0], the first argv word, not a character.
+        with pytest.raises(InputError, match="argv words, not a str"):
+            EngineConfig(engine="external",
+                         solver_command=sys.executable + " -m schurlat.solver_cli")
 
     @pytest.mark.parametrize("engine, command, order", [
         ("internal", None, ("internal",)),
