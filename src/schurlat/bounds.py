@@ -9,6 +9,7 @@ identities R_1(k) = k, R_r(1) = 1, R_r(2) = 2 are computed in code.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -27,7 +28,8 @@ class RamseyEntry:
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
-            raise InputError(f"Ramsey entry has lower {self.lower} > upper {self.upper}")
+            raise InputError(f"Ramsey entry has lower {shown(self.lower)} > "
+                             f"upper {shown(self.upper)}")
 
     @property
     def is_exact(self) -> bool:
@@ -45,8 +47,6 @@ class SchurUpperBound:
 
 
 RamseyTable = dict[tuple[int, int], RamseyEntry]
-
-_default_table: RamseyTable | None = None
 
 
 def _json_int(value: object, what: str) -> int:
@@ -94,11 +94,9 @@ def load_ramsey_table(path: str | Path | None = None) -> RamseyTable:
         raise ParseError(f"malformed Ramsey table: {e}") from None
 
 
+@functools.cache
 def _default() -> RamseyTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = load_ramsey_table()
-    return _default_table
+    return load_ramsey_table()
 
 
 def ramsey_number(r: int, k: int, table: RamseyTable | None = None) -> RamseyEntry:
@@ -138,7 +136,7 @@ def schur_3k_formula(k: int) -> int:
     """Exact 3-color generalized Schur number for k summand variables:
     k^3 - k^2 - k - 1 (valid for k >= 3)."""
     if k < 3:
-        raise InputError(f"formula holds for k >= 3, got k={k}")
+        raise InputError(f"formula holds for k >= 3, got k={shown(k)}")
     return k**3 - k**2 - k - 1
 
 

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import __version__, bounds, render, search, witness
 from .encoder import encode
-from .errors import InputError, IntegrityError, NotTabulatedError, ParseError
-from .lattice import Coloring
+from .errors import InputError, IntegrityError, NotTabulatedError, ParseError, shown
+from .lattice import SIZE_CEILING, Coloring, _power_at_most
 from .sat import Budget, split_command, write_dimacs
 
 EXIT_OK = 0
@@ -147,14 +147,15 @@ def cmd_witness(args) -> int:
             raise InputError("--random-seed mode needs --r")
         d = args.d if args.d is not None else 1
         # From d = 25 on, a box with n >= 2 has more than 2^24 points.
-        if not 1 <= d < search.SIZE_CEILING.bit_length():
+        if not 1 <= d < SIZE_CEILING.bit_length():
             raise InputError(f"--random-seed needs 1 <= d <= 24, got d={d}")
         _, n = witness.guarantee(d, args.r, args.k, args.n, table)
-        if n**d > search.SIZE_CEILING:
-            raise InputError(f"[{n}]^{d} has more than {search.SIZE_CEILING} points; "
+        npoints = _power_at_most(n, d, SIZE_CEILING)
+        if npoints is None:
+            raise InputError(f"[{n}]^{d} has more than {SIZE_CEILING} points; "
                              f"give a smaller --n or --d")
         rng = random.Random(args.random_seed)
-        chi = Coloring(n, d, args.r, tuple(rng.randint(1, args.r) for _ in range(n**d)))
+        chi = Coloring(n, d, args.r, tuple(rng.randint(1, args.r) for _ in range(npoints)))
     w = witness.extract_schur_witness(chi, args.k, table=table)
     d = chi.d
     vdet = witness.vandermonde_det(w.clique[: d + 1])
@@ -211,7 +212,11 @@ def cmd_bounds(args) -> int:
     j = _effective_j(args)
     b = bounds.schur_upper_bound(args.d, j, args.r, args.k, table)
     label = "" if b.exact else "  (from an inexact Ramsey upper bound)"
-    print(f"S_(d={args.d},j={j})({args.r},{args.k}) <= {b.value}{label}")
+    try:
+        value = str(b.value)
+    except ValueError:  # more digits than str() formats
+        value = shown(b.value)
+    print(f"S_(d={args.d},j={j})({args.r},{args.k}) <= {value}{label}")
     known = bounds.known_schur_numbers()
     if args.d == 1 and j == 1 and args.k == 3 and args.r in known:
         print(f"classical value: S({args.r}) = {known[args.r]}")

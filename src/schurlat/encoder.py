@@ -113,7 +113,7 @@ def var_index(p: Point, m: int, meta: EncodingMeta) -> int:
 def var_point_color(v: int, meta: EncodingMeta) -> tuple[Point, int]:
     """Inverse of var_index."""
     if not 1 <= v <= meta.num_vars:
-        raise InputError(f"variable {v} outside [1, {meta.num_vars}]")
+        raise InputError(f"variable {shown(v)} outside [1, {shown(meta.num_vars)}]")
     pm, m = divmod(v - 1, meta.r - 1)
     return point_from_index(pm + 1, meta.n, meta.d), m + 1
 

@@ -5,7 +5,9 @@ def shown(value: object) -> str:
     """A caller's value as an error message shows it. An integer over 64 bits
     is shown by its length, so a refusal never formats an unbounded integer
     (str() refuses one of more than 4,300 digits). A tuple, such as a point,
-    shows each of its items this way."""
+    or a list shows each of its items this way."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(shown, value))}]"
     if isinstance(value, tuple):
         items = ", ".join(map(shown, value))
         return f"({items},)" if len(value) == 1 else f"({items})"

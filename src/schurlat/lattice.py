@@ -18,6 +18,23 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import InputError, shown
 
 Point = tuple[int, ...]
+# brute_force_oracle tries at most this many colorings, `schurlat witness
+# --random-seed` colors at most this many points, and render_ppm draws at most
+# this many pixels.
+SIZE_CEILING = 1 << 24
+
+
+def _power_at_most(base: int, exp: int, cap: int) -> int | None:
+    """base**exp for base, exp >= 1 when it is at most cap, else None; no
+    partial product exceeds cap * base."""
+    if base == 1:
+        return 1
+    value = 1
+    for _ in range(exp):
+        value *= base
+        if value > cap:
+            return None
+    return value
 
 
 def box_points(n: int, d: int) -> Iterator[Point]:
@@ -144,7 +161,8 @@ class SchurTuple:
     def __post_init__(self) -> None:
         summands = self.summands
         if vector_sum(summands) != self.total:
-            raise InputError(f"summands {summands} do not sum to {self.total}")
+            raise InputError(f"summands {shown(summands)} do not sum to "
+                             f"{shown(self.total)}")
         if any(map(operator.gt, summands, summands[1:])):
             raise InputError("summands must be sorted lexicographically")
 
@@ -166,8 +184,7 @@ class Coloring:
             raise InputError(f"bad coloring parameters n={shown(self.n)} "
                              f"d={shown(self.d)} r={shown(self.r)}")
         size = len(self.colors)
-        # With n >= 2, d > size.bit_length() means n**d > size: no power is built.
-        if self.n > 1 and self.d > size.bit_length() or size != self.n**self.d:
+        if _power_at_most(self.n, self.d, size) != size:
             raise InputError(
                 f"coloring has {size} entries, expected {shown(self.n)}^{shown(self.d)}"
             )
@@ -352,6 +369,7 @@ def lift_solution(
     """Lift a solution of the Schur equation from dimension d to d+1 by the
     map x -> (x_1, ..., x_d, x_d). Preserves the equation and the rank."""
     if vector_sum(summands) != total:
-        raise InputError(f"summands {tuple(summands)} do not sum to {total}")
+        raise InputError(f"summands {shown(tuple(summands))} do not sum to "
+                         f"{shown(total)}")
     lifted = tuple(p + (p[-1],) for p in summands)
     return lifted, total + (total[-1],)

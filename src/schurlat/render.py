@@ -9,8 +9,7 @@ the bottom-left. d = 1 colorings render as a single row.
 from __future__ import annotations
 
 from .errors import RenderError, shown
-from .lattice import Coloring
-from .search import SIZE_CEILING
+from .lattice import SIZE_CEILING, Coloring
 
 # 12 visually distinguishable colors; index c-1 is the fill for color c.
 PALETTE = [
@@ -38,7 +37,17 @@ def _rows(coloring: Coloring) -> list[list[int]]:
             [coloring.color_of((y, x)) for x in range(1, coloring.n + 1)]
             for y in range(coloring.n, 0, -1)
         ]
-    raise RenderError(f"rendering supports d <= 2, got d={coloring.d}")
+    raise RenderError(f"rendering supports d <= 2, got d={shown(coloring.d)}")
+
+
+def _palette_rows(coloring: Coloring) -> list[list[int]]:
+    """_rows, for a format that draws each color from PALETTE."""
+    if coloring.r > len(PALETTE):
+        raise RenderError(
+            f"palette has {len(PALETTE)} colors, certificate uses {shown(coloring.r)}; "
+            f"use ascii format instead"
+        )
+    return _rows(coloring)
 
 
 def render_ascii(coloring: Coloring) -> str:
@@ -54,12 +63,7 @@ def render_ppm(coloring: Coloring, scale: int = 1) -> bytes:
     SIZE_CEILING pixels."""
     if scale < 1:
         raise RenderError(f"scale must be >= 1, got {shown(scale)}")
-    if coloring.r > len(PALETTE):
-        raise RenderError(
-            f"palette has {len(PALETTE)} colors, certificate uses {coloring.r}; "
-            f"use ascii format instead"
-        )
-    rows = _rows(coloring)
+    rows = _palette_rows(coloring)
     width = len(rows[0]) * scale
     height = len(rows) * scale
     if width * height > SIZE_CEILING:
@@ -77,12 +81,7 @@ def render_ppm(coloring: Coloring, scale: int = 1) -> bytes:
 
 def render_svg(coloring: Coloring) -> str:
     """Unit squares on a viewBox of N x rows, same palette as PPM."""
-    if coloring.r > len(PALETTE):
-        raise RenderError(
-            f"palette has {len(PALETTE)} colors, certificate uses {coloring.r}; "
-            f"use ascii format instead"
-        )
-    rows = _rows(coloring)
+    rows = _palette_rows(coloring)
     width, height = len(rows[0]), len(rows)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '

@@ -116,10 +116,6 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
             values = list(map(literal, line.split()))
         except ValueError:
             raise ParseError(f"bad DIMACS clause line: {line!r}") from None
-        if not current and values[-1] == 0 and values.count(0) == 1:
-            values.pop()  # the usual line: one whole clause
-            clauses.append(tuple(values))
-            continue
         for t in values:
             if t:
                 current.append(t)

@@ -40,10 +40,12 @@ from .errors import (
     shown,
 )
 from .lattice import (
+    SIZE_CEILING,
     Coloring,
     Point,
     Violation,
     _check_family_params,
+    _power_at_most,
     enumerate_shell,
     enumerate_tuples,
     first_violation,
@@ -53,10 +55,6 @@ from .lattice import (
 
 CERT_SCHEMA_VERSION = 1
 LEDGER_FIELDS = ["d", "j", "k", "r", "n", "outcome", "solver", "wall_ms"]
-# brute_force_oracle tries at most this many colorings, `schurlat witness
-# --random-seed` colors at most this many points, and render_ppm draws at most
-# this many pixels.
-SIZE_CEILING = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -387,7 +385,7 @@ def brute_force_oracle(n: int, d: int, k: int, j: int, r: int) -> Coloring | Non
         raise SizeError(f"[{shown(n)}]^{shown(d)} in {shown(r)} colors has more than "
                         f"{SIZE_CEILING} points or colorings")
     if n < k - 1:
-        return Coloring(n, d, r, (1,) * npoints)
+        return Coloring.constant(n, d, r)
     family = enumerate_tuples(n, d, k, j)
     tuple_idx = [
         tuple(point_index(p, n) - 1 for p in t.distinct_points())
@@ -401,19 +399,6 @@ def brute_force_oracle(n: int, d: int, k: int, j: int, r: int) -> Coloring | Non
         else:
             return Coloring(n, d, r, colors)
     return None
-
-
-def _power_at_most(base: int, exp: int, cap: int) -> int | None:
-    """base**exp for base, exp >= 1 when it is at most cap, else None; no
-    partial product exceeds cap * base."""
-    if base == 1:
-        return 1
-    value = 1
-    for _ in range(exp):
-        value *= base
-        if value > cap:
-            return None
-    return value
 
 
 # -- certificate persistence ---------------------------------------------------
@@ -524,12 +509,12 @@ def load_certificate(path: str | Path) -> Certificate:
 
 
 def append_ledger_row(path: str | Path, row: dict) -> None:
-    """Append one probe outcome to the CSV results ledger (header on first write)."""
+    """Append one probe outcome to the CSV results ledger, after the header
+    when the file is new or empty."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    new = not path.exists()
     with path.open("a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LEDGER_FIELDS)
-        if new:
+        if fh.tell() == 0:  # an append opens at the end: tell() is the size
             writer.writeheader()
         writer.writerow(row)

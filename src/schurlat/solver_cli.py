@@ -3,10 +3,11 @@
 Reads a CNF file, prints the standard "s"/"v" result lines, and exits with
 code 10 (satisfiable), 20 (unsatisfiable), or 0 (unknown). A model that fails
 the formula it read is never printed: the command prints "c integrity error"
-and "s UNKNOWN" and exits 5, as schurlat does on an integrity error. This
-makes the package's own engine usable as an external solver — including by
-this package's external-solver bridge, which is deliberately agnostic about
-what sits behind the command it runs.
+and "s UNKNOWN" and exits 5, as schurlat does on an integrity error. A usage
+error (an unknown flag, or a non-positive --budget-s or --max-conflicts)
+exits 2, argparse's code. This makes the package's own engine usable as an
+external solver — including by this package's external-solver bridge, which
+is deliberately agnostic about what sits behind the command it runs.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ class EdgeColoredGraph:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise InputError(f"need at least one vertex, got m={self.m}")
+            raise InputError(f"need at least one vertex, got m={shown(self.m)}")
         for i, j in itertools.combinations(range(1, self.m + 1), 2):
             if (i, j) not in self.edge_color:
                 raise InputError(f"edge color missing for {{{i}, {j}}}")
@@ -54,9 +54,9 @@ def vandermonde_points(m: int, d: int) -> list[Point]:
     """The points y_i = (i, i^2, ..., i^d) for i = 1..m. Every pairwise
     difference y_j - y_i (i < j) has all coordinates in [1, m^d - 1]."""
     if m < 2:
-        raise InputError(f"need m >= 2, got {m}")
+        raise InputError(f"need m >= 2, got {shown(m)}")
     if d < 1:
-        raise InputError(f"need d >= 1, got {d}")
+        raise InputError(f"need d >= 1, got {shown(d)}")
     return [tuple(i**t for t in range(1, d + 1)) for i in range(1, m + 1)]
 
 
@@ -81,7 +81,8 @@ def guarantee(d: int, r: int, k: int, n: int | None = None,
     m = entry.lower
     threshold = m**d - 1
     if n is not None and n < threshold:
-        raise InputError(f"box [{n}]^{d} below the guarantee threshold [{threshold}]^{d}")
+        raise InputError(f"box [{shown(n)}]^{shown(d)} below the guarantee threshold "
+                         f"[{shown(threshold)}]^{shown(d)}")
     return m, threshold if n is None else n
 
 
@@ -90,7 +91,7 @@ def graph_from_lattice_coloring(chi: Coloring, m: int, d: int) -> EdgeColoredGra
     lattice color of y_j - y_i. A box too small to hold every difference is
     an InputError from chi.color_of."""
     if chi.d != d:
-        raise InputError(f"coloring has dimension {chi.d}, expected {d}")
+        raise InputError(f"coloring has dimension {shown(chi.d)}, expected {shown(d)}")
     ys = vandermonde_points(m, d)
     edges = {}
     for i, j in itertools.combinations(range(1, m + 1), 2):
@@ -103,7 +104,7 @@ def find_monochromatic_clique(g: EdgeColoredGraph, k: int) -> tuple[int, ...] | 
     """First k vertices (lexicographically) whose edges all share one color,
     or None. Exhaustive over all vertex subsets."""
     if k < 2:
-        raise InputError(f"need k >= 2, got {k}")
+        raise InputError(f"need k >= 2, got {shown(k)}")
     for verts in itertools.combinations(range(1, g.m + 1), k):
         pairs = itertools.combinations(verts, 2)
         c0 = g.edge_color[next(pairs)]
@@ -151,9 +152,9 @@ def difference_matrix(indices: tuple[int, ...] | list[int]) -> list[list[int]]:
     if len(indices) < 2:
         raise InputError("need at least two indices")
     if any(indices[t] >= indices[t + 1] for t in range(len(indices) - 1)):
-        raise InputError(f"indices must be strictly increasing, got {indices}")
+        raise InputError(f"indices must be strictly increasing, got {shown(indices)}")
     if indices[0] < 1:
-        raise InputError(f"indices must be positive, got {indices}")
+        raise InputError(f"indices must be positive, got {shown(indices)}")
     d = len(indices) - 1
     return [
         [indices[t + 1] ** e - indices[t] ** e for e in range(1, d + 1)]

@@ -674,6 +674,18 @@ class TestBounds:
         assert code == EXIT_OK
         assert "S(3) = 14" in out
 
+    def test_bound_too_long_to_format_is_shown_by_its_length(self, capsys):
+        # 10000^10000 - 1 has 40,000 digits; str() formats at most 4,300.
+        code, out, _ = run(["bounds", "--r", "1", "--k", "10000", "--d", "10000"],
+                           capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].endswith("-bit integer>")
+
+    def test_long_bound_is_printed_in_full(self, capsys):
+        code, out, _ = run(["bounds", "--r", "1", "--k", "30", "--d", "29"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].endswith(f"<= {30**29 - 1}")
+
     def test_not_tabulated_exits_4(self, capsys):
         code, _, err = run(["bounds", "--d", "1", "--k", "3", "--r", "9"], capsys)
         assert code == EXIT_INVALID_INPUT

@@ -587,6 +587,10 @@ class TestDimacs:
         f = read_dimacs("p cnf 3 1\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)
 
+    def test_read_several_clauses_on_a_line(self):
+        f = read_dimacs("p cnf 3 3\n1 0 2\n3 0 -1 0\n")
+        assert f.clauses == ((1,), (2, 3), (-1,))
+
     def test_read_errors(self):
         with pytest.raises(ParseError):
             read_dimacs("1 2 0\n")  # no header

@@ -15,14 +15,15 @@ from collections import Counter
 
 import pytest
 
-from schurlat import bounds, cdcl, cli, lattice, search, solver_cli, witness
+from schurlat import bounds, cdcl, cli, lattice, render, search, solver_cli, witness
 from schurlat.bounds import SchurUpperBound, ramsey_number
-from schurlat.encoder import EncodingMeta, encode, var_index
+from schurlat.encoder import EncodingMeta, encode, var_index, var_point_color
 from schurlat.errors import (
     InputError,
     IntegrityError,
     NotTabulatedError,
     ParseError,
+    RenderError,
     SizeError,
 )
 from schurlat.lattice import (
@@ -338,10 +339,28 @@ BIG = 10**5000
     (lambda: probe(3, 1, 3, 1, -BIG), InputError),
     (lambda: find_schur_number(1, 3, 1, 2, n_max=-BIG), InputError),
     (lambda: witness.guarantee(BIG, 2, 3), InputError),
+    (lambda: witness.guarantee(1999, 1, 2000, 5), InputError),
+    (lambda: var_point_color(0, EncodingMeta(10, 5000, 2)), InputError),
+    (lambda: witness.find_monochromatic_clique(
+        witness.EdgeColoredGraph(2, {(1, 2): 1}), -BIG), InputError),
+    (lambda: witness.vandermonde_points(-BIG, 1), InputError),
+    (lambda: witness.vandermonde_points(3, -BIG), InputError),
+    (lambda: witness.EdgeColoredGraph(-BIG, {}), InputError),
+    (lambda: witness.difference_matrix((BIG, 1)), InputError),
+    (lambda: witness.graph_from_lattice_coloring(Coloring(1, BIG, 2, (1,)), 6, 2),
+     InputError),
+    (lambda: SchurTuple(((BIG,),), (1,)), InputError),
+    (lambda: lattice.lift_solution(((BIG,),), (1,)), InputError),
+    (lambda: render.render_ascii(Coloring(1, BIG, 2, (1,))), RenderError),
+    (lambda: bounds.schur_3k_formula(-BIG), InputError),
+    (lambda: bounds.RamseyEntry(2, 3, BIG, 1, "s"), InputError),
 ], ids=["oracle-n", "coloring-n", "coloring-d", "meta-n", "point-from-index-n",
         "point-index-coordinate", "box-points-n", "nondegenerate-j", "ramsey-k",
         "schur-upper-bound-k", "encode-r", "var-index-m", "probe-r", "search-n-max",
-        "guarantee-d"])
+        "guarantee-d", "guarantee-threshold", "var-point-color-num-vars",
+        "clique-k", "vandermonde-m", "vandermonde-d", "graph-m",
+        "difference-matrix-indices", "lattice-graph-d", "schur-tuple-summands",
+        "lift-summands", "render-ascii-d", "schur-3k-k", "ramsey-entry-lower"])
 def test_refusal_of_a_huge_integer_does_not_format_it(call, error):
     # str() refuses an integer of more than 4,300 digits with a bare
     # ValueError; the refusal must stay the documented type.
@@ -371,6 +390,15 @@ class TestFindSchurNumber:
             rows = list(csv.DictReader(fh))
         assert [r["n"] for r in rows] == ["1", "2", "3", "4", "5"]
         assert rows[-1]["outcome"] == "not-colorable"
+
+    def test_empty_ledger_gets_the_header(self, tmp_path):
+        # A search killed right after creating its ledger leaves it empty.
+        ledger = tmp_path / "ledger.csv"
+        ledger.touch()
+        find_schur_number(1, 3, 1, 2, ledger_path=ledger)
+        with ledger.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["n"] for r in rows] == ["1", "2", "3", "4", "5"]
 
     @pytest.mark.parametrize("d, k, j, r, n_max", [(2, 3, 2, 3, 17), (1, 3, 1, 2, None)])
     def test_certificates_and_refutation_record_the_ledger_time(
