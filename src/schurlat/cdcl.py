@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, shown
 
 _UNDEF = 0
 _TRUE = 1
@@ -187,7 +187,9 @@ class Engine:
             try:
                 codes = sorted(map(code, signed))
             except KeyError as e:
-                raise InputError(f"literal {e.args[0]!r} outside [1, {self.n}]") from None
+                lit = e.args[0]
+                shown_lit = shown(lit) if isinstance(lit, int) else repr(lit)
+                raise InputError(f"literal {shown_lit} outside [1, {self.n}]") from None
             lits: list[int] = []
             prev = 0
             for lit in codes:

@@ -54,6 +54,10 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="external solver command (else $SCHUR_SOLVER)")
     p.add_argument("--budget-s", type=float, default=None, metavar="S",
                    help="per-solve wall-clock budget in seconds")
+    _add_symmetry_flag(p)
+
+
+def _add_symmetry_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--symmetry-break", action="store_true",
                    help="add the unit clause fixing the color of (1,...,1); "
                         "a sound extension of the default encoding")
@@ -235,7 +239,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("encode", help="write the CNF encoding as DIMACS")
     _add_param_flags(p)
     p.add_argument("--n", type=int, required=True, help="box size")
-    p.add_argument("--symmetry-break", action="store_true")
+    _add_symmetry_flag(p)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_encode)
 

@@ -37,6 +37,7 @@ from .lattice import (
     Coloring,
     Point,
     SchurTuple,
+    _check_coordinates,
     box_points,
     enumerate_tuples,
     point_from_index,
@@ -94,7 +95,7 @@ class CnfFormula:
             for clause in self.clauses:
                 for lit in clause:
                     if lit == 0 or abs(lit) > n:
-                        raise InputError(f"literal {lit} outside [1, {n}]")
+                        raise InputError(f"literal {shown(lit)} outside [1, {shown(n)}]")
 
     @property
     def num_clauses(self) -> int:
@@ -180,10 +181,13 @@ def encode(
 
     fix_first_point_color appends the unit clause phi_1((1,...,1)) — a sound
     symmetry-breaking extension (colors are interchangeable), NOT part of the
-    default encoding; golden files cover the default only.
+    default encoding; golden files cover the default only. A box whose
+    points hold more than SIZE_CEILING coordinates in all is refused
+    (SizeError) before any point is built.
     """
     if r < 1:
         raise InputError(f"need r >= 1, got r={shown(r)}")
+    _check_coordinates(n, d, shell=False)
     tuples = enumerate_tuples(n, d, k, j)
     meta = EncodingMeta(n, d, r, k, j)
     clauses = encode_points(list(box_points(n, d)), tuples, {}, r,

@@ -15,18 +15,19 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError, shown
+from .errors import InputError, SizeError, shown
 
 Point = tuple[int, ...]
 # brute_force_oracle tries at most this many colorings, `schurlat witness
-# --random-seed` colors at most this many points, and render_ppm draws at most
-# this many pixels.
+# --random-seed` colors at most this many points, render_ppm draws at most
+# this many pixels, and the points of a shell a search grows, or of a box
+# encode numbers, hold at most this many coordinates in all.
 SIZE_CEILING = 1 << 24
 
 
 def _power_at_most(base: int, exp: int, cap: int) -> int | None:
-    """base**exp for base, exp >= 1 when it is at most cap, else None; no
-    partial product exceeds cap * base."""
+    """base**exp for base >= 1, exp >= 0 when it is at most cap, else None;
+    no partial product exceeds cap * base."""
     if base == 1:
         return 1
     value = 1
@@ -39,10 +40,28 @@ def _power_at_most(base: int, exp: int, cap: int) -> int | None:
 
 def box_points(n: int, d: int) -> Iterator[Point]:
     """All points of [n]^d in row-major (lexicographic) order."""
+    _check_box(n, d)
+    return itertools.product(range(1, n + 1), repeat=d)
+
+
+def _check_box(n: int, d: int) -> None:
     if n < 1 or d < 1:
         raise InputError(f"box requires n >= 1 and d >= 1, "
                          f"got n={shown(n)} d={shown(d)}")
-    return itertools.product(range(1, n + 1), repeat=d)
+
+
+def _check_coordinates(n: int, d: int, *, shell: bool) -> None:
+    """Refuse, with SizeError, the points of [n]^d, or with shell those of its
+    shell n, when they hold more than SIZE_CEILING coordinates in all: d * n^d
+    or d * (n^d - (n-1)^d). A shell has at least n^(d-1) points, so no power
+    above SIZE_CEILING * n is formed."""
+    _check_box(n, d)
+    low = _power_at_most(n, d - 1, SIZE_CEILING)
+    npoints = None if low is None else n**d - (n - 1)**d if shell else low * n
+    if npoints is None or d * npoints > SIZE_CEILING:
+        what = (f"shell {shown(n)} of " if shell else "") + f"[{shown(n)}]^{shown(d)}"
+        raise SizeError(f"the points of {what} hold more than {SIZE_CEILING} "
+                        f"coordinates")
 
 
 def point_index(p: Point, n: int) -> int:
@@ -218,17 +237,24 @@ def shell_points(s: int, d: int) -> list[Point]:
     """The points of [s]^d whose largest coordinate is s, in row-major order.
 
     Shell s is what [s-1]^d gains to become [s]^d; shell 1 is the single
-    point (1, ..., 1). The shells 1..n partition [n]^d.
+    point (1, ..., 1). The shells 1..n partition [n]^d. A shell whose points
+    hold more than SIZE_CEILING coordinates in all is refused (SizeError).
     """
+    _check_coordinates(s, d, shell=True)
     return [p for p in box_points(s, d) if max(p) == s]
 
 
-def _check_family_params(d: int, k: int, j: int) -> None:
+def _family_floor(d: int, k: int, j: int) -> int:
+    """Check (d, k, j) and return the largest n whose family in [n]^d is empty.
+    Each of the k-1 summands is >= 1 per coordinate, so a total's are >= k-1,
+    and (k-1, ..., k-1) is only the sum of k-1 copies of (1, ..., 1), which
+    have rank 1: the family starts at n = k-1 for j = 1, at n = k for j >= 2."""
     if k < 3:
         raise InputError(f"need k >= 3, got k={shown(k)}")
     if not 1 <= j <= min(d, k - 1):
         raise InputError(f"j={shown(j)} outside [1, min(d={shown(d)}, "
                          f"k-1={shown(k - 1)})]")
+    return k - 2 if j == 1 else k - 1
 
 
 def _split_total(
@@ -244,8 +270,6 @@ def _split_total(
     _split, not a closure that refers to itself, so a call leaves no
     reference cycle behind for the cyclic garbage collector.
     """
-    if min(total) < k - 1:
-        return
     color = color_of[total] if color_of is not None else None
     _split(found, total, (), total, k - 1, j, color_of, color)
 
@@ -279,7 +303,7 @@ def _split(
 def _family(totals: Iterable[Point], d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     """The j-nondegenerate Schur k-tuples whose total is one of totals, in the
     order of the totals and then of the summands."""
-    _check_family_params(d, k, j)
+    _family_floor(d, k, j)
     found: list[SchurTuple] = []
     for total in totals:
         _split_total(total, k, j, found)
@@ -321,9 +345,8 @@ def verify_free(coloring: Coloring, tuples: Iterable[SchurTuple]) -> Violation |
             if all(color_of[p] == c0 for p in t.summands[1:]):
                 return Violation(t, c0)
     except KeyError as e:
-        raise InputError(
-            f"tuple point {e.args[0]} outside [{coloring.n}]^{coloring.d}"
-        ) from None
+        raise InputError(f"tuple point {shown(e.args[0])} outside "
+                         f"[{shown(coloring.n)}]^{shown(coloring.d)}") from None
     return None
 
 
@@ -336,11 +359,10 @@ def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
     coloring builds none. Family order is the order of the totals and then of
     the summands, so the first tuple found is the first violation.
 
-    Every coordinate of a total is at least k-1, so a box with n < k-1 has
-    no tuple: it is free whatever its d, and no point is built.
+    A box no larger than the family's floor (_family_floor) has no tuple: it
+    is free whatever its d, and no point is built.
     """
-    _check_family_params(coloring.d, k, j)
-    if coloring.n < k - 1:
+    if coloring.n <= _family_floor(coloring.d, k, j):
         return None
     color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
     for total, color in color_of.items():

@@ -44,7 +44,7 @@ from .lattice import (
     Coloring,
     Point,
     Violation,
-    _check_family_params,
+    _family_floor,
     _power_at_most,
     enumerate_shell,
     enumerate_tuples,
@@ -182,9 +182,9 @@ class _Box:
     engines, fixed here once, is the order decide runs: ("internal",) with
     no solver command, else the configured engine and then the other one.
 
-    floor is the largest N whose tuple family is empty: shells 1..floor hold
-    no tuple, so every coloring of [n]^d with n <= floor is free and a
-    refutation there is a fault. ceiling is the theorem's bound
+    floor is the largest N whose tuple family is empty (_family_floor), so
+    every coloring of [n]^d with n <= floor is free and a refutation there
+    is a fault. ceiling is the theorem's bound
     R_r(k)^j - 1 (from the upper end of the Ramsey table): no box [n]^d with
     n >= ceiling has a free coloring, so a certificate there is a fault.
     It is None when R_r(k) is not tabulated.
@@ -200,9 +200,7 @@ class _Box:
         self.n = 0
         self.bases: dict[Point, int] = {}
         self.engine = cdcl.Engine(0, ())
-        self.floor = 0
-        while not enumerate_shell(self.floor + 1, d, k, j):
-            self.floor += 1
+        self.floor = _family_floor(d, k, j)
         try:
             self.ceiling: int | None = schur_upper_bound(d, j, r, k).value
         except NotTabulatedError:
@@ -317,8 +315,8 @@ def find_schur_number(
     """Determine the modified Schur number exactly, or bound it.
 
     Linear ascent, proving every level on the way. The walk starts at the
-    largest N whose tuple family is empty (the box's floor: 1 for k=3, j=1,
-    2 for d=2, k=3, j=2), or at n_max when that is smaller. Every coloring of
+    largest N whose tuple family is empty (the box's floor, k-2 for j=1 and
+    k-1 for j>=2), or at n_max when that is smaller. Every coloring of
     that first box is free, so the first refuted level is the exact
     value and Exact outcomes always carry a verified certificate at value-1
     and a refutation at value. LowerBound(v) means every level through v was
@@ -371,20 +369,20 @@ def brute_force_oracle(n: int, d: int, k: int, j: int, r: int) -> Coloring | Non
 
     Returns the first free coloring in lexicographic order, or None when every
     coloring contains a monochromatic tuple. Refuses more than SIZE_CEILING
-    points or colorings, before building a number larger than that. A box
-    with n < k-1 holds no tuple, so it gets the all-1 coloring at once. This
-    is the independent correctness oracle for probe: it never touches the
-    encoder or the solver.
+    points or colorings, before building a number larger than that. A box no
+    larger than the family's floor holds no tuple, so it gets the all-1
+    coloring at once. This is the independent correctness oracle for probe:
+    it never touches the encoder or the solver.
     """
     if min(n, d, r) < 1:
         raise InputError(f"need n, d, r >= 1, got n={shown(n)}, d={shown(d)}, "
                          f"r={shown(r)}")
-    _check_family_params(d, k, j)
+    floor = _family_floor(d, k, j)
     npoints = _power_at_most(n, d, SIZE_CEILING)
     if npoints is None or _power_at_most(r, npoints, SIZE_CEILING) is None:
         raise SizeError(f"[{shown(n)}]^{shown(d)} in {shown(r)} colors has more than "
                         f"{SIZE_CEILING} points or colorings")
-    if n < k - 1:
+    if n <= floor:
         return Coloring.constant(n, d, r)
     family = enumerate_tuples(n, d, k, j)
     tuple_idx = [

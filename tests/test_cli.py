@@ -319,6 +319,21 @@ class TestSearch:
         assert doc["provenance"]["solver"] == "external:" + internal_solver_cmd[0]
 
 
+@pytest.mark.parametrize("args", [
+    ["search", "--d", "40", "--r", "2"],  # shell 2 has 2^40 - 1 points
+    ["search", "--d", "100000000", "--k", "3", "--j", "1", "--r", "2"],  # shell 1
+    ["encode", "--n", "1", "--d", "100000000", "--k", "3", "--j", "1", "--r", "2"],
+], ids=["search-shell-2", "search-shell-1", "encode"])
+def test_points_over_the_coordinate_ceiling_exit_4_at_once(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    code, _, err = run([*args, "--out", str(out)], capsys)
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INVALID_INPUT
+    assert err.startswith("error:") and "16777216 coordinates" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerify:
     def test_valid_certificate(self, free_cert_path, capsys):
         code, out, _ = run(["verify", str(free_cert_path)], capsys)

@@ -19,6 +19,7 @@ from schurlat.errors import InputError
 from schurlat.lattice import (
     Coloring,
     SchurTuple,
+    _family_floor,
     box_points,
     det,
     enumerate_shell,
@@ -266,6 +267,18 @@ class TestShells:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("d, k, j", [
+        (d, k, j)
+        for d, ks in [(1, range(3, 8)), (2, range(3, 8)), (3, range(3, 8)),
+                      (4, range(3, 7))]
+        for k in ks for j in range(1, min(d, k - 1) + 1)
+    ])
+    def test_floor_is_the_last_empty_shell(self, d, k, j):
+        # The closed form k-2 (j = 1) or k-1 (j >= 2) against enumeration.
+        floor = _family_floor(d, k, j)
+        assert all(not enumerate_shell(s, d, k, j) for s in range(1, floor + 1))
+        assert enumerate_shell(floor + 1, d, k, j)
 
     def test_shell_validation(self):
         with pytest.raises(InputError):

@@ -17,7 +17,7 @@ import pytest
 
 from schurlat import bounds, cdcl, cli, lattice, render, search, solver_cli, witness
 from schurlat.bounds import SchurUpperBound, ramsey_number
-from schurlat.encoder import EncodingMeta, encode, var_index, var_point_color
+from schurlat.encoder import CnfFormula, EncodingMeta, encode, var_index, var_point_color
 from schurlat.errors import (
     InputError,
     IntegrityError,
@@ -354,13 +354,19 @@ BIG = 10**5000
     (lambda: render.render_ascii(Coloring(1, BIG, 2, (1,))), RenderError),
     (lambda: bounds.schur_3k_formula(-BIG), InputError),
     (lambda: bounds.RamseyEntry(2, 3, BIG, 1, "s"), InputError),
+    (lambda: verify_free(Coloring.constant(2, 1, 2),
+                         [SchurTuple(((1,), (BIG,)), (BIG + 1,))]), InputError),
+    (lambda: CnfFormula(1, ((BIG,),)), InputError),
+    (lambda: cdcl.Engine(1, [[BIG]]), InputError),
+    (lambda: cdcl.Engine(1, []).add_clauses([[1, -BIG]]), InputError),
 ], ids=["oracle-n", "coloring-n", "coloring-d", "meta-n", "point-from-index-n",
         "point-index-coordinate", "box-points-n", "nondegenerate-j", "ramsey-k",
         "schur-upper-bound-k", "encode-r", "var-index-m", "probe-r", "search-n-max",
         "guarantee-d", "guarantee-threshold", "var-point-color-num-vars",
         "clique-k", "vandermonde-m", "vandermonde-d", "graph-m",
         "difference-matrix-indices", "lattice-graph-d", "schur-tuple-summands",
-        "lift-summands", "render-ascii-d", "schur-3k-k", "ramsey-entry-lower"])
+        "lift-summands", "render-ascii-d", "schur-3k-k", "ramsey-entry-lower",
+        "verify-free-point", "cnf-literal", "engine-literal", "add-clauses-literal"])
 def test_refusal_of_a_huge_integer_does_not_format_it(call, error):
     # str() refuses an integer of more than 4,300 digits with a bare
     # ValueError; the refusal must stay the documented type.
@@ -487,6 +493,19 @@ class TestFindSchurNumber:
     def test_bad_ranges(self):
         with pytest.raises(InputError, match="n_max"):
             find_schur_number(1, 3, 1, 2, n_max=0)
+
+    @pytest.mark.parametrize("d, k, j, r, floor", [(2, 3, 2, 3, 2), (3, 4, 3, 2, 3)])
+    def test_box_enumerates_no_shell_to_find_its_floor(self, monkeypatch, d, k, j, r,
+                                                        floor):
+        def refuse(*args):
+            raise AssertionError("a shell was enumerated")
+        monkeypatch.setattr(search, "enumerate_shell", refuse)
+        assert _Box(d, k, j, r, EngineConfig()).floor == floor
+
+    def test_shell_over_the_coordinate_ceiling_is_refused(self):
+        # Shell 2 of [2]^40 has 2^40 - 1 points; none is built.
+        with pytest.raises(SizeError, match="coordinates"):
+            probe(2, 40, 3, 2, 2)
 
     @pytest.mark.parametrize("d, k, j, start", [
         (1, 3, 1, 1), (2, 3, 1, 1), (2, 3, 2, 2), (2, 4, 2, 3), (3, 4, 3, 3),
