@@ -19,9 +19,10 @@ from .errors import InputError, SizeError, shown
 
 Point = tuple[int, ...]
 # brute_force_oracle tries at most this many colorings, `schurlat witness
-# --random-seed` colors at most this many points, render_ppm draws at most
-# this many pixels, and the points of a shell a search grows, or of a box
-# encode numbers, hold at most this many coordinates in all.
+# --random-seed` and Coloring.constant color at most this many points,
+# render_ppm draws at most this many pixels, and the points of a shell a
+# search grows, or of a box encode numbers, hold at most this many
+# coordinates in all.
 SIZE_CEILING = 1 << 24
 
 
@@ -220,7 +221,13 @@ class Coloring:
 
     @classmethod
     def constant(cls, n: int, d: int, r: int, color: int = 1) -> "Coloring":
-        return cls(n, d, r, (color,) * n**d)
+        """Every point colored `color`. More than SIZE_CEILING points is
+        refused (SizeError) before the colors are built; for n or d below 1
+        no color is built, and the constructor refuses the parameters."""
+        size = _power_at_most(n, d, SIZE_CEILING) if min(n, d) >= 1 else 0
+        if size is None:
+            raise SizeError(f"[{shown(n)}]^{shown(d)} has more than {SIZE_CEILING} points")
+        return cls(n, d, r, (color,) * size)
 
 
 @dataclass(frozen=True)

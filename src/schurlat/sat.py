@@ -13,7 +13,7 @@ import shlex
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import cdcl
 from .cdcl import Budget, Sat, SolveResult, Unknown, Unsat
@@ -78,10 +78,49 @@ class _Literals(dict):
         return value
 
 
+# read_dimacs reads its text in blocks of whole lines: each block runs from
+# this many characters on to just after the next "\n", or to the end.
+_BLOCK = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text as str.splitlines cuts them, one block at a time. A
+    block with no "c", "p" or "%" holds no comment, header or end line, so
+    it comes whole, as one line: its tokens are those of its lines in order,
+    since every line break is whitespace to str.split."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        block = text[start:end]
+        start = end
+        if "c" in block or "p" in block or "%" in block:
+            yield from block.splitlines()
+        else:
+            yield block
+
+
+def _bad_line(text: str, literal: Callable[[str], int]) -> str:
+    """The first line of text, stripped, holding a token literal refuses."""
+    for line in text.splitlines():
+        try:
+            for token in line.split():
+                literal(token)
+        except ValueError:
+            return line.strip()
+    raise AssertionError("no bad token in the text")
+
+
 def read_dimacs(text: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF text in one pass. Comment lines are ignored, clauses
     may span lines, and a "%" line ends the file. There is exactly one
-    "p cnf" header, and it comes before the first clause.
+    "p cnf" header, and it comes before the first clause. Lines end where
+    str.splitlines ends them.
+
+    The text is read in blocks of whole lines of about 64 KiB, and a block
+    that holds only clauses is split and parsed at once, so the transient
+    memory beyond the text and the formula is bounded by a block. A clause
+    open at the end of a block goes on in the next. A bad token is named
+    with its line.
 
     Every occurrence of a literal value in the clauses is the same int
     object, so a formula of many clauses over few variables costs one
@@ -91,9 +130,9 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
+    current: list[int] = []  # a clause still open, in a list so it grows in place
     literal = _Literals().__getitem__
-    for line in text.splitlines():
+    for line in _lines(text):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
@@ -113,15 +152,23 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
         if line == "%":
             break
         try:
-            values = list(map(literal, line.split()))
+            values = tuple(map(literal, line.split()))
         except ValueError:
-            raise ParseError(f"bad DIMACS clause line: {line!r}") from None
-        for t in values:
-            if t:
-                current.append(t)
-            else:
-                clauses.append(tuple(current))
-                current.clear()
+            raise ParseError(
+                f"bad DIMACS clause line: {_bad_line(line, literal)!r}") from None
+        pos = 0
+        try:
+            while True:
+                end = values.index(0, pos)
+                if current:
+                    current += values[pos:end]
+                    clauses.append(tuple(current))
+                    current.clear()
+                else:
+                    clauses.append(values[pos:end])
+                pos = end + 1
+        except ValueError:  # no 0 left: the rest opens a clause
+            current += values[pos:]
     if num_vars is None or num_clauses is None:
         raise ParseError("missing DIMACS 'p cnf' header")
     if current:

@@ -15,7 +15,7 @@ from conftest import (
     oracle_subset_independent,
     oracle_tuple_family,
 )
-from schurlat.errors import InputError
+from schurlat.errors import InputError, SizeError
 from schurlat.lattice import (
     Coloring,
     SchurTuple,
@@ -349,6 +349,16 @@ class TestColoring:
         # 3**10**7 has 4.8 million digits; the length test never builds it.
         with pytest.raises(InputError, match=r"expected 3\^10000000"):
             Coloring(3, 10**7, 1, (1,))
+
+    def test_constant_over_the_ceiling_is_size_error(self):
+        # Repeating a color 2**100 times raises OverflowError, not SizeError.
+        with pytest.raises(SizeError, match=r"\[2\]\^100 has more than 16777216 points"):
+            Coloring.constant(2, 100, 2)
+        with pytest.raises(SizeError):
+            Coloring.constant(2, 25, 2)
+        with pytest.raises(InputError, match="bad coloring parameters"):
+            Coloring.constant(2, -1, 2)
+        assert Coloring.constant(1, 10**18, 2).colors == (1,)
 
     def test_color_of_row_major(self):
         chi = Coloring(2, 2, 4, (1, 2, 3, 4))
