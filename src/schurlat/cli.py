@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import random
+import shutil
 import sys
 from pathlib import Path
 
@@ -49,9 +50,9 @@ def _add_param_flags(p: argparse.ArgumentParser, *, need_r: bool = True,
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=("internal", "external"), default="internal")
     p.add_argument("--solver-cmd", default=None, metavar="CMD",
-                   help="external solver command (else $SCHUR_SOLVER)")
+                   help="external DIMACS solver that decides each level first, the "
+                        "internal engine answering its Unknowns (else $SCHUR_SOLVER)")
     p.add_argument("--budget-s", type=float, default=None, metavar="S",
                    help="per-solve wall-clock budget in seconds")
     _add_symmetry_flag(p)
@@ -71,8 +72,9 @@ def _engine_config(args) -> search.EngineConfig:
     budget = Budget(seconds=args.budget_s) if args.budget_s is not None else None
     line = os.environ.get("SCHUR_SOLVER") if args.solver_cmd is None else args.solver_cmd
     command = split_command(line) if line else None
+    if command and shutil.which(command[0]) is None:
+        raise InputError(f"solver program {command[0]!r} not found")
     return search.EngineConfig(
-        engine=args.engine,
         solver_command=command,
         budget=budget,
         symmetry_break=args.symmetry_break,

@@ -9,6 +9,7 @@ the lattice instead, see search._Box.decide).
 
 from __future__ import annotations
 
+import re
 import shlex
 import subprocess
 import tempfile
@@ -79,18 +80,21 @@ class _Literals(dict):
 
 
 # read_dimacs reads its text in blocks of whole lines: each block runs from
-# this many characters on to just after the next "\n", or to the end.
+# this many characters on to just after the next "\n" or "\r", or to the end.
 _BLOCK = 1 << 16
+_BREAK = re.compile(r"[\r\n]").search
 
 
 def _lines(text: str) -> Iterator[str]:
     """The lines of text as str.splitlines cuts them, one block at a time. A
     block with no "c", "p" or "%" holds no comment, header or end line, so
     it comes whole, as one line: its tokens are those of its lines in order,
-    since every line break is whitespace to str.split."""
+    since every line break is whitespace to str.split. A cut between "\r"
+    and "\n" adds one empty line, which the grammar skips."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        cut = _BREAK(text, start + _BLOCK)
+        end = cut.end() if cut else len(text)
         block = text[start:end]
         start = end
         if "c" in block or "p" in block or "%" in block:

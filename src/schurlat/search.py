@@ -140,25 +140,18 @@ SearchOutcome = Exact | LowerBound | Inconclusive
 class EngineConfig:
     """How probes get decided.
 
-    engine selects the primary decision procedure; on an Unknown outcome the
-    other one is tried as well (when available) before giving up. The
-    external engine is available only through solver_command, argv words
-    that engine="external" requires. symmetry_break adds the documented
-    unit-clause extension to the encoding.
+    solver_command, argv words, names an external solver; a named solver
+    decides each level first, and the internal engine answers its Unknowns.
+    symmetry_break adds the documented unit-clause extension to the encoding.
     """
 
-    engine: str = "internal"
     solver_command: tuple[str, ...] | None = None
     budget: sat.Budget | None = None
     symmetry_break: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in ("internal", "external"):
-            raise InputError(f"engine must be internal or external, got {self.engine!r}")
         if isinstance(self.solver_command, str):
             raise InputError("solver command must be argv words, not a str")
-        if self.engine == "external" and not self.solver_command:
-            raise InputError("external engine selected but no solver command given")
 
 
 def _utc_now() -> str:
@@ -174,13 +167,13 @@ class _Box:
     decided level n decides level n+1 after those clauses are added. Each
     solve starts afresh except for the clauses, level-0 facts and saved
     phases, so the last level's model seeds the next level's decisions. The
-    engine receives every shell even when the external engine is configured,
-    because it is the fallback. The box keeps only the engine and
-    the points' variable bases; formula() rebuilds the clauses, shell by
-    shell in the same numbering, for an external solver.
+    engine receives every shell even when a solver is named, because it is
+    the fallback. The box keeps only the engine and the points' variable
+    bases; formula() rebuilds the clauses, shell by shell in the same
+    numbering, for an external solver.
 
     engines, fixed here once, is the order decide runs: ("internal",) with
-    no solver command, else the configured engine and then the other one.
+    no solver command, else ("external", "internal").
 
     floor is the largest N whose tuple family is empty (_family_floor), so
     every coloring of [n]^d with n <= floor is free and a refutation there
@@ -195,8 +188,7 @@ class _Box:
             raise InputError(f"need r >= 1, got r={shown(r)}")
         self.d, self.k, self.j, self.r = d, k, j, r
         self.config = config
-        engines = ("internal", "external") if config.solver_command else ("internal",)
-        self.engines = engines[::-1] if config.engine == "external" else engines
+        self.engines = ("external", "internal") if config.solver_command else ("internal",)
         self.n = 0
         self.bases: dict[Point, int] = {}
         self.engine = cdcl.Engine(0, ())

@@ -208,7 +208,7 @@ class TestSearch:
         liar = tmp_path / "liar.py"
         liar.write_text("print('s UNSATISFIABLE')\n")
         code, _, err = run(
-            ["search", "--d", "2", "--r", "2", "--engine", "external",
+            ["search", "--d", "2", "--r", "2",
              "--solver-cmd", f"{sys.executable} {liar}",
              "--out", str(tmp_path / "certs"), "-q"],
             capsys,
@@ -221,14 +221,32 @@ class TestSearch:
             main(["search", "--d", "1", "--out", str(tmp_path)])
         assert exc.value.code == EXIT_INVALID_INPUT
 
-    def test_external_engine_without_command_exits_4(self, tmp_path, capsys):
-        code, _, err = run(
-            ["search", "--d", "1", "--r", "2", "--engine", "external",
-             "--out", str(tmp_path), "-q"],
-            capsys,
-        )
+    def test_engine_is_an_unknown_flag(self, tmp_path, capsys):
+        # Naming a solver is what selects it; there is no engine option.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "1", "--r", "2", "--engine", "external",
+                  "--out", str(tmp_path / "certs")])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "--engine" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_missing_solver_program_exits_4(self, tmp_path, capsys, monkeypatch, source):
+        # The named solver decides first, so a program that is not there
+        # would hand every level to the fallback unnoticed.
+        missing = str(tmp_path / "no-such-solver")
+        if source == "flag":
+            flags = ["--solver-cmd", missing]
+        else:
+            flags = []
+            monkeypatch.setenv("SCHUR_SOLVER", missing)
+        out_dir = tmp_path / "certs"
+        code, out, err = run(["search", "--d", "2", "--r", "2", *flags,
+                              "--out", str(out_dir), "-q"], capsys)
         assert code == EXIT_INVALID_INPUT
-        assert "solver" in err
+        assert out == ""
+        assert "not found" in err and "no-such-solver" in err
+        assert not out_dir.exists()
 
     def test_symmetry_break_with_one_color_exits_4(self, tmp_path, capsys):
         # encode refuses it too: with r=1 there is no variable to fix.
@@ -252,7 +270,7 @@ class TestSearch:
                                                   malformed_solver):
         out_dir = tmp_path / "certs"
         code, out, _ = run(
-            ["search", "--d", "1", "--r", "2", "--engine", "external",
+            ["search", "--d", "1", "--r", "2",
              "--solver-cmd", malformed_solver, "--out", str(out_dir), "-q"],
             capsys,
         )
@@ -263,7 +281,7 @@ class TestSearch:
 
     def test_unbalanced_quote_in_solver_cmd_exits_4(self, tmp_path, capsys):
         code, _, err = run(
-            ["search", "--d", "1", "--r", "2", "--engine", "external",
+            ["search", "--d", "1", "--r", "2",
              "--solver-cmd", "kissat '-q", "--out", str(tmp_path), "-q"],
             capsys,
         )
@@ -273,7 +291,7 @@ class TestSearch:
     def test_unbalanced_quote_in_solver_env_exits_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCHUR_SOLVER", "kissat '-q")
         code, _, err = run(
-            ["search", "--d", "1", "--r", "2", "--engine", "external",
+            ["search", "--d", "1", "--r", "2",
              "--out", str(tmp_path), "-q"],
             capsys,
         )
@@ -298,7 +316,7 @@ class TestSearch:
                                                   internal_solver_cmd):
         monkeypatch.setenv("SCHUR_SOLVER", shlex.join(internal_solver_cmd))
         out_dir = tmp_path / "certs"
-        code, out, _ = run(["search", "--d", "1", "--r", "2", "--engine", "external",
+        code, out, _ = run(["search", "--d", "1", "--r", "2",
                             "--out", str(out_dir), "-q"], capsys)
         assert code == EXIT_OK
         assert out.startswith("Exact 5")
@@ -307,10 +325,11 @@ class TestSearch:
 
     def test_solver_cmd_wins_over_the_env(self, tmp_path, capsys, monkeypatch,
                                           internal_solver_cmd):
-        # Were the exported command run, it could not start: an Unknown, exit 3.
+        # Were the exported command the one in use, the CLI would refuse it as
+        # not found (exit 4); the provenance names the flag's solver.
         monkeypatch.setenv("SCHUR_SOLVER", str(tmp_path / "no-such-solver"))
         out_dir = tmp_path / "certs"
-        code, out, _ = run(["search", "--d", "1", "--r", "2", "--engine", "external",
+        code, out, _ = run(["search", "--d", "1", "--r", "2",
                             "--solver-cmd", shlex.join(internal_solver_cmd),
                             "--out", str(out_dir), "-q"], capsys)
         assert code == EXIT_OK

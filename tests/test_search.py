@@ -8,7 +8,6 @@ import json
 import os
 import random
 import re
-import shlex
 import sys
 import tracemalloc
 from collections import Counter
@@ -101,10 +100,6 @@ class TestProbe:
     def test_bad_parameters(self, n, r, word):
         with pytest.raises(InputError, match=word):
             probe(n, 1, 3, 1, r)
-
-    def test_external_engine_without_command_errors(self):
-        with pytest.raises(InputError):
-            probe(3, 1, 3, 1, 2, EngineConfig(engine="external"))
 
     def test_symmetry_break_still_verifies(self):
         out = probe(6, 2, 3, 2, 2, EngineConfig(symmetry_break=True))
@@ -532,8 +527,7 @@ class TestFindSchurNumber:
         # The first level's family is empty, so a solver that refutes it lies.
         liar = tmp_path / "liar.py"
         liar.write_text("print('s UNSATISFIABLE')\n")
-        config = EngineConfig(engine="external",
-                              solver_command=(sys.executable, str(liar)))
+        config = EngineConfig(solver_command=(sys.executable, str(liar)))
         with pytest.raises(IntegrityError, match="empty"):
             find_schur_number(2, 3, 2, 2, config=config, ledger_path=tmp_path / "l.csv")
         assert not (tmp_path / "l.csv").exists()
@@ -613,26 +607,25 @@ class TestAscent:
         assert out.witness.coloring.color_of((1, 1)) == 1
 
     def test_escalation_keeps_the_search_going(self, tmp_path, internal_solver_cmd):
-        # Two conflicts are enough for every level of the three-color search
-        # but N=13 and N=14 (12 and 130): the external solver answers those
-        # levels, the shared engine the rest.
-        config = EngineConfig(budget=Budget(conflicts=2),
-                              solver_command=tuple(internal_solver_cmd))
+        # An external solver that gives up after two conflicts answers every
+        # level of the three-color search but N=13 and N=14: the shared
+        # engine, which holds the same formula, answers those.
+        config = EngineConfig(solver_command=(*internal_solver_cmd, "--max-conflicts", "2"))
         ledger = tmp_path / "ledger.csv"
         out = find_schur_number(1, 3, 1, 3, config=config, ledger_path=ledger)
         assert isinstance(out, Exact) and out.value == 14
         with ledger.open() as fh:
-            external = [int(row["n"]) for row in csv.DictReader(fh)
-                        if row["solver"].startswith("external:")]
-        assert external == [13, 14]
-        assert out.witness.provenance.solver.startswith("external:")
-        assert out.refutation.solver.startswith("external:")
+            internal = [int(row["n"]) for row in csv.DictReader(fh)
+                        if row["solver"] == "schurlat-cdcl"]
+        assert internal == [13, 14]
+        assert out.witness.provenance.solver == "schurlat-cdcl"
+        assert out.refutation.solver == "schurlat-cdcl"
         assert verify_certificate(out.witness) is None
 
     def test_external_engine_search_in_the_plane(self, tmp_path, internal_solver_cmd):
         # The external solver gets the search's shell-numbered formula; its
         # models are decoded through the shell bases.
-        config = EngineConfig(engine="external", solver_command=tuple(internal_solver_cmd))
+        config = EngineConfig(solver_command=tuple(internal_solver_cmd))
         out = find_schur_number(2, 3, 2, 2, config=config, cert_dir=tmp_path)
         assert isinstance(out, Exact) and out.value == 7
         assert out.refutation.solver.startswith("external:")
@@ -645,7 +638,7 @@ class TestAscent:
     def test_escalation_from_external_to_internal(self):
         # A solver that prints nothing answers Unknown; the internal engine,
         # which holds the same formula, answers instead.
-        config = EngineConfig(engine="external", solver_command=(sys.executable, "-c", "pass"))
+        config = EngineConfig(solver_command=(sys.executable, "-c", "pass"))
         out = find_schur_number(2, 3, 2, 2, config=config)
         assert isinstance(out, Exact) and out.value == 7
         assert out.witness.provenance.solver == "schurlat-cdcl"
@@ -656,7 +649,7 @@ class TestAscent:
         # N=10 is the first level that needs a conflict: the silent external
         # solver and the budgeted internal engine both give up there, and the
         # level records the external engine's reason.
-        config = EngineConfig(engine="external", budget=Budget(conflicts=1),
+        config = EngineConfig(budget=Budget(conflicts=1),
                               solver_command=(sys.executable, "-c", "pass"))
         out = find_schur_number(1, 3, 1, 3, config=config)
         assert isinstance(out, Inconclusive)
@@ -813,30 +806,15 @@ class TestVerifyCertificate:
 
 
 class TestEngineConfig:
-    def test_engine_validation(self):
-        with pytest.raises(InputError):
-            EngineConfig(engine="quantum")
-
-    def test_external_engine_needs_a_solver_command(self, internal_solver_cmd,
-                                                    monkeypatch):
-        # A valid exported $SCHUR_SOLVER does not stand in for solver_command.
-        monkeypatch.setenv("SCHUR_SOLVER", shlex.join(internal_solver_cmd))
-        with pytest.raises(InputError, match="no solver command"):
-            EngineConfig(engine="external")
-        with pytest.raises(InputError, match="no solver command"):
-            EngineConfig(engine="external", solver_command=())
-
     def test_string_solver_command_refused(self):
         # Provenance names command[0], the first argv word, not a character.
         with pytest.raises(InputError, match="argv words, not a str"):
-            EngineConfig(engine="external",
-                         solver_command=sys.executable + " -m schurlat.solver_cli")
+            EngineConfig(solver_command=sys.executable + " -m schurlat.solver_cli")
 
-    @pytest.mark.parametrize("engine, command, order", [
-        ("internal", None, ("internal",)),
-        ("internal", ("s",), ("internal", "external")),
-        ("external", ("s",), ("external", "internal")),
-    ], ids=["internal", "internal-then-external", "external-then-internal"])
-    def test_box_fixes_its_engine_order(self, engine, command, order):
-        config = EngineConfig(engine=engine, solver_command=command)
+    @pytest.mark.parametrize("command, order", [
+        (None, ("internal",)),
+        (("s",), ("external", "internal")),
+    ], ids=["internal", "external-then-internal"])
+    def test_box_fixes_its_engine_order(self, command, order):
+        config = EngineConfig(solver_command=command)
         assert _Box(1, 3, 1, 2, config).engines == order
