@@ -55,13 +55,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                         "internal engine answering its Unknowns (else $SCHUR_SOLVER)")
     p.add_argument("--budget-s", type=float, default=None, metavar="S",
                    help="per-solve wall-clock budget in seconds")
-    _add_symmetry_flag(p)
-
-
-def _add_symmetry_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--symmetry-break", action="store_true",
-                   help="add the unit clause fixing the color of (1,...,1); "
-                        "a sound extension of the default encoding")
 
 
 def _effective_j(args) -> int:
@@ -74,11 +67,7 @@ def _engine_config(args) -> search.EngineConfig:
     command = split_command(line) if line else None
     if command and shutil.which(command[0]) is None:
         raise InputError(f"solver program {command[0]!r} not found")
-    return search.EngineConfig(
-        solver_command=command,
-        budget=budget,
-        symmetry_break=args.symmetry_break,
-    )
+    return search.EngineConfig(solver_command=command, budget=budget)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -86,7 +75,7 @@ def _engine_config(args) -> search.EngineConfig:
 def cmd_encode(args) -> int:
     j = _effective_j(args)
     formula = encode(args.n, args.d, args.k, j, args.r,
-                     fix_first_point_color=args.symmetry_break)
+                     color_precedence=args.symmetry_break)
     data = write_dimacs(formula)
     if args.out:
         search.write_atomically(args.out, data)
@@ -241,7 +230,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("encode", help="write the CNF encoding as DIMACS")
     _add_param_flags(p)
     p.add_argument("--n", type=int, required=True, help="box size")
-    _add_symmetry_flag(p)
+    p.add_argument("--symmetry-break", action="store_true",
+                   help="add the color-precedence units a search uses: the i-th "
+                        "point of shell order (shell 1, shell 2, ..., row-major "
+                        "within a shell), for i < r, takes one of the last i "
+                        "colors, so (1,...,1) has color r; a sound extension of "
+                        "the default encoding (needs r >= 2)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_encode)
 

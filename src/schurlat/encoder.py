@@ -23,7 +23,9 @@ Clause emission order is fixed so byte-identical DIMACS output is reproducible:
 at-most-one-color clauses first (points in the order given, color pairs
 lexicographic), then per-tuple clauses in family order, each tuple
 contributing its r-1 negative clauses (color 1 .. r-1) followed by one
-positive clause, then the optional symmetry-breaking unit.
+positive clause, then, under color_precedence, the color-precedence units of
+the points handed over (point order, then color order). A search always
+emits them; `schurlat encode` only under --symmetry-break.
 """
 
 from __future__ import annotations
@@ -119,34 +121,59 @@ def var_point_color(v: int, meta: EncodingMeta) -> tuple[Point, int]:
     return point_from_index(pm + 1, meta.n, meta.d), m + 1
 
 
+def precedence_points(n: int, d: int, r: int) -> list[Point]:
+    """p_1, ..., p_{r-1}: the first r-1 points of [n]^d in shell order (shell
+    1, then shell 2, and so on, row-major within a shell), fewer when [n]^d
+    has fewer points. Color precedence gives p_i one of the last i colors
+    r-i+1, ..., r: the units not phi_m(p_i) for m = 1 .. r-i, so (1,...,1)
+    has color r.
+
+    The units keep a formula satisfiable exactly when it was before. Relabel
+    the colors of any free coloring in order of first appearance along shell
+    order: the first color seen becomes r, the next r-1, and so on. A color
+    permutation keeps a coloring free, because the tuple family does not
+    depend on the colors. The first i points of shell order show at most i
+    colors, so after relabelling p_i has one of the last i colors and every
+    unit holds. A search therefore refutes the color-reduced formula, and
+    that refutation is one of the whole formula.
+
+    The shell order is the search's numbering order and does not depend on
+    n, so the units of [n]^d are those of every larger box that lie in
+    [n]^d; they favor color r, which the engine's saved phases (all false
+    at first) already pick for an undecided point."""
+    shells = (p for s in range(1, n + 1) for p in box_points(s, d) if max(p) == s)
+    return list(itertools.islice(shells, r - 1))
+
+
 def encode_points(
     points: Sequence[Point],
     tuples: Iterable[SchurTuple],
     bases: dict[Point, int],
     r: int,
     *,
-    fix_first_point_color: bool = False,
+    color_precedence: bool = False,
 ) -> list[Clause]:
     """The one clause builder. Numbers the given points after those already in
     bases (var(p, m) = bases[p] + m, bases[p] = position * (r-1)), then emits
-    their at-most-one-color clauses, then r clauses per tuple, then, when asked
-    and (1,...,1) is among the points, the unit phi_1((1,...,1)).
+    their at-most-one-color clauses, then r clauses per tuple, then, when
+    asked, the color-precedence units (see precedence_points) of the points
+    it numbered.
 
     Distinctness: for each point and each color pair i < m <= r-1, the
     2-clause (not phi_i(p) or not phi_m(p)); none for r <= 2. Tuples: for a
     tuple with distinct point set P, one clause (or over p in P of not
     phi_i(p)) for each i in [r-1], plus one positive clause (or over i, p of
     phi_i(p)) forbidding "all of P has color r". Every point of a tuple must
-    be numbered by then. The unit is a sound symmetry-breaking extension
-    (colors are interchangeable) and needs r >= 2.
+    be numbered by then. The units come last, so that an engine adding this
+    call's clauses at level 0 keeps the tuple clauses whole; with r = 1 there
+    are none.
 
     Each numbered point's r-1 positive and r-1 negative literals are built
     once per call; a tuple's negative clauses are those tuples zipped over
     its points and its positive clause is their concatenation, so clauses
     share literal objects instead of each allocating its own.
     """
-    if fix_first_point_color and r < 2:
-        raise InputError("symmetry breaking needs r >= 2 (no variables otherwise)")
+    start = len(bases) * (r - 1)
     for p in points:
         bases[p] = len(bases) * (r - 1)
     colors = range(1, r)
@@ -159,10 +186,12 @@ def encode_points(
         distinct = t.distinct_points()
         clauses.extend(zip(*[neg[p] for p in distinct]))
         clauses.append(tuple(itertools.chain.from_iterable([pos[p] for p in distinct])))
-    if fix_first_point_color and points:
-        origin = (1,) * len(points[0])
-        if origin in points:
-            clauses.append((pos[origin][0],))
+    if color_precedence and points:
+        first = precedence_points(max(map(max, points)), len(points[0]), r)
+        numbered = sorted((bases[p], i, p) for i, p in enumerate(first, 1)
+                          if bases.get(p, -1) >= start)
+        for _, i, p in numbered:
+            clauses.extend((lit,) for lit in neg[p][:r - i])
     return clauses
 
 
@@ -173,25 +202,28 @@ def encode(
     j: int,
     r: int,
     *,
-    fix_first_point_color: bool = False,
+    color_precedence: bool = False,
 ) -> CnfFormula:
     """Compile "some r-coloring of [n]^d avoids every j-nondegenerate Schur
     k-tuple" to CNF in row-major numbering. Satisfiable iff such a free
     coloring exists.
 
-    fix_first_point_color appends the unit clause phi_1((1,...,1)) — a sound
-    symmetry-breaking extension (colors are interchangeable), NOT part of the
-    default encoding; golden files cover the default only. A box whose
-    points hold more than SIZE_CEILING coordinates in all is refused
-    (SizeError) before any point is built.
+    color_precedence appends the color-precedence units (see
+    precedence_points), so the formula is the one a search decides,
+    renumbered; it is NOT part of the default encoding, and it needs r >= 2.
+    Golden files cover the default only. A box whose points hold more than
+    SIZE_CEILING coordinates in all is refused (SizeError) before any point
+    is built.
     """
     if r < 1:
         raise InputError(f"need r >= 1, got r={shown(r)}")
+    if color_precedence and r < 2:
+        raise InputError("symmetry breaking needs r >= 2 (no variables otherwise)")
     _check_coordinates(n, d, shell=False)
     tuples = enumerate_tuples(n, d, k, j)
     meta = EncodingMeta(n, d, r, k, j)
     clauses = encode_points(list(box_points(n, d)), tuples, {}, r,
-                            fix_first_point_color=fix_first_point_color)
+                            color_precedence=color_precedence)
     return CnfFormula(meta.num_vars, tuple(clauses), meta)
 
 

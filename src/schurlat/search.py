@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import os
+import shlex
 import stat
 import tempfile
 import time
@@ -30,6 +31,7 @@ from .encoder import (
     EncodingMeta,
     decode_model,
     encode_points,
+    precedence_points,
 )
 from .errors import (
     InputError,
@@ -142,12 +144,10 @@ class EngineConfig:
 
     solver_command, argv words, names an external solver; a named solver
     decides each level first, and the internal engine answers its Unknowns.
-    symmetry_break adds the documented unit-clause extension to the encoding.
     """
 
     solver_command: tuple[str, ...] | None = None
     budget: sat.Budget | None = None
-    symmetry_break: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.solver_command, str):
@@ -171,6 +171,10 @@ class _Box:
     the fallback. The box keeps only the engine and the points' variable
     bases; formula() rebuilds the clauses, shell by shell in the same
     numbering, for an external solver.
+
+    Every shell carries the color-precedence units of its points, so a
+    refutation is one of the color-reduced formula; encoder.precedence_points
+    says why that refutes the whole formula.
 
     engines, fixed here once, is the order decide runs: ("internal",) with
     no solver command, else ("external", "internal").
@@ -202,7 +206,7 @@ class _Box:
         """The clauses of shell s, its points numbered after those in bases."""
         return encode_points(shell_points(s, self.d),
                              enumerate_shell(s, self.d, self.k, self.j), bases, self.r,
-                             fix_first_point_color=self.config.symmetry_break)
+                             color_precedence=True)
 
     def _grow(self, n: int) -> None:
         for s in range(self.n + 1, n + 1):
@@ -224,7 +228,7 @@ class _Box:
             return self.engine.solve(self.config.budget), sat.INTERNAL_SOLVER_NAME
         command = self.config.solver_command
         return (sat.solve_external(self.formula(), command, self.config.budget),
-                "external:" + command[0])
+                "external:" + shlex.join(command))
 
     def decide(self, n: int) -> tuple[ProbeOutcome, int]:
         """Grow the formula to [n]^d and run the engines in order until one
@@ -236,8 +240,9 @@ class _Box:
         satisfies every clause: decode_model checks the at-most-one clauses;
         given those, a tuple's r clauses hold unless its points share a color,
         and first_violation, which derives the family of [n]^d (the tuples of
-        shells 1..n) from the lattice, checks every tuple; the symmetry unit
-        phi_1(origin) is the one clause left."""
+        shells 1..n) from the lattice, checks every tuple; the
+        color-precedence units are the clauses left, checked on the first r-1
+        points of shell order."""
         if n <= self.n:
             raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
         t0 = time.monotonic()
@@ -257,9 +262,12 @@ class _Box:
         if isinstance(result, sat.Sat):
             coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
                                     bases=self.bases)
-            if self.config.symmetry_break and coloring.colors[0] != 1:
-                raise IntegrityError(f"decoded model gives the origin color "
-                                     f"{coloring.colors[0]}, not 1")
+            for i, p in enumerate(precedence_points(n, d, r), 1):
+                if coloring.color_of(p) <= r - i:
+                    raise IntegrityError(
+                        f"decoded model gives {p} color {coloring.color_of(p)}, but "
+                        f"color precedence allows only colors {r - i + 1}..{r} there"
+                    )
             violation = first_violation(coloring, k, j)
             if violation is not None:
                 raise IntegrityError(

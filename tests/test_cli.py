@@ -1,5 +1,6 @@
 """Command-line behavior: flags, outputs, and exit codes."""
 
+import csv
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import time
 
 import pytest
 
+from schurlat import search
 from schurlat.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTEGRITY,
@@ -19,6 +21,7 @@ from schurlat.cli import (
     EXIT_OK,
     main,
 )
+from schurlat.encoder import encode
 from schurlat.lattice import Coloring
 from schurlat.search import (
     Certificate,
@@ -79,6 +82,23 @@ class TestEncode:
         captured = capsys.readouterr()
         assert code == EXIT_OK
         assert "p cnf 3" in captured.out
+
+    def test_symmetry_break_with_one_color_exits_4(self, tmp_path, capsys):
+        # With r=1 there is no variable to restrict.
+        out = tmp_path / "f.cnf"
+        code, _, err = run(["encode", "--d", "1", "--r", "1", "--n", "3",
+                            "--symmetry-break", "--out", str(out)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert "symmetry breaking needs r >= 2" in err
+        assert not out.exists()
+
+    def test_help_describes_color_precedence(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "the i-th point of shell order" in text
+        assert "one of the last i colors, so (1,...,1) has color r" in text
 
     def test_default_j_is_min_d_kminus1(self, tmp_path, capsys):
         out = tmp_path / "f.cnf"
@@ -249,15 +269,34 @@ class TestSearch:
         assert not out_dir.exists()
 
     def test_symmetry_break_with_one_color_exits_4(self, tmp_path, capsys):
-        # encode refuses it too: with r=1 there is no variable to fix.
-        code, _, err = run(
-            ["search", "--d", "1", "--r", "1", "--symmetry-break",
-             "--out", str(tmp_path), "-q"],
-            capsys,
-        )
-        assert code == EXIT_INVALID_INPUT
-        assert "symmetry" in err
+        # The search has no symmetry option: color precedence is always on.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "1", "--r", "1", "--symmetry-break",
+                  "--out", str(tmp_path), "-q"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "unrecognized arguments: --symmetry-break" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_symmetry_break_is_an_unknown_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "2", "--r", "3", "--symmetry-break",
+                  "--out", str(tmp_path / "certs"), "-q"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --symmetry-break" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_color_search_gets_no_units(self, tmp_path, capsys):
+        # With r=1 there is no variable, so the search decides the default
+        # encoding, renumbered (for d=1 the numberings agree).
+        code, out, _ = run(["search", "--d", "1", "--r", "1",
+                            "--out", str(tmp_path), "-q"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("Exact 2")
+        box = search._Box(1, 3, 1, 1, search.EngineConfig())
+        box._grow(2)
+        assert box.formula().clauses == encode(2, 1, 3, 1, 1).clauses
 
     @pytest.fixture
     def malformed_solver(self, tmp_path):
@@ -321,7 +360,7 @@ class TestSearch:
         assert code == EXIT_OK
         assert out.startswith("Exact 5")
         doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
-        assert doc["provenance"]["solver"] == "external:" + internal_solver_cmd[0]
+        assert doc["provenance"]["solver"] == "external:" + shlex.join(internal_solver_cmd)
 
     def test_solver_cmd_wins_over_the_env(self, tmp_path, capsys, monkeypatch,
                                           internal_solver_cmd):
@@ -335,7 +374,26 @@ class TestSearch:
         assert code == EXIT_OK
         assert out.startswith("Exact 5")
         doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
-        assert doc["provenance"]["solver"] == "external:" + internal_solver_cmd[0]
+        assert doc["provenance"]["solver"] == "external:" + shlex.join(internal_solver_cmd)
+
+    def test_provenance_names_the_whole_solver_command(self, tmp_path, capsys,
+                                                       internal_solver_cmd):
+        # Two solvers started through one interpreter are told apart, in the
+        # ledger and in the certificates.
+        recorded = []
+        for extra in ([], ["--max-conflicts", "1000"]):
+            command = shlex.join([*internal_solver_cmd, *extra])
+            out_dir = tmp_path / f"run{len(recorded)}"
+            code, out, _ = run(["search", "--d", "1", "--r", "2", "--solver-cmd",
+                                command, "--out", str(out_dir), "-q"], capsys)
+            assert code == EXIT_OK
+            assert out.startswith("Exact 5")
+            with (out_dir / "results.csv").open(newline="") as fh:
+                solvers = {row["solver"] for row in csv.DictReader(fh)}
+            doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
+            assert solvers == {doc["provenance"]["solver"]} == {"external:" + command}
+            recorded.append(solvers)
+        assert recorded[0] != recorded[1]
 
 
 @pytest.mark.parametrize("args", [

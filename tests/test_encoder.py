@@ -146,10 +146,16 @@ class TestEncode:
         assert () in f.clauses
 
     def test_symmetry_break_appends_unit(self):
-        f = encode(3, 2, 3, 2, 2, fix_first_point_color=True)
-        assert f.clauses[-1] == (1,)
+        # Color precedence: (1,1), variable 1 at r=2, has color 2; at r=3,
+        # (1,1) has color 3 and (1,2), variables 3 and 4, color 2 or 3.
+        f = encode(3, 2, 3, 2, 2, color_precedence=True)
+        assert f.clauses[-1] == (-1,)
+        assert f.clauses[:-1] == encode(3, 2, 3, 2, 2).clauses
+        f = encode(3, 2, 3, 2, 3, color_precedence=True)
+        assert f.clauses[-3:] == ((-1,), (-2,), (-3,))
+        assert f.clauses[:-3] == encode(3, 2, 3, 2, 3).clauses
         with pytest.raises(InputError):
-            encode(2, 1, 3, 1, 1, fix_first_point_color=True)
+            encode(2, 1, 3, 1, 1, color_precedence=True)
 
     def test_no_colors_refused(self):
         with pytest.raises(InputError, match="need r >= 1"):
@@ -159,18 +165,18 @@ class TestEncode:
         (9, 1, 3, 1, 2, False,
          "8875bc3888e5c29975384583bc072fa73bc3f0db2d1c78d08dee59bae0c23281"),
         (6, 2, 3, 2, 3, True,
-         "49f010311a7cc92b33bec8238dfba0d123586a2a82996ae11921d0dd66c35ec9"),
+         "9900bf29e11638ef2c72d04b0eb19e76d78ee3136e6cc2d061d14ed7718456ab"),
         (5, 2, 4, 2, 4, False,
          "ea1faed0818ea5c1dc3a8f5aabe15d39d5bd053a9fd493d5edbdf6879c4c44e2"),
         (4, 3, 4, 3, 3, False,
          "58c4d1b4be4260ee1edcc5d36714237eaf8eebb5981f0cf87ba1ea795053e53c"),
         (4, 3, 3, 2, 2, True,
-         "338e4dda6825134760d9cca9efbb3ee7b889577a35e27e77f677778d1500e03b"),
+         "6ad1f47475a1071c450f26b9988353c0b2dbf38808ef7bba4d71bcb1c779275b"),
     ], ids=["d1-k3-r2", "d2-k3-r3-sym", "d2-k4-r4", "d3-k4-r3", "d3-k3-r2-sym"])
     def test_dimacs_bytes_are_pinned(self, n, d, k, j, r, sym, digest):
         # Clause order and literal order fix the bytes, and the engine's
         # counters depend on both; a pure speed change keeps these digests.
-        f = encode(n, d, k, j, r, fix_first_point_color=sym)
+        f = encode(n, d, k, j, r, color_precedence=sym)
         assert hashlib.sha256(write_dimacs(f)).hexdigest() == digest
 
     def test_round_trip_soundness_small(self):

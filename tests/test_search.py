@@ -16,7 +16,14 @@ import pytest
 
 from schurlat import bounds, cdcl, cli, lattice, render, search, solver_cli, witness
 from schurlat.bounds import SchurUpperBound, ramsey_number
-from schurlat.encoder import CnfFormula, EncodingMeta, encode, var_index, var_point_color
+from schurlat.encoder import (
+    CnfFormula,
+    EncodingMeta,
+    coloring_to_assignment,
+    encode,
+    var_index,
+    var_point_color,
+)
 from schurlat.errors import (
     InputError,
     IntegrityError,
@@ -102,16 +109,18 @@ class TestProbe:
             probe(n, 1, 3, 1, r)
 
     def test_symmetry_break_still_verifies(self):
-        out = probe(6, 2, 3, 2, 2, EngineConfig(symmetry_break=True))
+        # Color precedence is always on: the origin takes the last color.
+        out = probe(6, 2, 3, 2, 2)
         assert isinstance(out, Certificate)
-        assert out.coloring.color_of((1, 1)) == 1
+        assert out.coloring.color_of((1, 1)) == 2
+        assert verify_certificate(out) is None
 
 
 class TestModelChecks:
     """A search's model becomes a certificate only after _Box.decide has
     decoded it and checked it against the lattice: at most one color per
-    point, no monochromatic tuple of the box's family and, under symmetry
-    breaking, color 1 at the origin. solve_internal, and so schurlat-solve,
+    point, no monochromatic tuple of the box's family and color precedence
+    on the first r-1 points of shell order. solve_internal, and so schurlat-solve,
     check their models against their own formula instead."""
 
     @pytest.fixture
@@ -151,15 +160,17 @@ class TestModelChecks:
         assert "\nv " not in out
 
     def test_decoded_model_admits_a_tuple(self, monkeypatch):
-        # Without the last clause of shell 5, (x_2 or x_3 or x_5), the engine
-        # may color 2, 3 and 5 alike; the engine's own clauses lack it too.
+        # Without the next-to-last clause of shell 5, (not x_2 or not x_3 or
+        # not x_5), the engine must color 2, 3 and 5 alike: with 1 in color 2,
+        # the rest forces 2 and 3 into color 1, 4 into color 2 and 5 into
+        # color 1. The engine's own clauses lack it too.
         encode_points = search.encode_points
 
-        def drop_last_of_shell_5(points, *args, **kwargs):
+        def drop_from_shell_5(points, *args, **kwargs):
             clauses = encode_points(points, *args, **kwargs)
-            return clauses[:-1] if points == [(5,)] else clauses
+            return clauses[:-2] + clauses[-1:] if points == [(5,)] else clauses
 
-        monkeypatch.setattr(search, "encode_points", drop_last_of_shell_5)
+        monkeypatch.setattr(search, "encode_points", drop_from_shell_5)
         t = SchurTuple(((2,), (3,)), (5,))
         with pytest.raises(IntegrityError, match=re.escape(f"monochromatic tuple {t}")):
             probe(5, 1, 3, 1, 2)
@@ -176,8 +187,12 @@ class TestShellFormula:
     ])
     def test_box_formula_is_encode_renumbered(self, n, d, k, j, r, sym):
         # The search's formula of [n]^d, renamed from shell to row-major
-        # numbering, is the clause multiset encode writes.
-        box = _Box(d, k, j, r, EngineConfig(symmetry_break=sym))
+        # numbering, is the clause multiset encode writes with the
+        # color-precedence units (sym); without them (not sym), it is the
+        # default encoding plus the units of the rule: the i-th point of shell
+        # order, sorted here by largest coordinate and then row-major, loses
+        # its first r-i colors.
+        box = _Box(d, k, j, r, EngineConfig())
         box._grow(n)
         meta = EncodingMeta(n, d, r, k, j)
         rename = {base + m: var_index(p, m, meta)
@@ -189,14 +204,19 @@ class TestShellFormula:
         formula = box.formula()
         renamed = [[rename[l] if l > 0 else -rename[-l] for l in c] for c in formula.clauses]
         assert box.engine.n == formula.num_vars == meta.num_vars
-        assert multiset(renamed) == multiset(encode(n, d, k, j, r,
-                                                    fix_first_point_color=sym).clauses)
+        expected = list(encode(n, d, k, j, r, color_precedence=sym).clauses)
+        if not sym:
+            shell_order = sorted(box_points(n, d), key=lambda p: (max(p), p))
+            expected += [(-var_index(p, m, meta),)
+                         for i, p in enumerate(shell_order[:r - 1], 1)
+                         for m in range(1, r - i + 1)]
+        assert multiset(renamed) == multiset(expected)
 
     @pytest.mark.parametrize("d, k, j, r, n, count, digest", [
-        (2, 3, 2, 3, 12, 6462,
-         "9abfbd8572f809eca371f7a23dd3b0e9a575cb1aa463665037175958adbf75fc"),
-        (2, 3, 2, 4, 14, 16764,
-         "2e89919cadeb5d5b0f0ce587cb8a72f0a2227ce36eecea0add9ba8ed2c77b2bc"),
+        (2, 3, 2, 3, 12, 6465,
+         "ae650028bf3a3afe44bce20a917bb49c84566f8bd63b62d72d5f0685085e2444"),
+        (2, 3, 2, 4, 14, 16770,
+         "5905a1322d0d1eed8b724e1b637ee841f89fb30ef63e0d97a099c679d601cc80"),
     ], ids=["d2-r3-n12", "d2-r4-n14"])
     def test_box_clause_order_is_pinned(self, d, k, j, r, n, count, digest, monkeypatch):
         # The shell-numbered clauses in the order the engine receives them,
@@ -220,7 +240,7 @@ class TestShellFormula:
 
     def test_box_keeps_no_clause_list(self):
         # The engine's clause lists are the box's one copy of the formula:
-        # grown to N=14, d2 r4 holds 73,968 stored literals and the box
+        # grown to N=14, d2 r4 holds 70,308 stored literals and the box
         # retains about 34 bytes per literal; a second copy of the clauses
         # as tuples adds about 20 more.
         tracemalloc.start()
@@ -232,7 +252,7 @@ class TestShellFormula:
         finally:
             tracemalloc.stop()
         literals = sum(map(len, box.engine.clauses))
-        assert literals == 73968
+        assert literals == 70308
         assert retained / literals < 44
 
 
@@ -241,20 +261,21 @@ class TestLatticeChecksCoverTheFormula:
     clauses. Over every assignment of some tiny boxes, it returns a
     certificate exactly when check_model accepts the assignment on the box's
     formula, and raises IntegrityError on every other assignment.
-    satisfying counts the free colorings of the box, with color 1 at the
-    origin under symmetry breaking."""
+    satisfying counts, by brute force, the free colorings of the box that
+    keep color precedence (the i-th point of shell order has one of the last
+    i colors)."""
 
-    @pytest.mark.parametrize("d, k, j, r, n, sym, satisfying", [
-        (1, 3, 1, 2, 4, False, 2),
-        (1, 3, 1, 3, 5, True, 22),
-        (2, 3, 2, 2, 3, False, 208),
-        (2, 3, 2, 2, 3, True, 104),  # half of the 208 free colorings
-        (2, 3, 1, 3, 2, True, 18),
-        (1, 4, 1, 3, 5, False, 132),
+    @pytest.mark.parametrize("d, k, j, r, n, satisfying", [
+        (1, 3, 1, 2, 4, 1),  # of 2 free colorings
+        (1, 3, 1, 3, 5, 11),  # of 66
+        (2, 3, 2, 2, 3, 104),  # of 208
+        (2, 3, 1, 3, 2, 12),  # of 54
+        (1, 4, 1, 3, 5, 26),  # of 132
+        (1, 3, 1, 4, 4, 8),  # of 132
     ])
-    def test_decide_accepts_exactly_the_models(self, d, k, j, r, n, sym, satisfying,
+    def test_decide_accepts_exactly_the_models(self, d, k, j, r, n, satisfying,
                                                monkeypatch):
-        config = EngineConfig(symmetry_break=sym)
+        config = EngineConfig()
         box = _Box(d, k, j, r, config)
         box._grow(n)
         formula = box.formula()
@@ -272,6 +293,52 @@ class TestLatticeChecksCoverTheFormula:
                 with pytest.raises(IntegrityError):
                     box.decide(n)
         assert accepted == satisfying
+
+
+class TestColorPrecedence:
+    """The units of encoder.precedence_points keep the formula satisfiable
+    exactly when it was: relabelling the colors of any free coloring in order
+    of first appearance along shell order (the first color seen becomes r,
+    the next r-1, ...) keeps it free and satisfies every unit."""
+
+    @pytest.mark.parametrize("n, d, k, j, r", [
+        *[(n, 1, 3, 1, 3) for n in range(1, 6)],
+        *[(n, 2, 3, 2, r) for r in (2, 3) for n in range(1, 4)],
+    ])
+    def test_relabelled_free_colorings_keep_the_units(self, n, d, k, j, r):
+        family = enumerate_tuples(n, d, k, j)
+        formula = encode(n, d, k, j, r, color_precedence=True)
+        shell_order = sorted(box_points(n, d), key=lambda p: (max(p), p))
+        free = 0
+        for colors in itertools.product(range(1, r + 1), repeat=n**d):
+            coloring = Coloring(n, d, r, colors)
+            if verify_free(coloring, family) is not None:
+                continue
+            free += 1
+            relabel: dict[int, int] = {}
+            for p in shell_order:
+                relabel.setdefault(coloring.color_of(p), r - len(relabel))
+            relabelled = Coloring(n, d, r, tuple(relabel[c] for c in colors))
+            assert verify_free(relabelled, family) is None
+            assert check_model(formula, coloring_to_assignment(relabelled, formula.meta))
+        assert free > 0
+
+    @pytest.mark.parametrize("n, d, k, j, r, colors, point", [
+        (4, 1, 3, 1, 2, (1, 2, 2, 1), (1,)),
+        (4, 1, 3, 1, 3, (3, 1, 1, 2), (2,)),
+        (3, 2, 3, 2, 2, (1, 1, 1, 1, 1, 2, 1, 2, 2), (1, 1)),
+    ])
+    def test_decide_refuses_a_model_that_breaks_the_rule(self, n, d, k, j, r, colors,
+                                                          point, monkeypatch):
+        # The coloring is free, so color precedence is the one check it fails.
+        coloring = Coloring(n, d, r, colors)
+        assert verify_certificate(make_cert(n, d, j, k, r, coloring)) is None
+        box = _Box(d, k, j, r, EngineConfig())
+        monkeypatch.setattr(cdcl.Engine, "solve", lambda engine, *args: Sat({
+            box.bases[p] + m: coloring.color_of(p) == m
+            for p in box_points(n, d) for m in range(1, r)}))
+        with pytest.raises(IntegrityError, match=re.escape(f"gives {point} color 1,")):
+            box.decide(n)
 
 
 class TestBruteForceOracle:
@@ -442,7 +509,7 @@ class TestFindSchurNumber:
                                 ledger_path=ledger)
         assert isinstance(out, Inconclusive)
         assert out.statuses[-1] == (10, "unknown: internal solver budget exhausted "
-                                        "(1 conflicts) after 1 conflicts, 7 decisions, "
+                                        "(1 conflicts) after 1 conflicts, 4 decisions, "
                                         "0 deletion rounds")
         with ledger.open(newline="") as fh:
             rows = [(int(row["n"]), row["outcome"]) for row in csv.DictReader(fh)]
@@ -569,9 +636,9 @@ class TestAscent:
 
     def test_conflict_counts_are_pinned(self, solve_conflicts):
         # The shared engine's count at every level of the three-color search,
-        # 143 in all; a change not meant to alter the search keeps them.
+        # 36 in all; a change not meant to alter the search keeps them.
         assert find_schur_number(1, 3, 1, 3).value == 14
-        assert solve_conflicts == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 12, 130]
+        assert solve_conflicts == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 12, 23]
 
     def test_plane_conflict_counts_are_pinned(self, solve_conflicts):
         # The same for d=2, where shell order differs from row-major order.
@@ -584,13 +651,13 @@ class TestAscent:
         # learnt-clause deletion; no level below it reaches a deletion round.
         out = find_schur_number(2, 3, 2, 3)
         assert isinstance(out, Exact) and out.value == 18
-        assert [s[0] for s in solve_stats] == [0] * 13 + [12, 70, 8, 10568]
+        assert [s[0] for s in solve_stats] == [0] * 13 + [12, 70, 8, 2622]
         assert all(s[4] == 0 for s in solve_stats[:-1]) and solve_stats[-1][4] >= 1
-        assert solve_stats[-1] == (10568, 12680, 187855, 3279, 4)
-        # Every decision of the 17 solves, in order: 13,901 literals and a 0
+        assert solve_stats[-1] == (2622, 3187, 50371, 1624, 1)
+        # Every decision of the 17 solves, in order: 4,360 literals and a 0
         # closing each of the 16 satisfiable levels.
         assert decision_digest.hexdigest() == (
-            "7c4ed5dd124fff17ce1e390d5df059f67400f889fcddd7c4bdd737ff37592478")
+            "0662fc9a2e1f6265a1ef5f0cd8b60a9fe6113510b610f2b724cc90651eb5da38")
 
     def test_conflict_budget_applies_per_level(self, solve_conflicts):
         per_level = solve_conflicts
@@ -601,10 +668,20 @@ class TestAscent:
         out = find_schur_number(1, 3, 1, 3, config=config)
         assert isinstance(out, Exact) and out.value == 14
 
-    def test_symmetry_break(self):
-        out = find_schur_number(2, 3, 2, 2, config=EngineConfig(symmetry_break=True))
+    def test_symmetry_break(self, tmp_path):
+        # Color precedence is always on. With r=4 the first three points of
+        # shell order, (1,1), (1,2) and (2,1), keep colors 4, 3..4 and 2..4
+        # in every certificate.
+        out = find_schur_number(2, 3, 2, 2)
         assert isinstance(out, Exact) and out.value == 7
-        assert out.witness.coloring.color_of((1, 1)) == 1
+        assert out.witness.coloring.color_of((1, 1)) == 2
+        out = find_schur_number(2, 3, 2, 4, n_max=8, cert_dir=tmp_path)
+        assert isinstance(out, LowerBound) and out.value == 8
+        certs = [load_certificate(p) for p in tmp_path.glob("*.cert.json")]
+        assert len(certs) == 7
+        for cert in certs:
+            colors = [cert.coloring.color_of(p) for p in [(1, 1), (1, 2), (2, 1)]]
+            assert colors[0] == 4 and colors[1] >= 3 and colors[2] >= 2
 
     def test_escalation_keeps_the_search_going(self, tmp_path, internal_solver_cmd):
         # An external solver that gives up after two conflicts answers every
@@ -807,7 +884,7 @@ class TestVerifyCertificate:
 
 class TestEngineConfig:
     def test_string_solver_command_refused(self):
-        # Provenance names command[0], the first argv word, not a character.
+        # Provenance joins the argv words; a str would be split into characters.
         with pytest.raises(InputError, match="argv words, not a str"):
             EngineConfig(solver_command=sys.executable + " -m schurlat.solver_cli")
 
