@@ -172,10 +172,14 @@ class Engine:
         is dropped, a repeated literal is kept once, and a clause already true
         at level 0 or holding a literal and its negation is not stored. Sorting
         a clause's codes once puts a repeat next to its first copy and a
-        negation (codes 2v, 2v+1) next to its partner: one pass decides it.
-        Codes come from the code table, so the stored clauses share one int
-        object per code. A literal outside +-1..n raises InputError; the
-        clauses before it stay added.
+        negation (codes 2v, 2v+1) next to its partner, so one pass over the
+        sorted codes finds whether some variable repeats or is assigned at
+        level 0. Most clauses have neither, and the clause is then an
+        exact-size copy of the sorted codes (sorted over-allocates: 120 bytes
+        against 80 for three literals); any other clause goes through
+        _simplify. Codes come from the code table, so the stored clauses share
+        one int object per code. A literal outside +-1..n raises InputError;
+        the clauses before it stay added.
         """
         self._backtrack(0)
         val = self.val
@@ -190,25 +194,41 @@ class Engine:
                 lit = e.args[0]
                 shown_lit = shown(lit) if isinstance(lit, int) else repr(lit)
                 raise InputError(f"literal {shown_lit} outside [1, {self.n}]") from None
-            lits: list[int] = []
-            prev = 0
+            prev = 1
             for lit in codes:
-                if lit == prev:
-                    continue
-                if val[lit] == _TRUE or lit == prev ^ 1:
-                    break  # satisfied at level 0, or a tautology
-                if val[lit] == _UNDEF:
-                    lits.append(lit)
-                prev = lit
+                if val[lit] or lit | 1 == prev:
+                    lits = self._simplify(codes)
+                    break
+                prev = lit | 1
             else:
-                if not lits:
-                    self.ok = False
-                elif len(lits) == 1:
-                    self._enqueue(lits[0], None)
-                else:
-                    self.clauses.append(lits)
-                    watches[lits[0]].append(lits)
-                    watches[lits[1]].append(lits)
+                lits = codes[:]
+            if lits is None:
+                continue
+            if not lits:
+                self.ok = False
+            elif len(lits) == 1:
+                self._enqueue(lits[0], None)
+            else:
+                self.clauses.append(lits)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+
+    def _simplify(self, codes: list[int]) -> list[int] | None:
+        """The literals of sorted codes that are unassigned at level 0, each
+        once; None when the clause is true at level 0 or holds a literal and
+        its negation."""
+        val = self.val
+        lits: list[int] = []
+        prev = 0
+        for lit in codes:
+            if lit == prev:
+                continue
+            if val[lit] == _TRUE or lit == prev ^ 1:
+                return None
+            if val[lit] == _UNDEF:
+                lits.append(lit)
+            prev = lit
+        return lits
 
     def _detach(self, dead: list[list[int]]) -> None:
         """Take the clauses in dead out of the watch lists. Each affected list

@@ -38,7 +38,6 @@ from .errors import InputError, IntegrityError, shown
 from .lattice import (
     Coloring,
     Point,
-    SchurTuple,
     _check_coordinates,
     box_points,
     enumerate_tuples,
@@ -147,7 +146,7 @@ def precedence_points(n: int, d: int, r: int) -> list[Point]:
 
 def encode_points(
     points: Sequence[Point],
-    tuples: Iterable[SchurTuple],
+    point_sets: Iterable[Sequence[Point]],
     bases: dict[Point, int],
     r: int,
     *,
@@ -159,14 +158,17 @@ def encode_points(
     asked, the color-precedence units (see precedence_points) of the points
     it numbered.
 
+    A tuple is handed over as its distinct points P, in order: the
+    distinct_points() of a SchurTuple, or one entry of enumerate_shell,
+    which builds no SchurTuple.
+
     Distinctness: for each point and each color pair i < m <= r-1, the
-    2-clause (not phi_i(p) or not phi_m(p)); none for r <= 2. Tuples: for a
-    tuple with distinct point set P, one clause (or over p in P of not
-    phi_i(p)) for each i in [r-1], plus one positive clause (or over i, p of
-    phi_i(p)) forbidding "all of P has color r". Every point of a tuple must
-    be numbered by then. The units come last, so that an engine adding this
-    call's clauses at level 0 keeps the tuple clauses whole; with r = 1 there
-    are none.
+    2-clause (not phi_i(p) or not phi_m(p)); none for r <= 2. Tuples: for
+    each point set P, one clause (or over p in P of not phi_i(p)) for each i
+    in [r-1], plus one positive clause (or over i, p of phi_i(p)) forbidding
+    "all of P has color r". Every point of a tuple must be numbered by then.
+    The units come last, so that an engine adding this call's clauses at
+    level 0 keeps the tuple clauses whole; with r = 1 there are none.
 
     Each numbered point's r-1 positive and r-1 negative literals are built
     once per call; a tuple's negative clauses are those tuples zipped over
@@ -182,8 +184,7 @@ def encode_points(
     clauses: list[Clause] = []
     for p in points:
         clauses.extend(itertools.combinations(neg[p], 2))
-    for t in tuples:
-        distinct = t.distinct_points()
+    for distinct in point_sets:
         clauses.extend(zip(*[neg[p] for p in distinct]))
         clauses.append(tuple(itertools.chain.from_iterable([pos[p] for p in distinct])))
     if color_precedence and points:
@@ -220,9 +221,9 @@ def encode(
     if color_precedence and r < 2:
         raise InputError("symmetry breaking needs r >= 2 (no variables otherwise)")
     _check_coordinates(n, d, shell=False)
-    tuples = enumerate_tuples(n, d, k, j)
+    point_sets = [t.distinct_points() for t in enumerate_tuples(n, d, k, j)]
     meta = EncodingMeta(n, d, r, k, j)
-    clauses = encode_points(list(box_points(n, d)), tuples, {}, r,
+    clauses = encode_points(list(box_points(n, d)), point_sets, {}, r,
                             color_precedence=color_precedence)
     return CnfFormula(meta.num_vars, tuple(clauses), meta)
 

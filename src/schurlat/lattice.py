@@ -6,6 +6,13 @@ All arithmetic is exact (Python integers); no floating point is used anywhere.
 The row-major point indexing convention shared by every module lives here:
 ``point_index`` maps a point to its 1-based position when the box is listed
 in lexicographic order (last coordinate varying fastest).
+
+One splitter (_split) defines the tuple family, and it yields plain summand
+tuples. enumerate_tuples and first_violation wrap what they return in
+SchurTuple, which re-checks the sum and the order; enumerate_shell, which a
+search calls for every shell it grows, returns each tuple's distinct points
+and builds no SchurTuple. The splitter's rank test (_rank_at_least) runs
+Bareiss elimination only for j >= 3.
 """
 
 from __future__ import annotations
@@ -265,29 +272,30 @@ def _family_floor(d: int, k: int, j: int) -> int:
 
 
 def _split_total(
-    total: Point, k: int, j: int, found: list[SchurTuple],
+    total: Point, k: int, j: int, found: list[tuple[Point, ...]],
     color_of: Mapping[Point, int] | None = None,
 ) -> None:
-    """Append the j-nondegenerate tuples with this total to found, in summand order.
+    """Append the summands of the j-nondegenerate tuples with this total to
+    found, in summand order.
 
     The total is split into k-1 non-decreasing summands, smallest summand
     first, so the work is proportional to the tuples found rather than to the
     box. Given color_of, only summands of the total's color are tried, so
-    only monochromatic tuples are built. The recursion is the module-level
+    only monochromatic tuples are found. The recursion is the module-level
     _split, not a closure that refers to itself, so a call leaves no
     reference cycle behind for the cyclic garbage collector.
     """
     color = color_of[total] if color_of is not None else None
-    _split(found, total, (), total, k - 1, j, color_of, color)
+    _split(found, (), total, k - 1, j, color_of, color)
 
 
 def _split(
-    found: list[SchurTuple], total: Point, chosen: tuple[Point, ...], rest: Point,
+    found: list[tuple[Point, ...]], chosen: tuple[Point, ...], rest: Point,
     m: int, j: int, color_of: Mapping[Point, int] | None, color: int | None,
 ) -> None:
     """Split rest into m >= 2 summands, each lexicographically >= the last of
-    chosen, and append the tuples chosen + summands that pass the color and
-    rank tests. The last two summands are found in one loop."""
+    chosen, and append the summand tuples chosen + summands that pass the
+    color and rank tests. The last two summands are found in one loop."""
     last = chosen[-1] if chosen else None
     # Each of the m summands left is at least 1 per coordinate, and the m-1
     # after x are lexicographically >= x, so m * x[0] <= rest[0].
@@ -300,31 +308,63 @@ def _split(
             continue
         y = tuple(map(operator.sub, rest, x))
         if m > 2:
-            _split(found, total, (*chosen, x), y, m - 1, j, color_of, color)
+            _split(found, (*chosen, x), y, m - 1, j, color_of, color)
         elif y >= x and (color is None or color_of[y] == color):
             summands = (*chosen, x, y)
-            if rank(summands) >= j:
-                found.append(SchurTuple(summands, total))
+            if _rank_at_least(summands, j):
+                found.append(summands)
 
 
-def _family(totals: Iterable[Point], d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
-    """The j-nondegenerate Schur k-tuples whose total is one of totals, in the
-    order of the totals and then of the summands."""
+def _rank_at_least(summands: Sequence[Point], j: int) -> bool:
+    """rank(summands) >= j, for summands whose coordinates are all >= 1.
+
+    One nonzero vector has rank 1, so j = 1 always holds. For j = 2 the
+    first summand u is a nonzero vector with u[0] as a pivot, and v is
+    parallel to u iff every 2x2 minor u[0] * v[i] - u[i] * v[0] is zero; so
+    the rank is >= 2 iff one minor of one later summand is nonzero. Only
+    j >= 3 runs Bareiss elimination.
+    """
+    if j == 1:
+        return True
+    if j == 2:
+        u = summands[0]
+        u0 = u[0]
+        for v in summands[1:]:
+            v0 = v[0]
+            for ui, vi in zip(u, v):
+                if u0 * vi != ui * v0:
+                    return True
+        return False
+    return rank(summands) >= j
+
+
+def _family(totals: Iterable[Point], d: int, k: int, j: int
+            ) -> list[tuple[tuple[Point, ...], Point]]:
+    """The (summands, total) pairs of the j-nondegenerate Schur k-tuples whose
+    total is one of totals, in the order of the totals and then of the
+    summands."""
     _family_floor(d, k, j)
-    found: list[SchurTuple] = []
+    pairs: list[tuple[tuple[Point, ...], Point]] = []
     for total in totals:
+        found: list[tuple[Point, ...]] = []
         _split_total(total, k, j, found)
-    return tuple(found)
+        pairs += zip(found, itertools.repeat(total))
+    return pairs
 
 
-def enumerate_shell(s: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
-    """The j-nondegenerate Schur k-tuples whose total lies in shell s.
+def enumerate_shell(s: int, d: int, k: int, j: int) -> list[tuple[Point, ...]]:
+    """The distinct points of each j-nondegenerate Schur k-tuple whose total
+    lies in shell s: for each tuple, its summands with repeats dropped, then
+    its total. That is SchurTuple.distinct_points(), since the summands are
+    sorted and the total's first coordinate exceeds every summand's.
 
     A summand is dominated by the total, so these are exactly the tuples of
     [s]^d that are not tuples of [s-1]^d: the family of [n]^d is the disjoint
-    union of the shells 1..n. Order: lexicographic on (total, summands).
+    union of the shells 1..n. Order: that of enumerate_tuples, lexicographic
+    on (total, summands). No SchurTuple is built.
     """
-    return _family(shell_points(s, d), d, k, j)
+    return [(*dict.fromkeys(summands), total)
+            for summands, total in _family(shell_points(s, d), d, k, j)]
 
 
 def enumerate_tuples(n: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
@@ -336,7 +376,7 @@ def enumerate_tuples(n: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     Output order is deterministic: lexicographic on (total, summands), which
     is the order of the row-major walk over the totals.
     """
-    return _family(box_points(n, d), d, k, j)
+    return tuple(itertools.starmap(SchurTuple, _family(box_points(n, d), d, k, j)))
 
 
 def verify_free(coloring: Coloring, tuples: Iterable[SchurTuple]) -> Violation | None:
@@ -373,10 +413,10 @@ def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
         return None
     color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
     for total, color in color_of.items():
-        found: list[SchurTuple] = []
+        found: list[tuple[Point, ...]] = []
         _split_total(total, k, j, found, color_of)
         if found:
-            return Violation(found[0], color)
+            return Violation(SchurTuple(found[0], total), color)
     return None
 
 

@@ -11,6 +11,7 @@ Certificate that gets persisted and can be re-verified independently.
 from __future__ import annotations
 
 import csv
+import gc
 import itertools
 import json
 import os
@@ -209,11 +210,29 @@ class _Box:
                              color_precedence=True)
 
     def _grow(self, n: int) -> None:
-        for s in range(self.n + 1, n + 1):
-            clauses = self._shell(s, self.bases)
-            self.engine.add_vars(len(self.bases) * (self.r - 1) - self.engine.n)
-            self.engine.add_clauses(clauses)
-        self.n = n
+        """Add the shells after the box's N through n to the engine, with the
+        cyclic garbage collector paused, and leave the collector as it was
+        found, also when growth raises (Mercurial's util.nogc does the same).
+
+        Growth allocates far more container objects than it frees: point and
+        clause tuples and the engine's clause lists. Those allocations set off
+        collections, and every full collection walks each stored clause, so
+        their cost grows with the formula. Nothing growth builds can be part
+        of a reference cycle (tuples of ints and points, and lists of ints and
+        of such lists), so reference counting frees all it discards; the
+        pause only defers what the collector would have found.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for s in range(self.n + 1, n + 1):
+                clauses = self._shell(s, self.bases)
+                self.engine.add_vars(len(self.bases) * (self.r - 1) - self.engine.n)
+                self.engine.add_clauses(clauses)
+            self.n = n
+        finally:
+            if enabled:
+                gc.enable()
 
     def formula(self) -> CnfFormula:
         """The formula the engine holds, rebuilt shell by shell."""

@@ -74,7 +74,8 @@ def distinctness(n, d, r):
 
 def tuple_clauses(n, d, tuples, r):
     """The clauses encode_points emits for the tuples of [n]^d, row-major."""
-    clauses = encode_points(list(box_points(n, d)), tuples, {}, r)
+    point_sets = [t.distinct_points() for t in tuples]
+    clauses = encode_points(list(box_points(n, d)), point_sets, {}, r)
     return clauses[len(distinctness(n, d, r)):]
 
 

@@ -20,6 +20,7 @@ from schurlat.lattice import (
     Coloring,
     SchurTuple,
     _family_floor,
+    _rank_at_least,
     box_points,
     det,
     enumerate_shell,
@@ -101,6 +102,17 @@ class TestRank:
         assert rank(shuffled) == base
         negated = [tuple(-c for c in v) for v in vectors]
         assert rank(negated) == base
+
+    def test_family_rank_test_is_rank(self):
+        # The splitter's rank test (no elimination below j = 3) against
+        # Bareiss rank, over every list of 1-3 vectors in [1..3]^d.
+        for d in (1, 2, 3):
+            vectors = list(itertools.product(range(1, 4), repeat=d))
+            for m in (1, 2, 3):
+                for vs in itertools.product(vectors, repeat=m):
+                    r = rank(vs)
+                    for j in range(1, d + 1):
+                        assert _rank_at_least(vs, j) == (r >= j), (vs, j)
 
 
 class TestDet:
@@ -243,16 +255,30 @@ class TestShells:
          (3, 3, 3, 2)],
     )
     def test_shells_partition_the_family(self, n, d, k, j):
+        # A shell lists each tuple as its distinct points, the total last.
+        # With k <= 4, distinct tuples have distinct point lists.
         shells = [enumerate_shell(s, d, k, j) for s in range(1, n + 1)]
         for s, shell in enumerate(shells, start=1):
-            assert all(max(t.total) == s for t in shell)
-            keys = [(t.total, t.summands) for t in shell]
-            assert keys == sorted(keys)
-        union = [(t.summands, t.total) for shell in shells for t in shell]
+            assert all(max(points[-1]) == s for points in shell)
+            assert all(list(points) == sorted(set(points)) for points in shell)
+            totals = [points[-1] for points in shell]
+            assert totals == sorted(totals)
+        union = [points for shell in shells for points in shell]
         assert len(set(union)) == len(union)  # disjoint
-        family = as_tuples(enumerate_tuples(n, d, k, j))
-        assert sorted(union, key=lambda pair: (pair[1], pair[0])) == family
-        assert family == oracle_tuple_family(n, d, k, j)
+        family = oracle_tuple_family(n, d, k, j)
+        assert sorted(union, key=lambda points: points[-1]) == [
+            tuple(sorted({*summands, total})) for summands, total in family]
+        assert as_tuples(enumerate_tuples(n, d, k, j)) == family
+
+    @pytest.mark.parametrize("n, d, k, j", [
+        (12, 1, 3, 1), (7, 2, 3, 1), (7, 2, 3, 2), (6, 2, 4, 2), (4, 3, 3, 2),
+        (4, 3, 4, 3),
+    ])
+    def test_shell_points_are_the_family_distinct_points(self, n, d, k, j):
+        family = enumerate_tuples(n, d, k, j)
+        for s in range(1, n + 1):
+            expected = [t.distinct_points() for t in family if max(t.total) == s]
+            assert enumerate_shell(s, d, k, j) == expected
 
     def test_splitting_leaves_no_cyclic_garbage(self):
         # Enumeration and certificate checks run once per level; reference

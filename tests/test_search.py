@@ -241,8 +241,9 @@ class TestShellFormula:
     def test_box_keeps_no_clause_list(self):
         # The engine's clause lists are the box's one copy of the formula:
         # grown to N=14, d2 r4 holds 70,308 stored literals and the box
-        # retains about 34 bytes per literal; a second copy of the clauses
-        # as tuples adds about 20 more.
+        # retains about 30 bytes per literal, each clause an exact-size list.
+        # Storing the over-allocated list sorted returns gives about 34, and a
+        # second copy of the clauses as tuples adds about 20 more.
         tracemalloc.start()
         try:
             box = _Box(2, 3, 2, 4, EngineConfig())
@@ -253,7 +254,35 @@ class TestShellFormula:
             tracemalloc.stop()
         literals = sum(map(len, box.engine.clauses))
         assert literals == 70308
-        assert retained / literals < 44
+        assert retained / literals < 32
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_growth_leaves_the_collector_as_it_found_it(self, monkeypatch, enabled):
+        encode_points = search.encode_points
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return encode_points(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("encoding failed")
+
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            box = _Box(2, 3, 2, 3, EngineConfig())
+            monkeypatch.setattr(search, "encode_points", recording)
+            box._grow(5)
+            assert seen == [False] * 5  # paused while the shells are built
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(search, "encode_points", failing)
+            with pytest.raises(RuntimeError, match="encoding failed"):
+                box._grow(6)
+            assert gc.isenabled() is enabled
+            assert box.n == 5
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestLatticeChecksCoverTheFormula:
