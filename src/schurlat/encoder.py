@@ -39,10 +39,11 @@ from .lattice import (
     Coloring,
     Point,
     _check_coordinates,
+    _points,
     box_points,
-    enumerate_tuples,
     point_from_index,
     point_index,
+    shell_points,
 )
 
 Clause = tuple[int, ...]
@@ -140,7 +141,7 @@ def precedence_points(n: int, d: int, r: int) -> list[Point]:
     n, so the units of [n]^d are those of every larger box that lie in
     [n]^d; they favor color r, which the engine's saved phases (all false
     at first) already pick for an undecided point."""
-    shells = (p for s in range(1, n + 1) for p in box_points(s, d) if max(p) == s)
+    shells = (p for s in range(1, n + 1) for p in shell_points(s, d))
     return list(itertools.islice(shells, r - 1))
 
 
@@ -156,11 +157,12 @@ def encode_points(
     bases (var(p, m) = bases[p] + m, bases[p] = position * (r-1)), then emits
     their at-most-one-color clauses, then r clauses per tuple, then, when
     asked, the color-precedence units (see precedence_points) of the points
-    it numbered.
+    it numbered, in the order the points are handed over.
 
-    A tuple is handed over as its distinct points P, in order: the
-    distinct_points() of a SchurTuple, or one entry of enumerate_shell,
-    which builds no SchurTuple.
+    A tuple is handed over as its distinct points P, in order: its summands
+    with repeats dropped, then its total, which is SchurTuple's
+    distinct_points(). encode and a search (through enumerate_shell) both
+    get these lists from lattice's family walk and build no SchurTuple.
 
     Distinctness: for each point and each color pair i < m <= r-1, the
     2-clause (not phi_i(p) or not phi_m(p)); none for r <= 2. Tuples: for
@@ -175,7 +177,6 @@ def encode_points(
     its points and its positive clause is their concatenation, so clauses
     share literal objects instead of each allocating its own.
     """
-    start = len(bases) * (r - 1)
     for p in points:
         bases[p] = len(bases) * (r - 1)
     colors = range(1, r)
@@ -189,10 +190,10 @@ def encode_points(
         clauses.append(tuple(itertools.chain.from_iterable([pos[p] for p in distinct])))
     if color_precedence and points:
         first = precedence_points(max(map(max, points)), len(points[0]), r)
-        numbered = sorted((bases[p], i, p) for i, p in enumerate(first, 1)
-                          if bases.get(p, -1) >= start)
-        for _, i, p in numbered:
-            clauses.extend((lit,) for lit in neg[p][:r - i])
+        place = {p: i for i, p in enumerate(first, 1)}
+        for p in points:
+            if p in place:
+                clauses.extend((lit,) for lit in neg[p][:r - place[p]])
     return clauses
 
 
@@ -221,7 +222,7 @@ def encode(
     if color_precedence and r < 2:
         raise InputError("symmetry breaking needs r >= 2 (no variables otherwise)")
     _check_coordinates(n, d, shell=False)
-    point_sets = [t.distinct_points() for t in enumerate_tuples(n, d, k, j)]
+    point_sets = _points(box_points(n, d), d, k, j)
     meta = EncodingMeta(n, d, r, k, j)
     clauses = encode_points(list(box_points(n, d)), point_sets, {}, r,
                             color_precedence=color_precedence)

@@ -7,11 +7,12 @@ The row-major point indexing convention shared by every module lives here:
 ``point_index`` maps a point to its 1-based position when the box is listed
 in lexicographic order (last coordinate varying fastest).
 
-One splitter (_split) defines the tuple family, and it yields plain summand
-tuples. enumerate_tuples and first_violation wrap what they return in
-SchurTuple, which re-checks the sum and the order; enumerate_shell, which a
-search calls for every shell it grows, returns each tuple's distinct points
-and builds no SchurTuple. The splitter's rank test (_rank_at_least) runs
+One splitter (_split) defines the tuple family, and one lazy walk (_family)
+splits the totals one at a time and yields (summands, total) pairs. Only
+enumerate_tuples, and first_violation for the violation it returns, build
+SchurTuple, which re-checks the sum and the order. encode, and a search
+through enumerate_shell, read each tuple as its distinct points (_points)
+and build no SchurTuple. The splitter's rank test (_rank_at_least) runs
 Bareiss elimination only for j >= 3.
 """
 
@@ -271,31 +272,16 @@ def _family_floor(d: int, k: int, j: int) -> int:
     return k - 2 if j == 1 else k - 1
 
 
-def _split_total(
-    total: Point, k: int, j: int, found: list[tuple[Point, ...]],
-    color_of: Mapping[Point, int] | None = None,
-) -> None:
-    """Append the summands of the j-nondegenerate tuples with this total to
-    found, in summand order.
-
-    The total is split into k-1 non-decreasing summands, smallest summand
-    first, so the work is proportional to the tuples found rather than to the
-    box. Given color_of, only summands of the total's color are tried, so
-    only monochromatic tuples are found. The recursion is the module-level
-    _split, not a closure that refers to itself, so a call leaves no
-    reference cycle behind for the cyclic garbage collector.
-    """
-    color = color_of[total] if color_of is not None else None
-    _split(found, (), total, k - 1, j, color_of, color)
-
-
 def _split(
     found: list[tuple[Point, ...]], chosen: tuple[Point, ...], rest: Point,
     m: int, j: int, color_of: Mapping[Point, int] | None, color: int | None,
 ) -> None:
     """Split rest into m >= 2 summands, each lexicographically >= the last of
     chosen, and append the summand tuples chosen + summands that pass the
-    color and rank tests. The last two summands are found in one loop."""
+    color and rank tests. The last two summands are found in one loop. The
+    recursion is module-level, not a closure that refers to itself, so a call
+    leaves no reference cycle behind (test_splitting_leaves_no_cyclic_garbage).
+    """
     last = chosen[-1] if chosen else None
     # Each of the m summands left is at least 1 per coordinate, and the m-1
     # after x are lexicographically >= x, so m * x[0] <= rest[0].
@@ -338,33 +324,39 @@ def _rank_at_least(summands: Sequence[Point], j: int) -> bool:
     return rank(summands) >= j
 
 
-def _family(totals: Iterable[Point], d: int, k: int, j: int
-            ) -> list[tuple[tuple[Point, ...], Point]]:
-    """The (summands, total) pairs of the j-nondegenerate Schur k-tuples whose
-    total is one of totals, in the order of the totals and then of the
-    summands."""
-    _family_floor(d, k, j)
-    pairs: list[tuple[tuple[Point, ...], Point]] = []
+def _family(totals: Iterable[Point], k: int, j: int, color_of: Mapping[Point, int] | None = None
+            ) -> Iterator[tuple[tuple[Point, ...], Point]]:
+    """Yield, one total at a time, the (summands, total) pairs of the
+    j-nondegenerate Schur k-tuples whose total is one of totals, in the order
+    of the totals and then of the summands; callers check (d, k, j). Each
+    total is split into k-1 non-decreasing summands, smallest first, so the
+    work is proportional to the tuples found, not to the box; given color_of,
+    only into summands of the total's color."""
     for total in totals:
         found: list[tuple[Point, ...]] = []
-        _split_total(total, k, j, found)
-        pairs += zip(found, itertools.repeat(total))
-    return pairs
+        color = None if color_of is None else color_of[total]
+        _split(found, (), total, k - 1, j, color_of, color)
+        yield from zip(found, itertools.repeat(total))
+
+
+def _points(totals: Iterable[Point], d: int, k: int, j: int) -> list[tuple[Point, ...]]:
+    """Check (d, k, j) and list each tuple of _family(totals) as its distinct
+    points: its summands without repeats, then its total. That is
+    SchurTuple.distinct_points(), since the total's first coordinate exceeds
+    every summand's, but no SchurTuple is built."""
+    _family_floor(d, k, j)
+    return [(*dict.fromkeys(summands), total) for summands, total in _family(totals, k, j)]
 
 
 def enumerate_shell(s: int, d: int, k: int, j: int) -> list[tuple[Point, ...]]:
-    """The distinct points of each j-nondegenerate Schur k-tuple whose total
-    lies in shell s: for each tuple, its summands with repeats dropped, then
-    its total. That is SchurTuple.distinct_points(), since the summands are
-    sorted and the total's first coordinate exceeds every summand's.
+    """The _points of the tuples whose total lies in shell s.
 
     A summand is dominated by the total, so these are exactly the tuples of
     [s]^d that are not tuples of [s-1]^d: the family of [n]^d is the disjoint
     union of the shells 1..n. Order: that of enumerate_tuples, lexicographic
-    on (total, summands). No SchurTuple is built.
+    on (total, summands).
     """
-    return [(*dict.fromkeys(summands), total)
-            for summands, total in _family(shell_points(s, d), d, k, j)]
+    return _points(shell_points(s, d), d, k, j)
 
 
 def enumerate_tuples(n: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
@@ -376,7 +368,9 @@ def enumerate_tuples(n: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
     Output order is deterministic: lexicographic on (total, summands), which
     is the order of the row-major walk over the totals.
     """
-    return tuple(itertools.starmap(SchurTuple, _family(box_points(n, d), d, k, j)))
+    totals = box_points(n, d)
+    _family_floor(d, k, j)
+    return tuple(itertools.starmap(SchurTuple, _family(totals, k, j)))
 
 
 def verify_free(coloring: Coloring, tuples: Iterable[SchurTuple]) -> Violation | None:
@@ -401,8 +395,8 @@ def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
     """What verify_free(coloring, enumerate_tuples(n, d, k, j)) returns, for
     the coloring's box [n]^d, without building the family.
 
-    Each total, in row-major order, is split only into summands of its own
-    color, so a tuple is built only when it is monochromatic and a free
+    _family splits each total, in row-major order, only into summands of its
+    own color, so a tuple is built only when it is monochromatic and a free
     coloring builds none. Family order is the order of the totals and then of
     the summands, so the first tuple found is the first violation.
 
@@ -412,11 +406,8 @@ def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
     if coloring.n <= _family_floor(coloring.d, k, j):
         return None
     color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
-    for total, color in color_of.items():
-        found: list[tuple[Point, ...]] = []
-        _split_total(total, k, j, found, color_of)
-        if found:
-            return Violation(SchurTuple(found[0], total), color)
+    for summands, total in _family(color_of, k, j, color_of):
+        return Violation(SchurTuple(summands, total), color_of[total])
     return None
 
 

@@ -20,7 +20,9 @@ from schurlat.encoder import (
 from schurlat.errors import InputError, IntegrityError
 from schurlat.lattice import (
     Coloring,
+    SchurTuple,
     box_points,
+    enumerate_shell,
     enumerate_tuples,
     verify_free,
 )
@@ -173,12 +175,30 @@ class TestEncode:
          "58c4d1b4be4260ee1edcc5d36714237eaf8eebb5981f0cf87ba1ea795053e53c"),
         (4, 3, 3, 2, 2, True,
          "6ad1f47475a1071c450f26b9988353c0b2dbf38808ef7bba4d71bcb1c779275b"),
-    ], ids=["d1-k3-r2", "d2-k3-r3-sym", "d2-k4-r4", "d3-k4-r3", "d3-k3-r2-sym"])
+        # The color-precedence units of these two reach shell 3; at d = 2
+        # its first point (1, 3) comes before (2, 1) in row-major order.
+        (9, 1, 3, 1, 4, True,
+         "a5230435897e9b84a6b89dbba77a8640cf75773c0f404016bbc42efa749cc41e"),
+        (4, 2, 3, 2, 6, True,
+         "89a3b25c74c302640d05b922f179238be6866a984ee247b35aaea7c2dde0bad8"),
+    ], ids=["d1-k3-r2", "d2-k3-r3-sym", "d2-k4-r4", "d3-k4-r3", "d3-k3-r2-sym",
+            "d1-k3-r4-sym", "d2-k3-r6-sym"])
     def test_dimacs_bytes_are_pinned(self, n, d, k, j, r, sym, digest):
         # Clause order and literal order fix the bytes, and the engine's
         # counters depend on both; a pure speed change keeps these digests.
         f = encode(n, d, k, j, r, color_precedence=sym)
         assert hashlib.sha256(write_dimacs(f)).hexdigest() == digest
+
+    def test_encode_builds_no_schur_tuple(self, monkeypatch):
+        # encode reads the family as point lists, as a search does.
+        def refuse(self):
+            raise AssertionError("a SchurTuple was built")
+
+        monkeypatch.setattr(SchurTuple, "__post_init__", refuse)
+        f = encode(6, 2, 3, 2, 3, color_precedence=True)
+        assert hashlib.sha256(write_dimacs(f)).hexdigest() == (
+            "9900bf29e11638ef2c72d04b0eb19e76d78ee3136e6cc2d061d14ed7718456ab")
+        assert enumerate_shell(6, 2, 3, 2)
 
     def test_round_trip_soundness_small(self):
         # every satisfying assignment decodes to a coloring the family accepts
