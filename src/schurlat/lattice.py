@@ -14,11 +14,18 @@ SchurTuple, which re-checks the sum and the order. encode, and a search
 through enumerate_shell, read each tuple as its distinct points (_points)
 and build no SchurTuple. The splitter's rank test (_rank_at_least) runs
 Bareiss elimination only for j >= 3.
+
+first_violation, which checks every certificate and every model a search
+finds, decides k = 3 by sums over color-class bitsets (_sum_violation), not
+by the splitter, so a fault in the family the formula was built from cannot
+make a wrong coloring pass; k >= 4, and a box too large for the bitsets,
+take the walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -339,13 +346,13 @@ def _family(totals: Iterable[Point], k: int, j: int, color_of: Mapping[Point, in
         yield from zip(found, itertools.repeat(total))
 
 
-def _points(totals: Iterable[Point], d: int, k: int, j: int) -> list[tuple[Point, ...]]:
-    """Check (d, k, j) and list each tuple of _family(totals) as its distinct
-    points: its summands without repeats, then its total. That is
-    SchurTuple.distinct_points(), since the total's first coordinate exceeds
-    every summand's, but no SchurTuple is built."""
+def _points(totals: Iterable[Point], d: int, k: int, j: int) -> Iterator[tuple[Point, ...]]:
+    """Check (d, k, j) at once, then yield each tuple of _family(totals) as
+    its distinct points: its summands without repeats, then its total. That
+    is SchurTuple.distinct_points(), since the total's first coordinate
+    exceeds every summand's, but no SchurTuple is built."""
     _family_floor(d, k, j)
-    return [(*dict.fromkeys(summands), total) for summands, total in _family(totals, k, j)]
+    return ((*dict.fromkeys(summands), total) for summands, total in _family(totals, k, j))
 
 
 def enumerate_shell(s: int, d: int, k: int, j: int) -> list[tuple[Point, ...]]:
@@ -356,7 +363,7 @@ def enumerate_shell(s: int, d: int, k: int, j: int) -> list[tuple[Point, ...]]:
     union of the shells 1..n. Order: that of enumerate_tuples, lexicographic
     on (total, summands).
     """
-    return _points(shell_points(s, d), d, k, j)
+    return list(_points(shell_points(s, d), d, k, j))
 
 
 def enumerate_tuples(n: int, d: int, k: int, j: int) -> tuple[SchurTuple, ...]:
@@ -391,24 +398,100 @@ def verify_free(coloring: Coloring, tuples: Iterable[SchurTuple]) -> Violation |
     return None
 
 
+# The sum test's ints hold at most (2n+1)^d bits; a box with more takes the
+# family walk, so no int of the test grows past this many bits (128 KiB).
+_SUM_TEST_BITS = 1 << 20
+
+
 def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
     """What verify_free(coloring, enumerate_tuples(n, d, k, j)) returns, for
     the coloring's box [n]^d, without building the family.
 
-    _family splits each total, in row-major order, only into summands of its
-    own color, so a tuple is built only when it is monochromatic and a free
-    coloring builds none. Family order is the order of the totals and then of
-    the summands, so the first tuple found is the first violation.
+    For k = 3 the sum test (_sum_violation) decides, without the splitter,
+    whenever its ints stay within _SUM_TEST_BITS bits: (2n+1)^d at most.
+    Otherwise _family splits each total, in row-major order, only into
+    summands of its own color, and family order is the order of the totals
+    and then of the summands, so the first tuple found is the first
+    violation. Either way a SchurTuple is built only for a monochromatic
+    tuple, and a free coloring builds none.
 
     A box no larger than the family's floor (_family_floor) has no tuple: it
     is free whatever its d, and no point is built.
     """
-    if coloring.n <= _family_floor(coloring.d, k, j):
+    n, d = coloring.n, coloring.d
+    if n <= _family_floor(d, k, j):
         return None
-    color_of = dict(zip(box_points(coloring.n, coloring.d), coloring.colors))
+    if k == 3 and _power_at_most(2 * n + 1, d, _SUM_TEST_BITS) is not None:
+        return _sum_violation(coloring, j)
+    color_of = dict(zip(box_points(n, d), coloring.colors))
     for summands, total in _family(color_of, k, j, color_of):
         return Violation(SchurTuple(summands, total), color_of[total])
     return None
+
+
+def _sum_violation(coloring: Coloring, j: int) -> Violation | None:
+    """first_violation for k = 3 (j = 1 or 2), by sums of bitsets.
+
+    A point p is the bit e(p) = sum_i p_i (2n+1)^(d-1-i): its coordinates
+    are the digits of e(p) in base 2n+1. Two points' coordinates add up to
+    at most 2n, so e(x) + e(y) = e(x + y) with no carry, and e keeps
+    row-major order. Color class c is the int B_c with the bits of its
+    points, and (B_c << e(x)) & B_c holds the totals x + y of every y with
+    x, y and x + y all of color c. For j = 2 the bits of the multiples of
+    x's primitive direction are cleared, for they are the totals of the y
+    parallel to x; no point is zero, so those are all that rank < 2
+    excludes. The least total found is the first in family order, and the
+    least x that reaches it is the first of its summands: the x that reach
+    a total t come in pairs x, t - x, so the least is at most t - x.
+
+    The points are taken one primitive direction p at a time, as the ray
+    p, 2p, ..., so one mask at a time is held. No SchurTuple is built
+    unless a tuple is monochromatic.
+    """
+    n, d, colors = coloring.n, coloring.d, coloring.colors
+    base = 2 * n + 1
+    codes = [0]  # e(p) of every point, row-major
+    for _ in range(d):
+        codes = [code * base + c for code in codes for c in range(1, n + 1)]
+    rows: dict[int, bytearray] = {}
+    for code, color in zip(codes, colors):
+        row = rows.get(color)
+        if row is None:
+            row = rows[color] = bytearray(codes[-1] // 8 + 1)
+        row[code >> 3] |= 1 << (code & 7)
+    classes = {color: int.from_bytes(row, "little") for color, row in rows.items()}
+    # pos(p) + one = sum_i p_i n^(d-1-i) is linear in p, so the row-major
+    # position of m * p is m * (pos(p) + one) - one.
+    one = sum(n**i for i in range(d))
+    best = None
+    for pos, p in enumerate(box_points(n, d)):
+        if math.gcd(*p) != 1:
+            continue
+        steps = n // max(p)
+        step = codes[pos]
+        keep = ~sum(1 << (m * step) for m in range(2, steps + 1)) if j == 2 else -1
+        for m in range(1, steps + 1):
+            color = colors[m * (pos + one) - one]
+            b = classes[color]
+            hits = (b << (m * step)) & b & keep
+            if hits:
+                found = ((hits & -hits).bit_length() - 1, m * step, color)
+                if best is None or found < best:
+                    best = found
+    if best is None:
+        return None
+    t, e, color = best
+    total, x = _point_of(t, base, d), _point_of(e, base, d)
+    return Violation(SchurTuple((x, tuple(map(operator.sub, total, x))), total), color)
+
+
+def _point_of(code: int, base: int, d: int) -> Point:
+    """The point whose coordinates are the d digits of code in base."""
+    coords = []
+    for _ in range(d):
+        code, c = divmod(code, base)
+        coords.append(c)
+    return tuple(reversed(coords))
 
 
 # -- dimension lifting (monotonicity in d) -----------------------------------

@@ -9,6 +9,8 @@ the lattice instead, see search._Box.decide).
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import re
 import shlex
 import subprocess
@@ -22,6 +24,22 @@ from .encoder import CnfFormula
 from .errors import InputError, IntegrityError, ParseError
 
 INTERNAL_SOLVER_NAME = "schurlat-cdcl"
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the body of a with statement and
+    leave it as it was found, also when the body raises (Mercurial's
+    util.nogc does the same). For bodies that build or solve a formula and
+    leave no reference cycle, whose allocations would set off collections
+    that walk every clause stored (search._Box._grow says why)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def check_model(formula: CnfFormula, model: Mapping[int, bool]) -> bool:

@@ -11,7 +11,6 @@ Certificate that gets persisted and can be re-verified independently.
 from __future__ import annotations
 
 import csv
-import gc
 import itertools
 import json
 import os
@@ -211,8 +210,7 @@ class _Box:
 
     def _grow(self, n: int) -> None:
         """Add the shells after the box's N through n to the engine, with the
-        cyclic garbage collector paused, and leave the collector as it was
-        found, also when growth raises (Mercurial's util.nogc does the same).
+        cyclic garbage collector paused (sat._collector_paused).
 
         Growth allocates far more container objects than it frees: point and
         clause tuples and the engine's clause lists. Those allocations set off
@@ -222,17 +220,12 @@ class _Box:
         of such lists), so reference counting frees all it discards; the
         pause only defers what the collector would have found.
         """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with sat._collector_paused():
             for s in range(self.n + 1, n + 1):
                 clauses = self._shell(s, self.bases)
                 self.engine.add_vars(len(self.bases) * (self.r - 1) - self.engine.n)
                 self.engine.add_clauses(clauses)
             self.n = n
-        finally:
-            if enabled:
-                gc.enable()
 
     def formula(self) -> CnfFormula:
         """The formula the engine holds, rebuilt shell by shell."""
@@ -258,10 +251,12 @@ class _Box:
         A model is checked against the lattice, and passes exactly when it
         satisfies every clause: decode_model checks the at-most-one clauses;
         given those, a tuple's r clauses hold unless its points share a color,
-        and first_violation, which derives the family of [n]^d (the tuples of
-        shells 1..n) from the lattice, checks every tuple; the
-        color-precedence units are the clauses left, checked on the first r-1
-        points of shell order."""
+        and first_violation checks every tuple of [n]^d (the tuples of shells
+        1..n); the color-precedence units are the clauses left, checked on the
+        first r-1 points of shell order. For k = 3 first_violation sums
+        color classes and does not walk the family the shells were built
+        from, so a tuple that walk dropped from the formula is still checked;
+        for k >= 4 it derives the family from the lattice by that walk."""
         if n <= self.n:
             raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
         t0 = time.monotonic()

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InputError, IntegrityError, ParseError
-from .sat import Budget, Sat, Unknown, Unsat, read_dimacs, solve_internal
+from .sat import Budget, Sat, Unknown, Unsat, _collector_paused, read_dimacs, solve_internal
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,19 +40,20 @@ def main(argv: list[str] | None = None) -> int:
         except InputError as e:
             parser.error(str(e))
 
-    try:
-        formula = read_dimacs(Path(args.cnf).read_bytes())
-    except (OSError, ParseError, InputError) as e:
-        print(f"c error: {e}")
-        print("s UNKNOWN")
-        return 0
+    with _collector_paused():
+        try:
+            formula = read_dimacs(Path(args.cnf).read_bytes())
+        except (OSError, ParseError, InputError) as e:
+            print(f"c error: {e}")
+            print("s UNKNOWN")
+            return 0
 
-    try:
-        result = solve_internal(formula, budget)
-    except IntegrityError as e:
-        print(f"c integrity error: {e}")
-        print("s UNKNOWN")
-        return 5
+        try:
+            result = solve_internal(formula, budget)
+        except IntegrityError as e:
+            print(f"c integrity error: {e}")
+            print("s UNKNOWN")
+            return 5
 
     print(f"c schurlat-solve {__version__}")
     if isinstance(result, Unsat):

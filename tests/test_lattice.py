@@ -15,10 +15,12 @@ from conftest import (
     oracle_subset_independent,
     oracle_tuple_family,
 )
+from schurlat import lattice
 from schurlat.errors import InputError, SizeError
 from schurlat.lattice import (
     Coloring,
     SchurTuple,
+    Violation,
     _family_floor,
     _rank_at_least,
     box_points,
@@ -364,6 +366,76 @@ class TestVerifyFree:
         chi = free_three_box()
         restricted = Coloring.from_function(2, 2, 2, chi.color_of)
         assert verify_free(restricted, enumerate_tuples(2, 2, 3, 2)) is None
+
+
+def free_line(r: int) -> list[int]:
+    """A free r-coloring of [(3^r - 1) / 2] for k = 3, by Schur's step from a
+    free coloring c of [m] to [3m + 1]: c, then m + 1 points of a new color,
+    then c again. No difference of two points of a block lies in its block."""
+    colors = [1]
+    for color in range(2, r + 1):
+        colors = colors + [color] * (len(colors) + 1) + colors
+    return colors
+
+
+class TestSumTest:
+    """For k = 3, first_violation decides by sums over color-class bitsets
+    (lattice._sum_violation); verify_free over the whole family is the
+    reference."""
+
+    @pytest.mark.parametrize("n, d, j, r", [
+        (20, 1, 1, 2), (13, 1, 1, 3), (40, 1, 1, 5), (4, 2, 1, 2), (8, 2, 1, 3),
+        (9, 2, 2, 3), (7, 2, 2, 2), (6, 2, 1, 4), (9, 2, 2, 5), (4, 3, 1, 2),
+        (4, 3, 2, 2), (5, 3, 2, 3), (5, 3, 1, 5),
+    ])
+    def test_agrees_with_the_whole_family(self, n, d, j, r):
+        family = enumerate_tuples(n, d, 3, j)
+        rng = random.Random(n * 1000 + d * 100 + j * 10 + r)
+        line = free_line(r)
+        # Free when n fits the line: every tuple's first coordinates form a
+        # d = 1 tuple. Past the line, the coordinates beyond get random colors.
+        line += [rng.randint(1, r) for _ in range(n - len(line))]
+        projected = [line[p[0] - 1] for p in box_points(n, d)]
+        colorings = [projected]
+        for _ in range(15):  # near free: a few points recolored
+            colors = list(projected)
+            for _ in range(rng.randint(1, 3)):
+                colors[rng.randrange(len(colors))] = rng.randint(1, r)
+            colorings.append(colors)
+        colorings += [[rng.randint(1, r) for _ in range(n**d)] for _ in range(15)]
+        outcomes = []
+        for colors in colorings:
+            coloring = Coloring(n, d, r, tuple(colors))
+            expected = verify_free(coloring, family)
+            assert first_violation(coloring, 3, j) == expected
+            outcomes.append(expected is None)
+        assert outcomes[0] is (n <= (3**r - 1) // 2)
+        assert not all(outcomes)
+
+    @pytest.mark.parametrize("n, d, j, summed", [
+        (2, 8, 1, True), (2, 9, 1, False), (3, 7, 2, True), (3, 8, 1, False),
+        (3, 8, 2, False),
+    ])
+    def test_a_box_over_the_bit_budget_takes_the_walk(self, n, d, j, summed, monkeypatch):
+        # The bitsets hold (2n+1)^d bits: 5^8 and 7^7 fit in 2^20, 5^9 and
+        # 7^8 do not.
+        assert ((2 * n + 1)**d <= lattice._SUM_TEST_BITS) is summed
+        calls = []
+        sum_violation = lattice._sum_violation
+
+        def recording(*args):
+            if not summed:
+                raise AssertionError("a bitset was built")
+            calls.append(args)
+            return sum_violation(*args)
+
+        monkeypatch.setattr(lattice, "_sum_violation", recording)
+        one = (1,) * d
+        second = one if j == 1 else one[:-1] + (2,)
+        total = tuple(map(sum, zip(one, second)))
+        assert first_violation(Coloring.constant(n, d, 2), 3, j) == Violation(
+            SchurTuple((one, second), total), 1)
+        assert len(calls) == summed
 
 
 class TestColoring:

@@ -904,6 +904,48 @@ class TestVerifyCertificate:
         monkeypatch.setattr(SchurTuple, "__init__", refuse)
         assert verify_certificate(cert) is None
 
+    def test_headline_certificates_are_checked_without_the_splitter(self, monkeypatch):
+        # For k = 3 the check does not use the family walk the formula was
+        # built from: the certificates below Exact 5, 14, 7 and 18 and
+        # LowerBound 24 verify with lattice._family refusing to run, and
+        # recolored copies give the violation the whole family gives.
+        certs = [find_schur_number(d, 3, j, r, n_max=n).witness for n, d, j, r in [
+            (4, 1, 1, 2), (13, 1, 1, 3), (6, 2, 2, 2), (17, 2, 2, 3), (24, 2, 2, 4)]]
+        rng = random.Random(24)
+        recolored = []
+        for cert in certs:
+            colors = list(cert.coloring.colors)
+            for _ in range(3):
+                colors[rng.randrange(len(colors))] = rng.randint(1, cert.r)
+            copy = make_cert(cert.n, cert.d, cert.j, 3, cert.r,
+                             Coloring(cert.n, cert.d, cert.r, tuple(colors)))
+            family = enumerate_tuples(cert.n, cert.d, 3, cert.j)
+            recolored.append((copy, verify_free(copy.coloring, family)))
+        assert any(expected is not None for _, expected in recolored)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the family walk ran")
+
+        monkeypatch.setattr(lattice, "_family", refuse)
+        assert [cert.n for cert in certs] == [4, 13, 6, 17, 24]
+        assert all(verify_certificate(cert) is None for cert in certs)
+        for copy, expected in recolored:
+            assert verify_certificate(copy) == expected
+
+    def test_a_splitter_fault_cannot_pass_a_coloring(self, monkeypatch):
+        # A family walk that drops the tuples of shell 7 drops them from the
+        # formula of [7]^2, which then has free 2-colorings by its clauses;
+        # the value is 7, so each is caught by the check of the model.
+        family = lattice._family
+
+        def faulty(totals, k, j, color_of=None):
+            return ((summands, total) for summands, total in family(totals, k, j, color_of)
+                    if max(total) != 7)
+
+        monkeypatch.setattr(lattice, "_family", faulty)
+        with pytest.raises(IntegrityError, match="monochromatic tuple"):
+            probe(7, 2, 3, 2, 2)
+
     def test_bad_family_parameters(self):
         with pytest.raises(InputError):
             verify_certificate(make_cert(3, 1, 1, 2, 2))

@@ -1,10 +1,12 @@
 """The bundled DIMACS solver executable: output protocol and exit codes."""
 
+import gc
 import subprocess
 import sys
 
 import pytest
 
+from schurlat import solver_cli
 from schurlat.encoder import CnfFormula, encode
 from schurlat.sat import check_model, parse_solver_output, read_dimacs, write_dimacs
 from schurlat.solver_cli import main
@@ -33,6 +35,30 @@ class TestMain:
         code = main([write_cnf(tmp_path, encode(14, 1, 3, 1, 3)), "--max-conflicts", "1"])
         assert code == 0
         assert "s UNKNOWN" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_reading_and_solving_pause_the_collector(self, tmp_path, monkeypatch, enabled):
+        seen = []
+
+        def recording(call):
+            def wrapper(*args):
+                seen.append(gc.isenabled())
+                return call(*args)
+            return wrapper
+
+        monkeypatch.setattr(solver_cli, "read_dimacs", recording(solver_cli.read_dimacs))
+        monkeypatch.setattr(solver_cli, "solve_internal",
+                            recording(solver_cli.solve_internal))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main([write_cnf(tmp_path, encode(4, 1, 3, 1, 2))]) == 10
+            assert seen == [False, False]
+            assert gc.isenabled() is enabled
+            assert main([str(tmp_path / "missing.cnf")]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_unreadable_file_is_unknown(self, tmp_path, capsys):
         code = main([str(tmp_path / "missing.cnf")])
