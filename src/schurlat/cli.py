@@ -199,13 +199,13 @@ def cmd_render(args) -> int:
 
 def cmd_bounds(args) -> int:
     table = bounds.load_ramsey_table(args.ramsey_table) if args.ramsey_table else None
-    entry = bounds.ramsey_number(args.r, args.k, table)
+    j = _effective_j(args)
+    b = bounds.schur_upper_bound(args.d, j, args.r, args.k, table)
+    entry = b.ramsey
     if entry.is_exact:
         print(f"R_{args.r}({args.k}) = {entry.lower}  [{entry.source}]")
     else:
         print(f"R_{args.r}({args.k}) in [{entry.lower}, {entry.upper}]  [{entry.source}]")
-    j = _effective_j(args)
-    b = bounds.schur_upper_bound(args.d, j, args.r, args.k, table)
     label = "" if b.exact else "  (from an inexact Ramsey upper bound)"
     try:
         value = str(b.value)

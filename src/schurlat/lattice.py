@@ -16,10 +16,10 @@ and build no SchurTuple. The splitter's rank test (_rank_at_least) runs
 Bareiss elimination only for j >= 3.
 
 first_violation, which checks every certificate and every model a search
-finds, decides k = 3 by sums over color-class bitsets (_sum_violation), not
-by the splitter, so a fault in the family the formula was built from cannot
-make a wrong coloring pass; k >= 4, and a box too large for the bitsets,
-take the walk.
+finds, decides k = 3 up to d = 5 by one row-major scan of sums over
+color-class bitsets (_sum_violation), not by the splitter, so a fault in the
+family the formula was built from cannot make a wrong coloring pass; k >= 4,
+d >= 6 and a box too large for the bitsets take the walk.
 """
 
 from __future__ import annotations
@@ -408,12 +408,13 @@ def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
     the coloring's box [n]^d, without building the family.
 
     For k = 3 the sum test (_sum_violation) decides, without the splitter,
-    whenever its ints stay within _SUM_TEST_BITS bits: (2n+1)^d at most.
-    Otherwise _family splits each total, in row-major order, only into
-    summands of its own color, and family order is the order of the totals
-    and then of the summands, so the first tuple found is the first
-    violation. Either way a SchurTuple is built only for a monochromatic
-    tuple, and a free coloring builds none.
+    when d <= 5 and its ints stay within _SUM_TEST_BITS bits. Those ints
+    hold (2n+1)^d bits for n^d points, over 2^d bits a point, so from d = 6
+    on the walk is the faster. Otherwise _family splits each total, in
+    row-major order, only into summands of its own color, and family order
+    is the order of the totals and then of the summands, so the first tuple
+    found is the first violation. Either way a SchurTuple is built only for
+    a monochromatic tuple, and a free coloring builds none.
 
     A box no larger than the family's floor (_family_floor) has no tuple: it
     is free whatever its d, and no point is built.
@@ -421,7 +422,7 @@ def first_violation(coloring: Coloring, k: int, j: int) -> Violation | None:
     n, d = coloring.n, coloring.d
     if n <= _family_floor(d, k, j):
         return None
-    if k == 3 and _power_at_most(2 * n + 1, d, _SUM_TEST_BITS) is not None:
+    if k == 3 and d <= 5 and _power_at_most(2 * n + 1, d, _SUM_TEST_BITS) is not None:
         return _sum_violation(coloring, j)
     color_of = dict(zip(box_points(n, d), coloring.colors))
     for summands, total in _family(color_of, k, j, color_of):
@@ -437,16 +438,16 @@ def _sum_violation(coloring: Coloring, j: int) -> Violation | None:
     at most 2n, so e(x) + e(y) = e(x + y) with no carry, and e keeps
     row-major order. Color class c is the int B_c with the bits of its
     points, and (B_c << e(x)) & B_c holds the totals x + y of every y with
-    x, y and x + y all of color c. For j = 2 the bits of the multiples of
-    x's primitive direction are cleared, for they are the totals of the y
-    parallel to x; no point is zero, so those are all that rank < 2
+    x, y and x + y all of color c. For j = 2 a total is skipped when its y
+    is parallel to x: for g = gcd(x), when e(y) = m e(x) / g for an m with
+    m max(x) / g <= n. No point is zero, so those are all that rank < 2
     excludes. The least total found is the first in family order, and the
     least x that reaches it is the first of its summands: the x that reach
     a total t come in pairs x, t - x, so the least is at most t - x.
 
-    The points are taken one primitive direction p at a time, as the ray
-    p, 2p, ..., so one mask at a time is held. No SchurTuple is built
-    unless a tuple is monochromatic.
+    The points x are taken once, in row-major order, until e(x) + e(1, ..., 1)
+    passes the least total found. No SchurTuple is built unless a tuple is
+    monochromatic.
     """
     n, d, colors = coloring.n, coloring.d, coloring.colors
     base = 2 * n + 1
@@ -460,28 +461,28 @@ def _sum_violation(coloring: Coloring, j: int) -> Violation | None:
             row = rows[color] = bytearray(codes[-1] // 8 + 1)
         row[code >> 3] |= 1 << (code & 7)
     classes = {color: int.from_bytes(row, "little") for color, row in rows.items()}
-    # pos(p) + one = sum_i p_i n^(d-1-i) is linear in p, so the row-major
-    # position of m * p is m * (pos(p) + one) - one.
-    one = sum(n**i for i in range(d))
-    best = None
-    for pos, p in enumerate(box_points(n, d)):
-        if math.gcd(*p) != 1:
-            continue
-        steps = n // max(p)
-        step = codes[pos]
-        keep = ~sum(1 << (m * step) for m in range(2, steps + 1)) if j == 2 else -1
-        for m in range(1, steps + 1):
-            color = colors[m * (pos + one) - one]
-            b = classes[color]
-            hits = (b << (m * step)) & b & keep
-            if hits:
-                found = ((hits & -hits).bit_length() - 1, m * step, color)
-                if best is None or found < best:
-                    best = found
-    if best is None:
+    least, found = codes[-1] + 1, None  # no total is past e(n, ..., n)
+    for x, e, color in zip(box_points(n, d), codes, colors):
+        if e + codes[0] > least:
+            break
+        b = classes[color]
+        hits = (b << e) & b
+        while hits:
+            t = (hits & -hits).bit_length() - 1
+            if t >= least:
+                break
+            if j == 2:
+                g = math.gcd(*x)
+                m, rest = divmod(t - e, e // g)
+                if not rest and m * max(x) // g <= n:
+                    hits &= hits - 1
+                    continue
+            least, found = t, (x, color)
+            break
+    if found is None:
         return None
-    t, e, color = best
-    total, x = _point_of(t, base, d), _point_of(e, base, d)
+    x, color = found
+    total = _point_of(least, base, d)
     return Violation(SchurTuple((x, tuple(map(operator.sub, total, x))), total), color)
 
 

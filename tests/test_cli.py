@@ -782,6 +782,15 @@ class TestBounds:
         code, _, err = run(["bounds", "--d", "1", "--k", "3", "--r", "9"], capsys)
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("args", [["--d", "2", "--j", "3"], ["--d", "0"]],
+                             ids=["j-over-k-1", "d-0"])
+    def test_refused_parameters_print_nothing(self, capsys, args):
+        # It printed the Ramsey line "R_2(3) = 6  [...]" before refusing j.
+        code, out, err = run(["bounds", "--k", "3", "--r", "2", *args], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "outside" in err
+
     @pytest.mark.parametrize("field, value", [
         ("lower", "6.9"), ("r", "true"), ("k", '"3"'), ("upper", "1e400"),
         ("schema_version", "true"), ("schema_version", "1.0"),

@@ -386,7 +386,8 @@ class TestSumTest:
     @pytest.mark.parametrize("n, d, j, r", [
         (20, 1, 1, 2), (13, 1, 1, 3), (40, 1, 1, 5), (4, 2, 1, 2), (8, 2, 1, 3),
         (9, 2, 2, 3), (7, 2, 2, 2), (6, 2, 1, 4), (9, 2, 2, 5), (4, 3, 1, 2),
-        (4, 3, 2, 2), (5, 3, 2, 3), (5, 3, 1, 5),
+        (4, 3, 2, 2), (5, 3, 2, 3), (5, 3, 1, 5), (3, 4, 2, 2), (4, 4, 1, 2),
+        (4, 4, 2, 3), (3, 5, 2, 2), (3, 5, 1, 3),
     ])
     def test_agrees_with_the_whole_family(self, n, d, j, r):
         family = enumerate_tuples(n, d, 3, j)
@@ -413,13 +414,15 @@ class TestSumTest:
         assert not all(outcomes)
 
     @pytest.mark.parametrize("n, d, j, summed", [
-        (2, 8, 1, True), (2, 9, 1, False), (3, 7, 2, True), (3, 8, 1, False),
+        (3, 5, 1, True), (4, 5, 2, True), (7, 5, 2, True), (8, 5, 1, False),
+        (2, 8, 1, False), (2, 9, 1, False), (3, 7, 2, False), (3, 8, 1, False),
         (3, 8, 2, False),
     ])
     def test_a_box_over_the_bit_budget_takes_the_walk(self, n, d, j, summed, monkeypatch):
-        # The bitsets hold (2n+1)^d bits: 5^8 and 7^7 fit in 2^20, 5^9 and
-        # 7^8 do not.
-        assert ((2 * n + 1)**d <= lattice._SUM_TEST_BITS) is summed
+        # The bitsets hold (2n+1)^d bits: 15^5 fits in 2^20, 17^5 does not.
+        # From d = 6 on the walk decides whatever the bit count: 5^8 and 7^7
+        # fit, 5^9 and 7^8 do not.
+        assert (d <= 5 and (2 * n + 1)**d <= lattice._SUM_TEST_BITS) is summed
         calls = []
         sum_violation = lattice._sum_violation
 
@@ -436,6 +439,32 @@ class TestSumTest:
         assert first_violation(Coloring.constant(n, d, 2), 3, j) == Violation(
             SchurTuple((one, second), total), 1)
         assert len(calls) == summed
+
+    def test_a_refused_coloring_stops_the_scan_early(self, monkeypatch):
+        # The first violation of a constant coloring is found at x = (1, 1);
+        # x = (1, 3) gives no total below (2, 3), so the scan ends there.
+        pulled = []
+
+        def counting(n, d):
+            for p in box_points(n, d):
+                pulled.append(p)
+                yield p
+
+        monkeypatch.setattr(lattice, "box_points", counting)
+        assert lattice._sum_violation(Coloring.constant(400, 2, 2), 2) == Violation(
+            SchurTuple(((1, 1), (1, 2)), (2, 3)), 1)
+        assert len(pulled) == 3
+
+    def test_a_summand_parallel_only_by_its_code_is_kept(self):
+        # e(4, 1) = 4 * 11 + 1 = 3 * e(1, 4), yet (4, 1) is not a multiple of
+        # (1, 4): 3 * 4 > 5. Every other point has a color of its own.
+        shared = {(1, 4), (4, 1), (5, 5)}
+        points = list(box_points(5, 2))
+        colors = [1 if p in shared else 2 + i for i, p in enumerate(points)]
+        coloring = Coloring(5, 2, 26, tuple(colors))
+        expected = Violation(SchurTuple(((1, 4), (4, 1)), (5, 5)), 1)
+        assert verify_free(coloring, enumerate_tuples(5, 2, 3, 2)) == expected
+        assert first_violation(coloring, 3, 2) == expected
 
 
 class TestColoring:
