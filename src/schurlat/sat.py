@@ -21,7 +21,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 from . import cdcl
 from .cdcl import Budget, Sat, SolveResult, Unknown, Unsat
 from .encoder import CnfFormula
-from .errors import InputError, IntegrityError, ParseError
+from .errors import InputError, IntegrityError, ParseError, SizeError
+from .lattice import SIZE_CEILING
 
 INTERNAL_SOLVER_NAME = "schurlat-cdcl"
 
@@ -136,7 +137,7 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF text in one pass. Comment lines are ignored, clauses
     may span lines, and a "%" line ends the file. There is exactly one
     "p cnf" header, and it comes before the first clause. Lines end where
-    str.splitlines ends them.
+    str.splitlines ends them. A header over SIZE_CEILING variables is SizeError.
 
     The text is read in blocks of whole lines of about 64 KiB, and a block
     that holds only clauses is split and parsed at once, so the transient
@@ -170,6 +171,8 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"bad DIMACS header: {line!r}") from None
+            if num_vars > SIZE_CEILING:
+                raise SizeError(f"DIMACS header declares more than {SIZE_CEILING} variables")
             continue
         if line == "%":
             break
@@ -260,7 +263,8 @@ def solve_external(
     Sat models are re-checked against the formula in-process before being
     returned; a model that fails the formula is an integrity error, never a
     silent wrong answer. Spawn failures, timeouts and output that cannot be
-    parsed come back as Unknown.
+    parsed come back as Unknown. Stdout is read as read_dimacs reads a file
+    (ASCII, other bytes replaced); stderr is discarded.
     """
     if isinstance(command, str):
         raise InputError("solver command must be argv words, not a str")
@@ -277,8 +281,8 @@ def solve_external(
         try:
             proc = subprocess.run(
                 argv + [str(path)],
-                capture_output=True,
-                text=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
                 timeout=timeout,
             )
         except subprocess.TimeoutExpired:
@@ -286,7 +290,8 @@ def solve_external(
         except OSError as e:
             return Unknown(f"failed to launch external solver: {e}")
     try:
-        result = parse_solver_output(proc.stdout, num_vars=formula.num_vars)
+        result = parse_solver_output(proc.stdout.decode("ascii", errors="replace"),
+                                     num_vars=formula.num_vars)
     except ParseError as e:
         return Unknown(f"unreadable solver output: {e}")
     if isinstance(result, Sat) and not check_model(formula, result.model):

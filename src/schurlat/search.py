@@ -176,9 +176,6 @@ class _Box:
     refutation is one of the color-reduced formula; encoder.precedence_points
     says why that refutes the whole formula.
 
-    engines, fixed here once, is the order decide runs: ("internal",) with
-    no solver command, else ("external", "internal").
-
     floor is the largest N whose tuple family is empty (_family_floor), so
     every coloring of [n]^d with n <= floor is free and a refutation there
     is a fault. ceiling is the theorem's bound
@@ -192,7 +189,6 @@ class _Box:
             raise InputError(f"need r >= 1, got r={shown(r)}")
         self.d, self.k, self.j, self.r = d, k, j, r
         self.config = config
-        self.engines = ("external", "internal") if config.solver_command else ("internal",)
         self.n = 0
         self.bases: dict[Point, int] = {}
         self.engine = cdcl.Engine(0, ())
@@ -233,20 +229,12 @@ class _Box:
         clauses = [c for s in range(1, self.n + 1) for c in self._shell(s, bases)]
         return CnfFormula(self.engine.n, tuple(clauses))
 
-    def _solve(self, engine: str) -> tuple[sat.SolveResult, str]:
-        """Run one engine on the current formula; returns the result and the
-        name of the engine."""
-        if engine == "internal":
-            return self.engine.solve(self.config.budget), sat.INTERNAL_SOLVER_NAME
-        command = self.config.solver_command
-        return (sat.solve_external(self.formula(), command, self.config.budget),
-                "external:" + shlex.join(command))
-
     def decide(self, n: int) -> tuple[ProbeOutcome, int]:
-        """Grow the formula to [n]^d and run the engines in order until one
-        answers; when none does, the first one's Unknown stands. Returns the
-        outcome and the level's wall time in ms, from growth to the last
-        check.
+        """Grow the formula to [n]^d, solve it and check the answer. A named
+        solver decides first, and the internal engine only when there is none
+        or it answered Unknown; when both give up, the solver's Unknown
+        stands. Returns the outcome and the level's wall time in ms, from
+        growth to the last check.
 
         A model is checked against the lattice, and passes exactly when it
         satisfies every clause: decode_model checks the at-most-one clauses;
@@ -261,12 +249,15 @@ class _Box:
             raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
         t0 = time.monotonic()
         self._grow(n)
-        result, solver = self._solve(self.engines[0])
-        for engine in self.engines[1:]:
-            if isinstance(result, sat.Unknown):
-                answer = self._solve(engine)
-                if not isinstance(answer[0], sat.Unknown):
-                    result, solver = answer
+        command, budget = self.config.solver_command, self.config.budget
+        result = None
+        if command:
+            result = sat.solve_external(self.formula(), command, budget)
+            solver = "external:" + shlex.join(command)
+        if result is None or isinstance(result, sat.Unknown):
+            answer = self.engine.solve(budget)
+            if result is None or not isinstance(answer, sat.Unknown):
+                result, solver = answer, sat.INTERNAL_SOLVER_NAME
         d, k, j, r = self.d, self.k, self.j, self.r
         if isinstance(result, sat.Unsat) and n <= self.floor:
             raise IntegrityError(

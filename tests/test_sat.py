@@ -13,8 +13,8 @@ import schurlat
 from conftest import oracle_truth_table_sat
 from schurlat import cdcl, sat
 from schurlat.encoder import CnfFormula, encode, encode_points
-from schurlat.lattice import enumerate_shell, shell_points
-from schurlat.errors import InputError, IntegrityError, ParseError
+from schurlat.lattice import SIZE_CEILING, enumerate_shell, shell_points
+from schurlat.errors import InputError, IntegrityError, ParseError, SizeError
 from schurlat.sat import (
     Budget,
     Sat,
@@ -684,6 +684,12 @@ class TestDimacs:
         g = read_dimacs(write_dimacs(f))
         assert (g.num_vars, g.clauses) == (f.num_vars, f.clauses)
 
+    def test_header_over_the_size_ceiling_is_refused(self):
+        # The header alone would size the engine's per-variable arrays.
+        assert read_dimacs(f"p cnf {SIZE_CEILING} 0\n").num_vars == SIZE_CEILING
+        with pytest.raises(SizeError, match=f"more than {SIZE_CEILING} variables"):
+            read_dimacs(f"p cnf {SIZE_CEILING + 1} 0\n1 0\n")
+
     def test_percent_line_ends_the_file(self):
         f = read_dimacs("p cnf 2 1\n1 2 0\n%\n0\n")
         assert f.clauses == ((1, 2),)
@@ -907,6 +913,19 @@ class TestSolveExternal:
         noisy.write_text("print('hello world')\n")
         result = solve_external(CnfFormula(1, ((1,),)), [sys.executable, str(noisy)])
         assert result == Unknown("no status line")
+
+    @pytest.mark.parametrize("stdout, stderr, expected", [
+        (b"c \xff\xfe\ns UNSATISFIABLE\n", b"", Unsat()),
+        (b"s UNKNOWN\n", b"\xff\n", Unknown("solver reported 'UNKNOWN'")),
+    ], ids=["stdout", "stderr"])
+    def test_output_that_is_not_utf8_is_read(self, tmp_path, stdout, stderr, expected):
+        # Stdout is read as ASCII with other bytes replaced; stderr is not read.
+        solver = tmp_path / "bytes.py"
+        solver.write_text("import sys\n"
+                          f"sys.stdout.buffer.write({stdout!r})\n"
+                          f"sys.stderr.buffer.write({stderr!r})\n")
+        result = solve_external(CnfFormula(1, ((1,), (-1,))), [sys.executable, str(solver)])
+        assert result == expected
 
     def test_lying_solver_is_integrity_error(self, tmp_path):
         liar = tmp_path / "liar.py"

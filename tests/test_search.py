@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from schurlat import bounds, cdcl, cli, lattice, render, search, solver_cli, witness
+from schurlat import bounds, cdcl, cli, lattice, render, sat, search, solver_cli, witness
 from schurlat.bounds import SchurUpperBound, ramsey_number
 from schurlat.encoder import (
     CnfFormula,
@@ -959,10 +959,48 @@ class TestEngineConfig:
         with pytest.raises(InputError, match="argv words, not a str"):
             EngineConfig(solver_command=sys.executable + " -m schurlat.solver_cli")
 
-    @pytest.mark.parametrize("command, order", [
-        (None, ("internal",)),
-        (("s",), ("external", "internal")),
-    ], ids=["internal", "external-then-internal"])
-    def test_box_fixes_its_engine_order(self, command, order):
-        config = EngineConfig(solver_command=command)
-        assert _Box(1, 3, 1, 2, config).engines == order
+
+class TestSolverOrder:
+    """probe(7, 2, 3, 2, 2) is a refutation: N=7 is the d2 k3 r2 value."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        solve = cdcl.Engine.solve
+
+        def internal(engine, budget=None):
+            calls.append("internal")
+            return solve(engine, budget)
+
+        monkeypatch.setattr(cdcl.Engine, "solve", internal)
+        return calls
+
+    def external(self, monkeypatch, calls, answer):
+        def solve_external(formula, command, budget=None):
+            calls.append("external")
+            return answer
+
+        monkeypatch.setattr(sat, "solve_external", solve_external)
+
+    @pytest.mark.parametrize("command", [None, ()], ids=["none", "empty"])
+    def test_no_command_runs_the_internal_engine_alone(self, monkeypatch, calls, command):
+        def formula(box):
+            raise AssertionError("formula rebuilt with no solver named")
+
+        monkeypatch.setattr(_Box, "formula", formula)
+        self.external(monkeypatch, calls, sat.Unsat())
+        out = probe(7, 2, 3, 2, 2, EngineConfig(solver_command=command))
+        assert calls == ["internal"]
+        assert out == UnsatRecord(7, "schurlat-cdcl", out.wall_ms)
+
+    def test_an_external_unknown_goes_to_the_internal_engine(self, monkeypatch, calls):
+        self.external(monkeypatch, calls, Unknown("gave up"))
+        out = probe(7, 2, 3, 2, 2, EngineConfig(solver_command=("s",)))
+        assert calls == ["external", "internal"]
+        assert out == UnsatRecord(7, "schurlat-cdcl", out.wall_ms)
+
+    def test_an_external_answer_stands(self, monkeypatch, calls):
+        self.external(monkeypatch, calls, sat.Unsat())
+        out = probe(7, 2, 3, 2, 2, EngineConfig(solver_command=("s",)))
+        assert calls == ["external"]
+        assert out == UnsatRecord(7, "external:s", out.wall_ms)

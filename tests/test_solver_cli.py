@@ -81,9 +81,12 @@ class TestMain:
         ("p cnf 2 1\np cnf 3 1\n3 0\n", "second DIMACS header"),
         ("1 2 0\np cnf 2 1\n", "DIMACS header after clauses"),
         ("p cnf -1 0\n", "num_vars must be >= 0"),
+        ("p cnf 100000000 0\n", "DIMACS header declares more than 16777216 variables"),
     ], ids=["dnf-header", "short-header", "non-integer-literal", "second-header",
-            "clauses-before-header", "negative-num-vars"])
-    def test_malformed_dimacs_is_unknown(self, tmp_path, capsys, text, word):
+            "clauses-before-header", "negative-num-vars", "header-over-the-ceiling"])
+    def test_malformed_dimacs_is_unknown(self, tmp_path, capsys, monkeypatch, text, word):
+        # No engine is built: one sized by the 10^8 header would need about 64 GB.
+        monkeypatch.setattr(solver_cli, "solve_internal", None)
         path = tmp_path / "f.cnf"
         path.write_text(text)
         code = main([str(path)])
