@@ -40,7 +40,6 @@ from .sat import (
 )
 from .search import (
     Certificate,
-    EngineConfig,
     Exact,
     Inconclusive,
     LowerBound,

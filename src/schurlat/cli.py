@@ -61,13 +61,12 @@ def _effective_j(args) -> int:
     return args.j if args.j is not None else min(args.d, args.k - 1)
 
 
-def _engine_config(args) -> search.EngineConfig:
-    budget = Budget(seconds=args.budget_s) if args.budget_s is not None else None
+def _solver_command(args) -> tuple[str, ...] | None:
     line = os.environ.get("SCHUR_SOLVER") if args.solver_cmd is None else args.solver_cmd
     command = split_command(line) if line else None
     if command and shutil.which(command[0]) is None:
         raise InputError(f"solver program {command[0]!r} not found")
-    return search.EngineConfig(solver_command=command, budget=budget)
+    return command
 
 
 # -- subcommands -------------------------------------------------------------
@@ -96,7 +95,8 @@ def cmd_search(args) -> int:
     outcome = search.find_schur_number(
         args.d, args.k, j, args.r,
         n_max=args.n_max,
-        config=_engine_config(args),
+        budget=Budget(seconds=args.budget_s) if args.budget_s is not None else None,
+        solver_command=_solver_command(args),
         cert_dir=out_dir,
         ledger_path=ledger,
         progress=progress,

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from . import cdcl
 from .cdcl import Budget, Sat, SolveResult, Unknown, Unsat
 from .encoder import CnfFormula
-from .errors import InputError, IntegrityError, ParseError, SizeError
+from .errors import InputError, IntegrityError, ParseError, SizeError, shown
 from .lattice import SIZE_CEILING
 
 INTERNAL_SOLVER_NAME = "schurlat-cdcl"
@@ -161,16 +161,16 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
             continue
         if line.startswith("p"):
             if num_vars is not None:
-                raise ParseError(f"second DIMACS header: {line!r}")
+                raise ParseError(f"second DIMACS header: {shown(line)}")
             if clauses or current:
-                raise ParseError(f"DIMACS header after clauses: {line!r}")
+                raise ParseError(f"DIMACS header after clauses: {shown(line)}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"bad DIMACS header: {line!r}")
+                raise ParseError(f"bad DIMACS header: {shown(line)}")
             try:
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:
-                raise ParseError(f"bad DIMACS header: {line!r}") from None
+                raise ParseError(f"bad DIMACS header: {shown(line)}") from None
             if num_vars > SIZE_CEILING:
                 raise SizeError(f"DIMACS header declares more than {SIZE_CEILING} variables")
             continue
@@ -180,7 +180,7 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
             values = tuple(map(literal, line.split()))
         except ValueError:
             raise ParseError(
-                f"bad DIMACS clause line: {_bad_line(line, literal)!r}") from None
+                f"bad DIMACS clause line: {shown(_bad_line(line, literal))}") from None
         pos = 0
         try:
             while True:
@@ -199,7 +199,7 @@ def read_dimacs(text: str | bytes) -> CnfFormula:
     if current:
         raise ParseError("last clause is not 0-terminated")
     if len(clauses) != num_clauses:
-        raise ParseError(f"header promises {num_clauses} clauses, found {len(clauses)}")
+        raise ParseError(f"header promises {shown(num_clauses)} clauses, found {len(clauses)}")
     return CnfFormula(num_vars, tuple(clauses))
 
 
@@ -221,13 +221,13 @@ def parse_solver_output(text: str, num_vars: int | None = None) -> SolveResult:
             try:
                 lits.extend(int(t) for t in line[1:].split())
             except ValueError:
-                raise ParseError(f"bad v-line: {line!r}") from None
+                raise ParseError(f"bad v-line: {shown(line)}") from None
     if status is None:
         return Unknown("no status line")
     if status == "UNSATISFIABLE":
         return Unsat()
     if status != "SATISFIABLE":
-        return Unknown(f"solver reported {status!r}")
+        return Unknown(f"solver reported {shown(status)}")
     model: dict[int, bool] = {}
     for lit in lits:
         if lit == 0:

@@ -138,22 +138,6 @@ class Inconclusive:
 SearchOutcome = Exact | LowerBound | Inconclusive
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """How probes get decided.
-
-    solver_command, argv words, names an external solver; a named solver
-    decides each level first, and the internal engine answers its Unknowns.
-    """
-
-    solver_command: tuple[str, ...] | None = None
-    budget: sat.Budget | None = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.solver_command, str):
-            raise InputError("solver command must be argv words, not a str")
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -172,6 +156,9 @@ class _Box:
     bases; formula() rebuilds the clauses, shell by shell in the same
     numbering, for an external solver.
 
+    solver_command, argv words, names that external solver; a str is
+    refused (sat.split_command splits one). budget bounds each solve.
+
     Every shell carries the color-precedence units of its points, so a
     refutation is one of the color-reduced formula; encoder.precedence_points
     says why that refutes the whole formula.
@@ -184,11 +171,15 @@ class _Box:
     It is None when R_r(k) is not tabulated.
     """
 
-    def __init__(self, d: int, k: int, j: int, r: int, config: EngineConfig) -> None:
+    def __init__(self, d: int, k: int, j: int, r: int, *,
+                 solver_command: tuple[str, ...] | None = None,
+                 budget: sat.Budget | None = None) -> None:
         if r < 1:
             raise InputError(f"need r >= 1, got r={shown(r)}")
+        if isinstance(solver_command, str):
+            raise InputError("solver command must be argv words, not a str")
         self.d, self.k, self.j, self.r = d, k, j, r
-        self.config = config
+        self.solver_command, self.budget = solver_command, budget
         self.n = 0
         self.bases: dict[Point, int] = {}
         self.engine = cdcl.Engine(0, ())
@@ -249,7 +240,7 @@ class _Box:
             raise InputError(f"cannot decide N={n}: the box is at N={self.n}")
         t0 = time.monotonic()
         self._grow(n)
-        command, budget = self.config.solver_command, self.config.budget
+        command, budget = self.solver_command, self.budget
         result = None
         if command:
             result = sat.solve_external(self.formula(), command, budget)
@@ -295,14 +286,17 @@ class _Box:
 
 
 def probe(
-    n: int, d: int, k: int, j: int, r: int, config: EngineConfig | None = None
+    n: int, d: int, k: int, j: int, r: int, *,
+    solver_command: tuple[str, ...] | None = None,
+    budget: sat.Budget | None = None,
 ) -> ProbeOutcome:
     """Decide whether some r-coloring of [n]^d avoids every j-nondegenerate
     Schur k-tuple. The answer is a Certificate, already re-verified against
-    the family, an UnsatRecord, or an Unknown."""
+    the family, an UnsatRecord, or an Unknown. solver_command and budget are
+    _Box's."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={shown(n)}")
-    return _Box(d, k, j, r, config or EngineConfig()).decide(n)[0]
+    return _Box(d, k, j, r, solver_command=solver_command, budget=budget).decide(n)[0]
 
 
 def find_schur_number(
@@ -312,7 +306,8 @@ def find_schur_number(
     r: int,
     *,
     n_max: int | None = None,
-    config: EngineConfig | None = None,
+    solver_command: tuple[str, ...] | None = None,
+    budget: sat.Budget | None = None,
     cert_dir: str | Path | None = None,
     ledger_path: str | Path | None = None,
     progress: Callable[[int, str], None] | None = None,
@@ -329,15 +324,15 @@ def find_schur_number(
     Inconclusive; an Unknown is never converted into a bound.
 
     Every level is decided by one _Box, whose formula and internal engine
-    grow shell by shell, whichever engine answers it.
+    grow shell by shell, whichever engine answers it; solver_command and
+    budget are the box's.
     """
     if n_max is not None and n_max < 1:
         raise InputError(f"n_max must be >= 1, got {shown(n_max)}")
-    config = config or EngineConfig()
     cert_dir = Path(cert_dir) if cert_dir else None
     ledger_path = Path(ledger_path) if ledger_path else None
     statuses: list[tuple[int, str]] = []
-    box = _Box(d, k, j, r, config)
+    box = _Box(d, k, j, r, solver_command=solver_command, budget=budget)
     n = box.floor if n_max is None else min(box.floor, n_max)
     while True:
         outcome, wall_ms = box.decide(n)

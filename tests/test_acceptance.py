@@ -40,8 +40,7 @@ def search_d2_r2():
 
 @pytest.fixture(scope="module")
 def search_d2_r3():
-    config = s.EngineConfig(budget=s.Budget(seconds=3600))
-    return timed_search(2, 3, 2, 3, config=config)
+    return timed_search(2, 3, 2, 3, budget=s.Budget(seconds=3600))
 
 
 def run_cli_search(extra_args, tmp_path, capsys):
@@ -107,9 +106,8 @@ def test_03_three_color_lattice_value(search_d2_r3):
 @pytest.mark.slow
 @pytest.mark.stretch
 def test_04_four_color_lower_bound_stretch():
-    config = s.EngineConfig(budget=s.Budget(seconds=300))
     t0 = time.monotonic()
-    outcome = s.find_schur_number(2, 3, 2, 4, n_max=30, config=config)
+    outcome = s.find_schur_number(2, 3, 2, 4, n_max=30, budget=s.Budget(seconds=300))
     elapsed = time.monotonic() - t0
     if isinstance(outcome, s.Inconclusive) or elapsed > 600:
         report(4, "SKIP", f"non-gating stretch: {elapsed:.0f}s elapsed, "
@@ -206,8 +204,7 @@ def test_08_bound_consistency(search_d2_r2, search_d2_r3):
 
 @pytest.mark.slow
 def test_09_cubic_formula_spot_check():
-    config = s.EngineConfig(budget=s.Budget(seconds=1800))
-    outcome, elapsed = timed_search(1, 4, 1, 3, config=config)
+    outcome, elapsed = timed_search(1, 4, 1, 3, budget=s.Budget(seconds=1800))
     expected = s.schur_3k_formula(4)
     ok = (
         isinstance(outcome, s.Exact)

@@ -294,7 +294,7 @@ class TestSearch:
                             "--out", str(tmp_path), "-q"], capsys)
         assert code == EXIT_OK
         assert out.startswith("Exact 2")
-        box = search._Box(1, 3, 1, 1, search.EngineConfig())
+        box = search._Box(1, 3, 1, 1)
         box._grow(2)
         assert box.formula().clauses == encode(2, 1, 3, 1, 1).clauses
 

@@ -786,6 +786,28 @@ class TestDimacs:
             read_dimacs(text.encode())
         assert str(e.value) == "bad DIMACS clause line: '1 -2 3 -4 12x -6 7 -8 0'"
 
+    @pytest.mark.parametrize("text, start", [
+        ("p cnf " + "9" * 100000 + " 0\n", "bad DIMACS header: 'p cnf 999"),
+        ("p cnf 1 1 " + "1 " * 100000 + "\n", "bad DIMACS header: 'p cnf 1 1 1 "),
+        ("p cnf 1 0\np cnf " + "1 " * 100000 + "\n", "second DIMACS header: 'p cnf 1 "),
+        ("1 0\np cnf " + "1 " * 100000 + "\n", "DIMACS header after clauses: 'p cnf 1 "),
+        ("p cnf 1 1\n" + "1 " * 200000 + "x 0\n", "bad DIMACS clause line: '1 1 "),
+    ], ids=["header-number", "header-shape", "second-header", "header-after-clauses",
+            "clause-line"])
+    def test_refusal_quotes_a_bounded_prefix_of_a_long_line(self, text, start):
+        # A line over 100 characters is quoted by its first 100 and its length.
+        with pytest.raises(ParseError) as e:
+            read_dimacs(text)
+        line = text.splitlines()[-1].strip()
+        assert str(e.value).startswith(start)
+        assert str(e.value).endswith(f"'... <{len(line)} characters>")
+        assert len(str(e.value)) < 200
+
+    def test_long_clause_count_is_shown_by_its_length(self):
+        with pytest.raises(ParseError) as e:
+            read_dimacs("p cnf 1 " + "9" * 4000 + "\n1 0\n")
+        assert str(e.value) == "header promises <13288-bit integer> clauses, found 1"
+
     def test_transient_memory_is_bounded_by_a_block(self):
         # A list of every line held beside the text peaks at 2.26 times
         # what the formula keeps. Lines that end in "\r" alone are cut into
@@ -864,6 +886,17 @@ class TestParseSolverOutput:
     def test_contradictory_v_lines(self):
         with pytest.raises(ParseError):
             parse_solver_output("s SATISFIABLE\nv 1 0\nv -1 0\n")
+
+    def test_long_status_is_quoted_by_a_bounded_prefix(self):
+        result = parse_solver_output("s " + "UNKNOWN " * 20000 + "\n")
+        assert result == Unknown(f"solver reported {'UNKNOWN ' * 12 + 'UNKN'!r}... "
+                                 f"<159999 characters>")
+
+    def test_long_bad_v_line_is_quoted_by_a_bounded_prefix(self):
+        line = "v " + "1 " * 100000 + "x"
+        with pytest.raises(ParseError) as e:
+            parse_solver_output(f"s SATISFIABLE\n{line}\n")
+        assert str(e.value) == f"bad v-line: {line[:100]!r}... <{len(line)} characters>"
 
     def test_v_lines_spanning_multiple_lines(self):
         result = parse_solver_output("s SATISFIABLE\nv 1 2\nv -3 0\n")

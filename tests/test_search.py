@@ -42,7 +42,6 @@ from schurlat.lattice import (
 from schurlat.sat import Budget, Sat, Unknown, check_model, solve_internal, write_dimacs
 from schurlat.search import (
     Certificate,
-    EngineConfig,
     Exact,
     Inconclusive,
     LowerBound,
@@ -86,16 +85,12 @@ class TestProbe:
         assert isinstance(probe(6, 1, 3, 1, 2), UnsatRecord)
 
     def test_unknown_propagates(self):
-        config = EngineConfig(budget=Budget(conflicts=1))
-        out = probe(14, 1, 3, 1, 3, config)
+        out = probe(14, 1, 3, 1, 3, budget=Budget(conflicts=1))
         assert isinstance(out, Unknown)
 
     def test_escalation_to_external_answers(self, internal_solver_cmd):
-        config = EngineConfig(
-            budget=Budget(conflicts=1),
-            solver_command=tuple(internal_solver_cmd),
-        )
-        out = probe(5, 1, 3, 1, 2, config)
+        out = probe(5, 1, 3, 1, 2, budget=Budget(conflicts=1),
+                    solver_command=tuple(internal_solver_cmd))
         assert isinstance(out, UnsatRecord)
         assert out.solver.startswith("external:")
 
@@ -192,7 +187,7 @@ class TestShellFormula:
         # default encoding plus the units of the rule: the i-th point of shell
         # order, sorted here by largest coordinate and then row-major, loses
         # its first r-i colors.
-        box = _Box(d, k, j, r, EngineConfig())
+        box = _Box(d, k, j, r)
         box._grow(n)
         meta = EncodingMeta(n, d, r, k, j)
         rename = {base + m: var_index(p, m, meta)
@@ -230,7 +225,7 @@ class TestShellFormula:
             add_clauses(engine, clauses)
 
         monkeypatch.setattr(cdcl.Engine, "add_clauses", record)
-        box = _Box(d, k, j, r, EngineConfig())
+        box = _Box(d, k, j, r)
         box._grow(n)
         clauses = box.formula().clauses
         assert list(clauses) == received
@@ -246,7 +241,7 @@ class TestShellFormula:
         # second copy of the clauses as tuples adds about 20 more.
         tracemalloc.start()
         try:
-            box = _Box(2, 3, 2, 4, EngineConfig())
+            box = _Box(2, 3, 2, 4)
             box._grow(14)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0]
@@ -271,7 +266,7 @@ class TestShellFormula:
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            box = _Box(2, 3, 2, 3, EngineConfig())
+            box = _Box(2, 3, 2, 3)
             monkeypatch.setattr(search, "encode_points", recording)
             box._grow(5)
             assert seen == [False] * 5  # paused while the shells are built
@@ -304,8 +299,7 @@ class TestLatticeChecksCoverTheFormula:
     ])
     def test_decide_accepts_exactly_the_models(self, d, k, j, r, n, satisfying,
                                                monkeypatch):
-        config = EngineConfig()
-        box = _Box(d, k, j, r, config)
+        box = _Box(d, k, j, r)
         box._grow(n)
         formula = box.formula()
         assignment: list[bool] = []
@@ -314,7 +308,7 @@ class TestLatticeChecksCoverTheFormula:
         accepted = 0
         for bits in itertools.product((False, True), repeat=formula.num_vars):
             assignment[:] = bits
-            box = _Box(d, k, j, r, config)
+            box = _Box(d, k, j, r)
             if check_model(formula, dict(enumerate(bits, 1))):
                 assert isinstance(box.decide(n)[0], Certificate)
                 accepted += 1
@@ -362,7 +356,7 @@ class TestColorPrecedence:
         # The coloring is free, so color precedence is the one check it fails.
         coloring = Coloring(n, d, r, colors)
         assert verify_certificate(make_cert(n, d, j, k, r, coloring)) is None
-        box = _Box(d, k, j, r, EngineConfig())
+        box = _Box(d, k, j, r)
         monkeypatch.setattr(cdcl.Engine, "solve", lambda engine, *args: Sat({
             box.bases[p] + m: coloring.color_of(p) == m
             for p in box_points(n, d) for m in range(1, r)}))
@@ -523,8 +517,7 @@ class TestFindSchurNumber:
         assert verify_certificate(out.witness) is None
 
     def test_unknown_halts_as_inconclusive(self):
-        config = EngineConfig(budget=Budget(conflicts=1))
-        out = find_schur_number(1, 3, 1, 3, config=config)
+        out = find_schur_number(1, 3, 1, 3, budget=Budget(conflicts=1))
         assert isinstance(out, Inconclusive)
         assert out.statuses[-1][1].startswith("unknown")
 
@@ -533,9 +526,8 @@ class TestFindSchurNumber:
         # to escalate to, so the first Unknown ends the search, on record.
         monkeypatch.setenv("SCHUR_SOLVER", "kissat '-q")
         ledger = tmp_path / "results.csv"
-        config = EngineConfig(budget=Budget(conflicts=1))
-        out = find_schur_number(1, 3, 1, 3, config=config, cert_dir=tmp_path,
-                                ledger_path=ledger)
+        out = find_schur_number(1, 3, 1, 3, budget=Budget(conflicts=1),
+                                cert_dir=tmp_path, ledger_path=ledger)
         assert isinstance(out, Inconclusive)
         assert out.statuses[-1] == (10, "unknown: internal solver budget exhausted "
                                         "(1 conflicts) after 1 conflicts, 4 decisions, "
@@ -573,8 +565,8 @@ class TestFindSchurNumber:
         assert [n for n, _ in seen] == [1, 2, 3, 4, 5]
 
     def test_colorable_level_at_the_theorem_bound_is_a_fault(self, monkeypatch):
-        assert _Box(2, 3, 2, 3, EngineConfig()).ceiling == 17**2 - 1
-        assert _Box(1, 3, 1, 5, EngineConfig()).ceiling is None  # R_5(3) untabulated
+        assert _Box(2, 3, 2, 3).ceiling == 17**2 - 1
+        assert _Box(1, 3, 1, 5).ceiling is None  # R_5(3) untabulated
         low = SchurUpperBound(4, True, ramsey_number(2, 3))
         monkeypatch.setattr(search, "schur_upper_bound", lambda d, j, r, k: low)
         # [4] is 2-colorable (the value is 5), so a bound of 4 is contradicted.
@@ -591,7 +583,7 @@ class TestFindSchurNumber:
         def refuse(*args):
             raise AssertionError("a shell was enumerated")
         monkeypatch.setattr(search, "enumerate_shell", refuse)
-        assert _Box(d, k, j, r, EngineConfig()).floor == floor
+        assert _Box(d, k, j, r).floor == floor
 
     def test_shell_over_the_coordinate_ceiling_is_refused(self):
         # Shell 2 of [2]^40 has 2^40 - 1 points; none is built.
@@ -623,9 +615,9 @@ class TestFindSchurNumber:
         # The first level's family is empty, so a solver that refutes it lies.
         liar = tmp_path / "liar.py"
         liar.write_text("print('s UNSATISFIABLE')\n")
-        config = EngineConfig(solver_command=(sys.executable, str(liar)))
         with pytest.raises(IntegrityError, match="empty"):
-            find_schur_number(2, 3, 2, 2, config=config, ledger_path=tmp_path / "l.csv")
+            find_schur_number(2, 3, 2, 2, solver_command=(sys.executable, str(liar)),
+                              ledger_path=tmp_path / "l.csv")
         assert not (tmp_path / "l.csv").exists()
 
 
@@ -693,8 +685,7 @@ class TestAscent:
         assert find_schur_number(1, 3, 1, 3).value == 14
         budget = max(per_level) + 1
         assert budget < sum(per_level)  # a whole-search budget would run out
-        config = EngineConfig(budget=Budget(conflicts=budget))
-        out = find_schur_number(1, 3, 1, 3, config=config)
+        out = find_schur_number(1, 3, 1, 3, budget=Budget(conflicts=budget))
         assert isinstance(out, Exact) and out.value == 14
 
     def test_symmetry_break(self, tmp_path):
@@ -716,9 +707,9 @@ class TestAscent:
         # An external solver that gives up after two conflicts answers every
         # level of the three-color search but N=13 and N=14: the shared
         # engine, which holds the same formula, answers those.
-        config = EngineConfig(solver_command=(*internal_solver_cmd, "--max-conflicts", "2"))
+        command = (*internal_solver_cmd, "--max-conflicts", "2")
         ledger = tmp_path / "ledger.csv"
-        out = find_schur_number(1, 3, 1, 3, config=config, ledger_path=ledger)
+        out = find_schur_number(1, 3, 1, 3, solver_command=command, ledger_path=ledger)
         assert isinstance(out, Exact) and out.value == 14
         with ledger.open() as fh:
             internal = [int(row["n"]) for row in csv.DictReader(fh)
@@ -731,8 +722,8 @@ class TestAscent:
     def test_external_engine_search_in_the_plane(self, tmp_path, internal_solver_cmd):
         # The external solver gets the search's shell-numbered formula; its
         # models are decoded through the shell bases.
-        config = EngineConfig(solver_command=tuple(internal_solver_cmd))
-        out = find_schur_number(2, 3, 2, 2, config=config, cert_dir=tmp_path)
+        out = find_schur_number(2, 3, 2, 2, solver_command=tuple(internal_solver_cmd),
+                                cert_dir=tmp_path)
         assert isinstance(out, Exact) and out.value == 7
         assert out.refutation.solver.startswith("external:")
         certs = [load_certificate(p) for p in sorted(tmp_path.glob("*.cert.json"))]
@@ -744,8 +735,7 @@ class TestAscent:
     def test_escalation_from_external_to_internal(self):
         # A solver that prints nothing answers Unknown; the internal engine,
         # which holds the same formula, answers instead.
-        config = EngineConfig(solver_command=(sys.executable, "-c", "pass"))
-        out = find_schur_number(2, 3, 2, 2, config=config)
+        out = find_schur_number(2, 3, 2, 2, solver_command=(sys.executable, "-c", "pass"))
         assert isinstance(out, Exact) and out.value == 7
         assert out.witness.provenance.solver == "schurlat-cdcl"
         assert out.refutation.solver == "schurlat-cdcl"
@@ -755,9 +745,8 @@ class TestAscent:
         # N=10 is the first level that needs a conflict: the silent external
         # solver and the budgeted internal engine both give up there, and the
         # level records the external engine's reason.
-        config = EngineConfig(budget=Budget(conflicts=1),
-                              solver_command=(sys.executable, "-c", "pass"))
-        out = find_schur_number(1, 3, 1, 3, config=config)
+        out = find_schur_number(1, 3, 1, 3, budget=Budget(conflicts=1),
+                                solver_command=(sys.executable, "-c", "pass"))
         assert isinstance(out, Inconclusive)
         assert out.statuses[-1] == (10, "unknown: no status line")
 
@@ -953,13 +942,6 @@ class TestVerifyCertificate:
             verify_certificate(make_cert(3, 2, 3, 3, 2))
 
 
-class TestEngineConfig:
-    def test_string_solver_command_refused(self):
-        # Provenance joins the argv words; a str would be split into characters.
-        with pytest.raises(InputError, match="argv words, not a str"):
-            EngineConfig(solver_command=sys.executable + " -m schurlat.solver_cli")
-
-
 class TestSolverOrder:
     """probe(7, 2, 3, 2, 2) is a refutation: N=7 is the d2 k3 r2 value."""
 
@@ -989,18 +971,31 @@ class TestSolverOrder:
 
         monkeypatch.setattr(_Box, "formula", formula)
         self.external(monkeypatch, calls, sat.Unsat())
-        out = probe(7, 2, 3, 2, 2, EngineConfig(solver_command=command))
+        out = probe(7, 2, 3, 2, 2, solver_command=command)
         assert calls == ["internal"]
         assert out == UnsatRecord(7, "schurlat-cdcl", out.wall_ms)
 
     def test_an_external_unknown_goes_to_the_internal_engine(self, monkeypatch, calls):
         self.external(monkeypatch, calls, Unknown("gave up"))
-        out = probe(7, 2, 3, 2, 2, EngineConfig(solver_command=("s",)))
+        out = probe(7, 2, 3, 2, 2, solver_command=("s",))
         assert calls == ["external", "internal"]
         assert out == UnsatRecord(7, "schurlat-cdcl", out.wall_ms)
 
     def test_an_external_answer_stands(self, monkeypatch, calls):
         self.external(monkeypatch, calls, sat.Unsat())
-        out = probe(7, 2, 3, 2, 2, EngineConfig(solver_command=("s",)))
+        out = probe(7, 2, 3, 2, 2, solver_command=("s",))
         assert calls == ["external"]
         assert out == UnsatRecord(7, "external:s", out.wall_ms)
+
+    def test_string_solver_command_refused(self, monkeypatch, calls, tmp_path):
+        # Provenance joins the argv words; a str would be split into
+        # characters. It is refused before the first level, "" too.
+        self.external(monkeypatch, calls, sat.Unsat())
+        for command in ("python3 -m x", ""):
+            with pytest.raises(InputError, match="argv words, not a str"):
+                probe(7, 2, 3, 2, 2, solver_command=command)
+            with pytest.raises(InputError, match="argv words, not a str"):
+                find_schur_number(2, 3, 2, 2, solver_command=command, cert_dir=tmp_path,
+                                  ledger_path=tmp_path / "results.csv")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
