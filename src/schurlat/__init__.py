@@ -18,7 +18,6 @@ from .lattice import (
 )
 from .encoder import (
     CnfFormula,
-    EncodingMeta,
     coloring_to_assignment,
     decode_model,
     encode,

@@ -38,11 +38,10 @@ class RamseyEntry:
 
 @dataclass(frozen=True)
 class SchurUpperBound:
-    """R_r(k)^j - 1, labeled by whether the Ramsey value behind it is exact.
-    When exact is False this is an upper bound computed from an upper bound."""
+    """R_r(k)^j - 1 and the Ramsey entry behind it. When that entry is not
+    exact, this is an upper bound computed from an upper bound."""
 
     value: int
-    exact: bool
     ramsey: RamseyEntry
 
 
@@ -129,7 +128,7 @@ def schur_upper_bound(
         raise InputError(f"j={shown(j)} outside [1, min(d={shown(d)}, "
                          f"k-1={shown(k - 1)})]")
     entry = ramsey_number(r, k, table)
-    return SchurUpperBound(entry.upper**j - 1, entry.is_exact, entry)
+    return SchurUpperBound(entry.upper**j - 1, entry)
 
 
 def schur_3k_formula(k: int) -> int:

@@ -206,7 +206,7 @@ def cmd_bounds(args) -> int:
         print(f"R_{args.r}({args.k}) = {entry.lower}  [{entry.source}]")
     else:
         print(f"R_{args.r}({args.k}) in [{entry.lower}, {entry.upper}]  [{entry.source}]")
-    label = "" if b.exact else "  (from an inexact Ramsey upper bound)"
+    label = "" if entry.is_exact else "  (from an inexact Ramsey upper bound)"
     try:
         value = str(b.value)
     except ValueError:  # more digits than str() formats

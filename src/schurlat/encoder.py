@@ -19,6 +19,10 @@ numbering is therefore just the order in which points are handed over:
   the temporary DIMACS file handed to an external solver. For d = 1 the two
   orders agree.
 
+encode alone names its parameters, in the formula's comment
+"schurlat N=<n> d=<d> k=<k> j=<j> r=<r>", which write_dimacs prints as the
+first line of the file; a search's formulas and read_dimacs's carry none.
+
 Clause emission order is fixed so byte-identical DIMACS output is reproducible:
 at-most-one-color clauses first (points in the order given, color pairs
 lexicographic), then per-tuple clauses in family order, each tuple
@@ -38,6 +42,7 @@ from .errors import InputError, IntegrityError, shown
 from .lattice import (
     Coloring,
     Point,
+    _check_box,
     _check_coordinates,
     _points,
     box_points,
@@ -50,30 +55,6 @@ Clause = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class EncodingMeta:
-    """The (N, d, r) variable-mapping parameters, plus (k, j) provenance."""
-
-    n: int
-    d: int
-    r: int
-    k: int | None = None
-    j: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1 or self.r < 1:
-            raise InputError(f"bad encoding parameters n={shown(self.n)} "
-                             f"d={shown(self.d)} r={shown(self.r)}")
-
-    @property
-    def num_points(self) -> int:
-        return self.n**self.d
-
-    @property
-    def num_vars(self) -> int:
-        return (self.r - 1) * self.num_points
-
-
-@dataclass(frozen=True)
 class CnfFormula:
     """Numbered boolean variables plus clauses (signed variable tuples).
 
@@ -81,15 +62,19 @@ class CnfFormula:
     encoding of a non-empty tuple family, where the formula is trivially
     unsatisfiable (a 1-coloring cannot avoid anything). A clause may hold a
     literal and its negation, as DIMACS allows; such a clause is always true.
+    A comment is one line of ASCII, which write_dimacs prints as a "c" line.
     """
 
     num_vars: int
     clauses: tuple[Clause, ...]
-    meta: EncodingMeta | None = None
+    comment: str | None = None
 
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise InputError("num_vars must be >= 0")
+        text = self.comment
+        if text is not None and (len(text.splitlines()) > 1 or not text.isascii()):
+            raise InputError(f"comment {shown(text)} is not one line of ASCII")
         n = self.num_vars
         values = set(itertools.chain.from_iterable(self.clauses))
         if values and (0 in values or min(values) < -n or max(values) > n):
@@ -104,21 +89,24 @@ class CnfFormula:
         return len(self.clauses)
 
 
-def var_index(p: Point, m: int, meta: EncodingMeta) -> int:
-    """DIMACS variable number of "point p has color m"."""
-    if not 1 <= m <= meta.r - 1:
-        raise InputError(f"color index m={shown(m)} outside [1, {shown(meta.r - 1)}]")
-    if len(p) != meta.d:
-        raise InputError(f"point {shown(p)} is not {shown(meta.d)}-dimensional")
-    return (point_index(p, meta.n) - 1) * (meta.r - 1) + m
+def var_index(p: Point, m: int, n: int, d: int, r: int) -> int:
+    """DIMACS variable number of "point p has color m" in the row-major
+    numbering of [n]^d with r colors."""
+    _check_box(n, d)
+    if not 1 <= m <= r - 1:
+        raise InputError(f"color index m={shown(m)} outside [1, {shown(r - 1)}]")
+    if len(p) != d:
+        raise InputError(f"point {shown(p)} is not {shown(d)}-dimensional")
+    return (point_index(p, n) - 1) * (r - 1) + m
 
 
-def var_point_color(v: int, meta: EncodingMeta) -> tuple[Point, int]:
+def var_point_color(v: int, n: int, d: int, r: int) -> tuple[Point, int]:
     """Inverse of var_index."""
-    if not 1 <= v <= meta.num_vars:
-        raise InputError(f"variable {shown(v)} outside [1, {shown(meta.num_vars)}]")
-    pm, m = divmod(v - 1, meta.r - 1)
-    return point_from_index(pm + 1, meta.n, meta.d), m + 1
+    num_vars = (r - 1) * n**d
+    if not 1 <= v <= num_vars:
+        raise InputError(f"variable {shown(v)} outside [1, {shown(num_vars)}]")
+    pm, m = divmod(v - 1, r - 1)
+    return point_from_index(pm + 1, n, d), m + 1
 
 
 def precedence_points(n: int, d: int, r: int) -> list[Point]:
@@ -223,15 +211,17 @@ def encode(
         raise InputError("symmetry breaking needs r >= 2 (no variables otherwise)")
     _check_coordinates(n, d, shell=False)
     point_sets = _points(box_points(n, d), d, k, j)
-    meta = EncodingMeta(n, d, r, k, j)
     clauses = encode_points(list(box_points(n, d)), point_sets, {}, r,
                             color_precedence=color_precedence)
-    return CnfFormula(meta.num_vars, tuple(clauses), meta)
+    return CnfFormula((r - 1) * n**d, tuple(clauses),
+                      f"schurlat N={n} d={d} k={k} j={j} r={r}")
 
 
 def decode_model(
     assignment: Mapping[int, bool],
-    meta: EncodingMeta,
+    n: int,
+    d: int,
+    r: int,
     *,
     bases: Mapping[Point, int] | None = None,
 ) -> Coloring:
@@ -239,10 +229,10 @@ def decode_model(
     of p is the unique m with phi_m(p) true, or r if all are false.
 
     bases gives each point's variable offset when the assignment uses a
-    search's shell numbering (see encode_points) instead of row-major."""
-    r = meta.r
+    search's shell numbering (see encode_points) instead of row-major. An n,
+    d or r below 1 is refused (InputError), as box_points and Coloring do."""
     colors = []
-    for pm, p in enumerate(box_points(meta.n, meta.d)):
+    for pm, p in enumerate(box_points(n, d)):
         base = pm * (r - 1) if bases is None else bases[p]
         color = r
         for m in range(1, r):
@@ -258,16 +248,16 @@ def decode_model(
                     )
                 color = m
         colors.append(color)
-    return Coloring(meta.n, meta.d, meta.r, tuple(colors))
+    return Coloring(n, d, r, tuple(colors))
 
 
-def coloring_to_assignment(coloring: Coloring, meta: EncodingMeta) -> dict[int, bool]:
-    """The assignment phi_m(p) := (coloring(p) == m); inverse of decode_model."""
-    if (coloring.n, coloring.d, coloring.r) != (meta.n, meta.d, meta.r):
-        raise InputError("coloring does not match encoding parameters")
+def coloring_to_assignment(coloring: Coloring) -> dict[int, bool]:
+    """The assignment phi_m(p) := (coloring(p) == m) in row-major numbering;
+    inverse of decode_model."""
+    r = coloring.r
     out: dict[int, bool] = {}
     for pm, color in enumerate(coloring.colors):
-        base = pm * (meta.r - 1)
-        for m in range(1, meta.r):
+        base = pm * (r - 1)
+        for m in range(1, r):
             out[base + m] = color == m
     return out

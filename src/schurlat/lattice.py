@@ -93,14 +93,10 @@ def point_index(p: Point, n: int) -> int:
 
 def point_from_index(idx: int, n: int, d: int) -> Point:
     """Inverse of point_index."""
+    _check_box(n, d)
     if not 1 <= idx <= n**d:
         raise InputError(f"index {shown(idx)} outside [1, {shown(n)}^{shown(d)}]")
-    rem = idx - 1
-    coords = []
-    for _ in range(d):
-        rem, c = divmod(rem, n)
-        coords.append(c + 1)
-    return tuple(reversed(coords))
+    return tuple(c + 1 for c in _point_of(idx - 1, n, d))
 
 
 def vector_sum(points: Sequence[Point]) -> Point:

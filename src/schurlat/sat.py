@@ -67,19 +67,11 @@ def write_dimacs(formula: CnfFormula) -> bytes:
     """Serialize to DIMACS CNF, byte-exact and stable across runs.
 
     Header "p cnf <vars> <clauses>", one clause per line terminated by " 0".
-    When the formula carries encoding metadata, a single leading "c" line
-    records the (N, d, k, j, r) parameters.
+    A formula with a comment gets it as a single leading "c" line.
     """
     lines: list[str] = []
-    meta = formula.meta
-    if meta is not None:
-        fields = [f"N={meta.n}", f"d={meta.d}"]
-        if meta.k is not None:
-            fields.append(f"k={meta.k}")
-        if meta.j is not None:
-            fields.append(f"j={meta.j}")
-        fields.append(f"r={meta.r}")
-        lines.append("c schurlat " + " ".join(fields) + "\n")
+    if formula.comment is not None:
+        lines.append(f"c {formula.comment}\n")
     lines.append(f"p cnf {formula.num_vars} {formula.num_clauses}\n")
     for clause in formula.clauses:
         lines.append(" ".join(str(l) for l in clause) + (" 0\n" if clause else "0\n"))

@@ -28,7 +28,6 @@ from .bounds import _json_int, _json_str, schur_upper_bound
 from .encoder import (
     Clause,
     CnfFormula,
-    EncodingMeta,
     decode_model,
     encode_points,
     precedence_points,
@@ -256,8 +255,7 @@ class _Box:
                 f"empty, so every coloring is free; the solver is wrong"
             )
         if isinstance(result, sat.Sat):
-            coloring = decode_model(result.model, EncodingMeta(n, d, r, k, j),
-                                    bases=self.bases)
+            coloring = decode_model(result.model, n, d, r, bases=self.bases)
             for i, p in enumerate(precedence_points(n, d, r), 1):
                 if coloring.color_of(p) <= r - i:
                     raise IntegrityError(

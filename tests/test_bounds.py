@@ -59,11 +59,11 @@ class TestRamseyNumber:
 class TestSchurUpperBound:
     def test_two_dimensional_two_colors(self):
         b = schur_upper_bound(2, 2, 2, 3)
-        assert b.value == 35 and b.exact
+        assert b.value == 35 and b.ramsey.is_exact
 
     def test_one_dimensional_matches_classical(self):
         b = schur_upper_bound(1, 1, 2, 3)
-        assert b.value == 5 and b.exact
+        assert b.value == 5 and b.ramsey.is_exact
 
     def test_depends_on_j_not_d(self):
         assert schur_upper_bound(3, 2, 2, 3).value == 35
@@ -71,7 +71,7 @@ class TestSchurUpperBound:
     def test_inexact_ramsey_is_labeled(self):
         b = schur_upper_bound(2, 2, 4, 3)
         assert b.value == 62**2 - 1
-        assert not b.exact
+        assert not b.ramsey.is_exact
 
     def test_j_range_validated(self):
         with pytest.raises(InputError):

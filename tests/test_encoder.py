@@ -9,7 +9,6 @@ import pytest
 from conftest import make_tuple, oracle_truth_table_sat
 from schurlat.encoder import (
     CnfFormula,
-    EncodingMeta,
     coloring_to_assignment,
     decode_model,
     encode,
@@ -31,42 +30,44 @@ from schurlat.sat import check_model, write_dimacs
 
 class TestVarIndex:
     def test_first_point_first_variable(self):
-        assert var_index((1, 1), 1, EncodingMeta(6, 2, 2)) == 1
+        assert var_index((1, 1), 1, 6, 2, 2) == 1
 
     def test_last_point_of_six_box(self):
-        assert var_index((6, 6), 1, EncodingMeta(6, 2, 2)) == 36
+        assert var_index((6, 6), 1, 6, 2, 2) == 36
 
     def test_second_color_of_first_point(self):
-        assert var_index((1, 1), 2, EncodingMeta(17, 2, 3)) == 2
+        assert var_index((1, 1), 2, 17, 2, 3) == 2
 
     def test_bijection_round_trip(self):
-        meta = EncodingMeta(3, 2, 3)
         seen = set()
         for p in box_points(3, 2):
             for m in (1, 2):
-                v = var_index(p, m, meta)
-                assert var_point_color(v, meta) == (p, m)
+                v = var_index(p, m, 3, 2, 3)
+                assert var_point_color(v, 3, 2, 3) == (p, m)
                 seen.add(v)
-        assert seen == set(range(1, meta.num_vars + 1))
+        assert seen == set(range(1, 19))
 
     def test_range_errors(self):
-        meta = EncodingMeta(3, 2, 3)
         with pytest.raises(InputError):
-            var_index((1, 1), 3, meta)  # m > r-1
+            var_index((1, 1), 3, 3, 2, 3)  # m > r-1
         with pytest.raises(InputError):
-            var_index((4, 1), 1, meta)
+            var_index((4, 1), 1, 3, 2, 3)
         with pytest.raises(InputError):
-            var_index((1,), 1, meta)  # wrong dimension
+            var_index((1,), 1, 3, 2, 3)  # wrong dimension
         with pytest.raises(InputError):
-            var_index((1,), 1, EncodingMeta(3, 1, 1))  # r=1 has no variables
-        for v in (0, meta.num_vars + 1):
+            var_index((1,), 1, 3, 1, 1)  # r=1 has no variables
+        for v in (0, 19):
             with pytest.raises(InputError, match=f"variable {v} outside"):
-                var_point_color(v, meta)
+                var_point_color(v, 3, 2, 3)
 
     @pytest.mark.parametrize("n, d, r", [(0, 2, 3), (3, 0, 3), (3, 2, 0)])
     def test_bad_meta_parameters(self, n, d, r):
-        with pytest.raises(InputError, match="bad encoding parameters"):
-            EncodingMeta(n, d, r)
+        with pytest.raises(InputError, match="box requires|bad coloring parameters"):
+            decode_model({}, n, d, r)
+        with pytest.raises(InputError):
+            var_index((1,) * d, 1, n, d, r)
+        with pytest.raises(InputError):
+            var_point_color(1, n, d, r)
 
 
 def distinctness(n, d, r):
@@ -101,8 +102,7 @@ class TestDistinctness:
 class TestTupleClauses:
     def test_two_colors_three_distinct_points(self):
         t = make_tuple([(1, 1), (1, 2)], (2, 3))
-        meta = EncodingMeta(3, 2, 2)
-        a, b, c = (var_index(p, 1, meta) for p in t.distinct_points())
+        a, b, c = (var_index(p, 1, 3, 2, 2) for p in t.distinct_points())
         assert tuple_clauses(3, 2, [t], 2) == [(-a, -b, -c), (a, b, c)]
 
     def test_three_colors_three_distinct_points(self):
@@ -207,7 +207,7 @@ class TestEncode:
             f = encode(n, d, k, j, r)
             model = oracle_truth_table_sat(f.num_vars, f.clauses)
             assert model is not None
-            coloring = decode_model(model, f.meta)
+            coloring = decode_model(model, n, d, r)
             assert verify_free(coloring, family) is None
 
     def test_completeness_free_colorings_satisfy(self):
@@ -219,10 +219,10 @@ class TestEncode:
         for colors in itertools.product((1, 2), repeat=9):
             chi = Coloring(n, d, r, colors)
             if verify_free(chi, family) is None:
-                assert check_model(f, coloring_to_assignment(chi, f.meta))
+                assert check_model(f, coloring_to_assignment(chi))
                 found += 1
             else:
-                assert not check_model(f, coloring_to_assignment(chi, f.meta))
+                assert not check_model(f, coloring_to_assignment(chi))
         assert found > 0
 
 
@@ -247,39 +247,35 @@ class TestCnfFormula:
         f = CnfFormula(0, ((),))
         assert f.num_clauses == 1
 
+    @pytest.mark.parametrize("comment", ["a\nb", "a\x0bb", "N=\xe9"],
+                             ids=["newline", "vertical-tab", "non-ascii"])
+    def test_comment_that_is_not_one_ascii_line_refused(self, comment):
+        # write_dimacs would print a second line where read_dimacs reads
+        # clauses, or fail to encode the text as ASCII
+        with pytest.raises(InputError, match="not one line of ASCII"):
+            CnfFormula(1, ((1,),), comment)
+
 
 class TestDecodeModel:
     def test_single_true_variable(self):
-        meta = EncodingMeta(1, 1, 2)
-        assert decode_model({1: True}, meta).color_of((1,)) == 1
+        assert decode_model({1: True}, 1, 1, 2).color_of((1,)) == 1
 
     def test_second_color(self):
-        meta = EncodingMeta(1, 1, 3)
-        assert decode_model({1: False, 2: True}, meta).color_of((1,)) == 2
+        assert decode_model({1: False, 2: True}, 1, 1, 3).color_of((1,)) == 2
 
     def test_all_false_means_last_color(self):
-        meta = EncodingMeta(1, 1, 3)
-        assert decode_model({1: False, 2: False}, meta).color_of((1,)) == 3
+        assert decode_model({1: False, 2: False}, 1, 1, 3).color_of((1,)) == 3
 
     def test_two_true_variables_is_integrity_error(self):
-        meta = EncodingMeta(1, 1, 3)
         with pytest.raises(IntegrityError):
-            decode_model({1: True, 2: True}, meta)
+            decode_model({1: True, 2: True}, 1, 1, 3)
 
     def test_partial_assignment_rejected(self):
-        meta = EncodingMeta(2, 1, 2)
         with pytest.raises(InputError):
-            decode_model({1: True}, meta)
+            decode_model({1: True}, 2, 1, 2)
 
     def test_inverse_of_coloring_to_assignment(self):
-        meta = EncodingMeta(2, 2, 3)
         rng = random.Random(3)
         for _ in range(20):
             chi = Coloring(2, 2, 3, tuple(rng.randint(1, 3) for _ in range(4)))
-            assert decode_model(coloring_to_assignment(chi, meta), meta) == chi
-
-    @pytest.mark.parametrize("chi", [Coloring.constant(3, 2, 3), Coloring.constant(2, 1, 3),
-                                     Coloring.constant(2, 2, 2)], ids=["n", "d", "r"])
-    def test_assignment_of_a_mismatched_coloring_refused(self, chi):
-        with pytest.raises(InputError, match="does not match"):
-            coloring_to_assignment(chi, EncodingMeta(2, 2, 3))
+            assert decode_model(coloring_to_assignment(chi), 2, 2, 3) == chi

@@ -18,8 +18,8 @@ from schurlat import bounds, cdcl, cli, lattice, render, sat, search, solver_cli
 from schurlat.bounds import SchurUpperBound, ramsey_number
 from schurlat.encoder import (
     CnfFormula,
-    EncodingMeta,
     coloring_to_assignment,
+    decode_model,
     encode,
     var_index,
     var_point_color,
@@ -189,8 +189,7 @@ class TestShellFormula:
         # its first r-i colors.
         box = _Box(d, k, j, r)
         box._grow(n)
-        meta = EncodingMeta(n, d, r, k, j)
-        rename = {base + m: var_index(p, m, meta)
+        rename = {base + m: var_index(p, m, n, d, r)
                   for p, base in box.bases.items() for m in range(1, r)}
 
         def multiset(clauses):
@@ -198,11 +197,11 @@ class TestShellFormula:
 
         formula = box.formula()
         renamed = [[rename[l] if l > 0 else -rename[-l] for l in c] for c in formula.clauses]
-        assert box.engine.n == formula.num_vars == meta.num_vars
+        assert box.engine.n == formula.num_vars == (r - 1) * n**d
         expected = list(encode(n, d, k, j, r, color_precedence=sym).clauses)
         if not sym:
             shell_order = sorted(box_points(n, d), key=lambda p: (max(p), p))
-            expected += [(-var_index(p, m, meta),)
+            expected += [(-var_index(p, m, n, d, r),)
                          for i, p in enumerate(shell_order[:r - 1], 1)
                          for m in range(1, r - i + 1)]
         assert multiset(renamed) == multiset(expected)
@@ -343,7 +342,7 @@ class TestColorPrecedence:
                 relabel.setdefault(coloring.color_of(p), r - len(relabel))
             relabelled = Coloring(n, d, r, tuple(relabel[c] for c in colors))
             assert verify_free(relabelled, family) is None
-            assert check_model(formula, coloring_to_assignment(relabelled, formula.meta))
+            assert check_model(formula, coloring_to_assignment(relabelled))
         assert free > 0
 
     @pytest.mark.parametrize("n, d, k, j, r, colors, point", [
@@ -412,7 +411,7 @@ BIG = 10**5000
     (lambda: brute_force_oracle(BIG, 1, 3, 1, 2), SizeError),
     (lambda: Coloring(BIG, 1, 2, (1,)), InputError),
     (lambda: Coloring(2, BIG, 2, (1,)), InputError),
-    (lambda: EncodingMeta(-BIG, 1, 2), InputError),
+    (lambda: decode_model({}, -BIG, 1, 2), InputError),
     (lambda: lattice.point_from_index(0, BIG, 1), InputError),
     (lambda: lattice.point_index((BIG,), 2), InputError),
     (lambda: next(lattice.box_points(-BIG, 1)), InputError),
@@ -420,12 +419,12 @@ BIG = 10**5000
     (lambda: bounds.ramsey_number(2, BIG), NotTabulatedError),
     (lambda: bounds.schur_upper_bound(1, 1, 2, BIG), NotTabulatedError),
     (lambda: encode(3, 1, 3, 1, -BIG), InputError),
-    (lambda: var_index((1,), BIG, EncodingMeta(2, 1, 2)), InputError),
+    (lambda: var_index((1,), BIG, 2, 1, 2), InputError),
     (lambda: probe(3, 1, 3, 1, -BIG), InputError),
     (lambda: find_schur_number(1, 3, 1, 2, n_max=-BIG), InputError),
     (lambda: witness.guarantee(BIG, 2, 3), InputError),
     (lambda: witness.guarantee(1999, 1, 2000, 5), InputError),
-    (lambda: var_point_color(0, EncodingMeta(10, 5000, 2)), InputError),
+    (lambda: var_point_color(0, 10, 5000, 2), InputError),
     (lambda: witness.find_monochromatic_clique(
         witness.EdgeColoredGraph(2, {(1, 2): 1}), -BIG), InputError),
     (lambda: witness.vandermonde_points(-BIG, 1), InputError),
@@ -444,7 +443,7 @@ BIG = 10**5000
     (lambda: CnfFormula(1, ((BIG,),)), InputError),
     (lambda: cdcl.Engine(1, [[BIG]]), InputError),
     (lambda: cdcl.Engine(1, []).add_clauses([[1, -BIG]]), InputError),
-], ids=["oracle-n", "coloring-n", "coloring-d", "meta-n", "point-from-index-n",
+], ids=["oracle-n", "coloring-n", "coloring-d", "decode-n", "point-from-index-n",
         "point-index-coordinate", "box-points-n", "nondegenerate-j", "ramsey-k",
         "schur-upper-bound-k", "encode-r", "var-index-m", "probe-r", "search-n-max",
         "guarantee-d", "guarantee-threshold", "var-point-color-num-vars",
@@ -567,7 +566,7 @@ class TestFindSchurNumber:
     def test_colorable_level_at_the_theorem_bound_is_a_fault(self, monkeypatch):
         assert _Box(2, 3, 2, 3).ceiling == 17**2 - 1
         assert _Box(1, 3, 1, 5).ceiling is None  # R_5(3) untabulated
-        low = SchurUpperBound(4, True, ramsey_number(2, 3))
+        low = SchurUpperBound(4, ramsey_number(2, 3))
         monkeypatch.setattr(search, "schur_upper_bound", lambda d, j, r, k: low)
         # [4] is 2-colorable (the value is 5), so a bound of 4 is contradicted.
         with pytest.raises(IntegrityError, match="N=4"):
