@@ -1,8 +1,9 @@
 """CNF compilation of coloring-avoidance problems, and model decoding.
 
 One function builds every clause: encode_points numbers the points it is
-handed in that order, after the points already numbered, giving the variable
-"p has color m" (1 <= m <= r-1) the number
+handed in that order, after the points already numbered, when it is called,
+and returns an iterator that builds their clauses as it is read. It gives
+the variable "p has color m" (1 <= m <= r-1) the number
 
     var(p, m) = bases[p] + m,    bases[p] = (position of p) * (r - 1).
 
@@ -17,7 +18,9 @@ numbering is therefore just the order in which points are handed over:
   on N and the formula for N+1 is the formula for N plus the clauses of one
   shell. Every level a search or probe decides uses that numbering, including
   the temporary DIMACS file handed to an external solver. For d = 1 the two
-  orders agree.
+  orders agree. A search streams each shell's clauses from the family walk
+  into its engine, so it never holds a shell's tuples or clauses at once;
+  encode collects the clauses into its formula.
 
 encode alone names its parameters, in the formula's comment
 "schurlat N=<n> d=<d> k=<k> j=<j> r=<r>", which write_dimacs prints as the
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, IntegrityError, shown
 from .lattice import (
@@ -45,6 +48,7 @@ from .lattice import (
     _check_box,
     _check_coordinates,
     _points,
+    _power_at_most,
     box_points,
     point_from_index,
     point_index,
@@ -101,12 +105,16 @@ def var_index(p: Point, m: int, n: int, d: int, r: int) -> int:
 
 
 def var_point_color(v: int, n: int, d: int, r: int) -> tuple[Point, int]:
-    """Inverse of var_index."""
-    num_vars = (r - 1) * n**d
-    if not 1 <= v <= num_vars:
-        raise InputError(f"variable {shown(v)} outside [1, {shown(num_vars)}]")
-    pm, m = divmod(v - 1, r - 1)
-    return point_from_index(pm + 1, n, d), m + 1
+    """Inverse of var_index. Like point_from_index, the range check forms no
+    power of n above v * n."""
+    _check_box(n, d)
+    if r >= 2 and v >= 1:
+        pm, m = divmod(v - 1, r - 1)
+        size = _power_at_most(n, d, pm + 1)
+        if size is None or pm < size:
+            return point_from_index(pm + 1, n, d), m + 1
+    raise InputError(f"variable {shown(v)} outside [1, ({shown(r)} - 1) * "
+                     f"{shown(n)}^{shown(d)}]")
 
 
 def precedence_points(n: int, d: int, r: int) -> list[Point]:
@@ -140,25 +148,32 @@ def encode_points(
     r: int,
     *,
     color_precedence: bool = False,
-) -> list[Clause]:
+) -> Iterator[Clause]:
     """The one clause builder. Numbers the given points after those already in
-    bases (var(p, m) = bases[p] + m, bases[p] = position * (r-1)), then emits
-    their at-most-one-color clauses, then r clauses per tuple, then, when
-    asked, the color-precedence units (see precedence_points) of the points
-    it numbered, in the order the points are handed over.
+    bases (var(p, m) = bases[p] + m, bases[p] = position * (r-1)) when it is
+    called, and returns an iterator over their clauses: their
+    at-most-one-color clauses, then r clauses per tuple, then, when asked,
+    the color-precedence units (see precedence_points) of the points it
+    numbered, in the order the points are handed over.
+
+    point_sets is read only as the iterator is, _BATCH tuples at a time, so
+    with a lazy walk (lattice._points) no shell's tuples or clauses are held
+    at once. Every point of a tuple must be numbered by the time its clauses
+    are pulled; the numbering is done before the first clause is, so a
+    caller can size its variables from bases first.
 
     A tuple is handed over as its distinct points P, in order: its summands
     with repeats dropped, then its total, which is SchurTuple's
-    distinct_points(). encode and a search (through enumerate_shell) both
-    get these lists from lattice's family walk and build no SchurTuple.
+    distinct_points(). encode and a search both get these from lattice's
+    family walk and build no SchurTuple.
 
     Distinctness: for each point and each color pair i < m <= r-1, the
     2-clause (not phi_i(p) or not phi_m(p)); none for r <= 2. Tuples: for
     each point set P, one clause (or over p in P of not phi_i(p)) for each i
     in [r-1], plus one positive clause (or over i, p of phi_i(p)) forbidding
-    "all of P has color r". Every point of a tuple must be numbered by then.
-    The units come last, so that an engine adding this call's clauses at
-    level 0 keeps the tuple clauses whole; with r = 1 there are none.
+    "all of P has color r". The units come last, so that an engine adding
+    this call's clauses at level 0 keeps the tuple clauses whole; with r = 1
+    there are none.
 
     Each numbered point's r-1 positive and r-1 negative literals are built
     once per call; a tuple's negative clauses are those tuples zipped over
@@ -170,19 +185,34 @@ def encode_points(
     colors = range(1, r)
     pos = {p: tuple(b + i for i in colors) for p, b in bases.items()}
     neg = {p: tuple(-(b + i) for i in colors) for p, b in bases.items()}
-    clauses: list[Clause] = []
-    for p in points:
-        clauses.extend(itertools.combinations(neg[p], 2))
-    for distinct in point_sets:
-        clauses.extend(zip(*[neg[p] for p in distinct]))
-        clauses.append(tuple(itertools.chain.from_iterable([pos[p] for p in distinct])))
-    if color_precedence and points:
-        first = precedence_points(max(map(max, points)), len(points[0]), r)
-        place = {p: i for i, p in enumerate(first, 1)}
+
+    def batches() -> Iterator[Iterable[Clause]]:
+        # A shell's tuple clauses come in lists of _BATCH tuples' clauses, so
+        # a reader steps through them in C and resumes this generator once
+        # per batch, not once per clause.
         for p in points:
-            if p in place:
-                clauses.extend((lit,) for lit in neg[p][:r - place[p]])
-    return clauses
+            yield itertools.combinations(neg[p], 2)
+        tuples = iter(point_sets)
+        while True:
+            clauses: list[Clause] = []
+            for distinct in itertools.islice(tuples, _BATCH):
+                clauses.extend(zip(*[neg[p] for p in distinct]))
+                clauses.append(tuple(itertools.chain.from_iterable([pos[p] for p in distinct])))
+            if not clauses:
+                break
+            yield clauses
+        if color_precedence and points:
+            first = precedence_points(max(map(max, points)), len(points[0]), r)
+            place = {p: i for i, p in enumerate(first, 1)}
+            for p in points:
+                if p in place:
+                    yield [(lit,) for lit in neg[p][:r - place[p]]]
+
+    return itertools.chain.from_iterable(batches())
+
+
+# The tuples whose clauses encode_points builds into one list.
+_BATCH = 256
 
 
 def encode(

@@ -10,10 +10,10 @@ in lexicographic order (last coordinate varying fastest).
 One splitter (_split) defines the tuple family, and one lazy walk (_family)
 splits the totals one at a time and yields (summands, total) pairs. Only
 enumerate_tuples, and first_violation for the violation it returns, build
-SchurTuple, which re-checks the sum and the order. encode, and a search
-through enumerate_shell, read each tuple as its distinct points (_points)
-and build no SchurTuple. The splitter's rank test (_rank_at_least) runs
-Bareiss elimination only for j >= 3.
+SchurTuple, which re-checks the sum and the order. encode and a search read
+each tuple as its distinct points (_points), as the clauses are built, and
+build no SchurTuple. The splitter's rank test (_rank_at_least) runs Bareiss
+elimination only for j >= 3.
 
 first_violation, which checks every certificate and every model a search
 finds, decides k = 3 up to d = 5 by one row-major scan of sums over
@@ -92,9 +92,11 @@ def point_index(p: Point, n: int) -> int:
 
 
 def point_from_index(idx: int, n: int, d: int) -> Point:
-    """Inverse of point_index."""
+    """Inverse of point_index. The range check forms no power of n above
+    idx * n (_power_at_most), so a refusal costs nothing however large d is."""
     _check_box(n, d)
-    if not 1 <= idx <= n**d:
+    size = _power_at_most(n, d, idx) if idx >= 1 else 0
+    if size is not None and not 1 <= idx <= size:
         raise InputError(f"index {shown(idx)} outside [1, {shown(n)}^{shown(d)}]")
     return tuple(c + 1 for c in _point_of(idx - 1, n, d))
 
@@ -357,7 +359,8 @@ def enumerate_shell(s: int, d: int, k: int, j: int) -> list[tuple[Point, ...]]:
     A summand is dominated by the total, so these are exactly the tuples of
     [s]^d that are not tuples of [s-1]^d: the family of [n]^d is the disjoint
     union of the shells 1..n. Order: that of enumerate_tuples, lexicographic
-    on (total, summands).
+    on (total, summands). A search reads the same walk lazily and keeps no
+    such list; this one is the reference the tests compare shells against.
     """
     return list(_points(shell_points(s, d), d, k, j))
 

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import cdcl, sat
 from .bounds import _json_int, _json_str, schur_upper_bound
@@ -46,8 +46,8 @@ from .lattice import (
     Point,
     Violation,
     _family_floor,
+    _points,
     _power_at_most,
-    enumerate_shell,
     enumerate_tuples,
     first_violation,
     point_index,
@@ -188,15 +188,28 @@ class _Box:
         except NotTabulatedError:
             self.ceiling = None
 
-    def _shell(self, s: int, bases: dict[Point, int]) -> list[Clause]:
-        """The clauses of shell s, its points numbered after those in bases."""
-        return encode_points(shell_points(s, self.d),
-                             enumerate_shell(s, self.d, self.k, self.j), bases, self.r,
-                             color_precedence=True)
+    def _shell(self, s: int, bases: dict[Point, int]) -> Iterator[Clause]:
+        """The clauses of shell s, its points numbered after those in bases
+        at once and its tuples walked (lattice._points) as the clauses are
+        read."""
+        points = shell_points(s, self.d)
+        return encode_points(points, _points(points, self.d, self.k, self.j), bases,
+                             self.r, color_precedence=True)
 
     def _grow(self, n: int) -> None:
         """Add the shells after the box's N through n to the engine, with the
         cyclic garbage collector paused (sat._collector_paused).
+
+        Each shell's clauses stream from the family walk into
+        Engine.add_clauses, so growth never holds a shell's tuples or
+        clauses. It still allocates, per shell, the shell's points and two
+        literal tables over every point numbered so far (encode_points); per
+        total, its summand tuples (lattice._family); and per batch of
+        encoder._BATCH tuples, their clauses until the engine has copied
+        them. A failure mid-shell leaves the shell's points numbered and part
+        of its clauses added while N stays put, so the box is unusable
+        afterwards, as after a failure inside Engine.add_clauses before; a
+        deadline on growth must discard the box.
 
         Growth allocates far more container objects than it frees: point and
         clause tuples and the engine's clause lists. Those allocations set off

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -60,6 +61,19 @@ class TestVarIndex:
             with pytest.raises(InputError, match=f"variable {v} outside"):
                 var_point_color(v, 3, 2, 3)
 
+    @pytest.mark.parametrize("n, d, r, last", [(1, 5, 3, 2), (10, 9, 2, 10**9)])
+    def test_last_variable(self, n, d, r, last):
+        assert var_point_color(last, n, d, r) == ((n,) * d, r - 1)
+        with pytest.raises(InputError, match=f"variable {last + 1} outside"):
+            var_point_color(last + 1, n, d, r)
+
+    def test_refusal_forms_no_power_of_the_box(self):
+        # 10**(10**7) takes seconds to form; the check stops at 10.
+        t0 = time.monotonic()
+        with pytest.raises(InputError, match="variable 0 outside"):
+            var_point_color(0, 10, 10**7, 2)
+        assert time.monotonic() - t0 < 0.1
+
     @pytest.mark.parametrize("n, d, r", [(0, 2, 3), (3, 0, 3), (3, 2, 0)])
     def test_bad_meta_parameters(self, n, d, r):
         with pytest.raises(InputError, match="box requires|bad coloring parameters"):
@@ -72,13 +86,13 @@ class TestVarIndex:
 
 def distinctness(n, d, r):
     """The clauses encode_points emits for [n]^d, row-major, with no tuples."""
-    return encode_points(list(box_points(n, d)), (), {}, r)
+    return list(encode_points(list(box_points(n, d)), (), {}, r))
 
 
 def tuple_clauses(n, d, tuples, r):
     """The clauses encode_points emits for the tuples of [n]^d, row-major."""
     point_sets = [t.distinct_points() for t in tuples]
-    clauses = encode_points(list(box_points(n, d)), point_sets, {}, r)
+    clauses = list(encode_points(list(box_points(n, d)), point_sets, {}, r))
     return clauses[len(distinctness(n, d, r)):]
 
 

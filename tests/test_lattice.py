@@ -65,6 +65,9 @@ class TestPointIndex:
         for idx in (0, 10):
             with pytest.raises(InputError, match=f"index {idx} outside"):
                 point_from_index(idx, 3, 2)
+        assert point_from_index(1, 1, 4) == (1, 1, 1, 1)
+        with pytest.raises(InputError, match="index 2 outside"):
+            point_from_index(2, 1, 4)
 
 
 class TestRank:

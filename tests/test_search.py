@@ -162,7 +162,7 @@ class TestModelChecks:
         encode_points = search.encode_points
 
         def drop_from_shell_5(points, *args, **kwargs):
-            clauses = encode_points(points, *args, **kwargs)
+            clauses = list(encode_points(points, *args, **kwargs))
             return clauses[:-2] + clauses[-1:] if points == [(5,)] else clauses
 
         monkeypatch.setattr(search, "encode_points", drop_from_shell_5)
@@ -220,6 +220,7 @@ class TestShellFormula:
         add_clauses = cdcl.Engine.add_clauses
 
         def record(engine, clauses):
+            clauses = list(clauses)  # a stream is read once
             received.extend(clauses)
             add_clauses(engine, clauses)
 
@@ -249,6 +250,22 @@ class TestShellFormula:
         literals = sum(map(len, box.engine.clauses))
         assert literals == 70308
         assert retained / literals < 32
+
+    def test_growth_holds_no_shell(self):
+        # Each shell streams from the family walk into the engine, so growth
+        # peaks at about 1.09 times what the box retains (d3 k4 r2, N=8).
+        # Building a shell's tuple and clause lists before the engine copies
+        # them peaks at about 1.73 times.
+        tracemalloc.start()
+        try:
+            box = _Box(3, 4, 2, 2)
+            tracemalloc.reset_peak()
+            box._grow(8)
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * retained
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_growth_leaves_the_collector_as_it_found_it(self, monkeypatch, enabled):
@@ -581,7 +598,7 @@ class TestFindSchurNumber:
                                                         floor):
         def refuse(*args):
             raise AssertionError("a shell was enumerated")
-        monkeypatch.setattr(search, "enumerate_shell", refuse)
+        monkeypatch.setattr(search, "_points", refuse)
         assert _Box(d, k, j, r).floor == floor
 
     def test_shell_over_the_coordinate_ceiling_is_refused(self):
