@@ -109,10 +109,11 @@ class Engine:
 
     A formula can grow between solves: add_vars and add_clauses extend it at
     decision level 0, which is how a search reuses one engine for every box
-    size. Each solve starts from the state a fresh engine would have (zero
-    activities, no learnt clauses, counters from zero) but keeps the clauses,
-    the level-0 facts and the saved phases; after a satisfiable solve the
-    phases are that model, so the next solve starts from it.
+    size. Each solve starts from the state a fresh engine has (zero
+    activities, no learnt clauses, counters from zero), since __init__ and
+    solve both set it by _start_solve, but keeps the clauses, the level-0
+    facts and the saved phases; after a satisfiable solve the phases are that
+    model, so the next solve starts from it.
 
     The counters of the last solve: conflicts, decisions, propagations (the
     trail literals whose watch lists _propagate visited), restarts, and
@@ -128,21 +129,15 @@ class Engine:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activity = [0.0]
-        self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = []
         self.in_heap = bytearray(1)  # 1 while (-activity[v], v) is in heap
         self.phase = bytearray(1)  # 1 -> decide positive first
         self.clauses: list[list[int]] = []
         self.learnts: list[tuple[int, list[int]]] = []  # (lbd, literals)
         self.ok = True
-        self.conflicts = 0
-        self.decisions = 0
-        self.propagations = 0
-        self.restarts = 0
-        self.reductions = 0
         self._seen = bytearray(1)
         self.code: dict[int, int] = {}  # signed literal -> literal code
+        self._start_solve()
         self.add_vars(num_vars)
         self.add_clauses(clauses)
 
@@ -239,10 +234,10 @@ class Engine:
             watches[lit] = [c for c in watches[lit] if id(c) not in gone]
 
     def _start_solve(self) -> None:
-        """Reset the per-solve search state to that of a fresh engine; the
-        clauses, level-0 facts and saved phases stay. The learnt clauses of
-        the last solve leave the watch lists here; a level-0 variable may keep
-        one as its reason, but no reason of a level-0 variable is ever read."""
+        """Set the per-solve state, which only this method sets (__init__ calls
+        it too); the clauses, level-0 facts and saved phases stay. The learnt
+        clauses of the last solve leave the watch lists here; a level-0 variable
+        may keep one as its reason, but no reason of a level-0 variable is read."""
         self._backtrack(0)
         self._detach([lits for _, lits in self.learnts])
         self.learnts = []

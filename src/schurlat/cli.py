@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import shutil
 import sys
@@ -52,7 +51,7 @@ def _add_param_flags(p: argparse.ArgumentParser, *, need_r: bool = True,
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver-cmd", default=None, metavar="CMD",
                    help="external DIMACS solver that decides each level first, the "
-                        "internal engine answering its Unknowns (else $SCHUR_SOLVER)")
+                        "internal engine answering its Unknowns")
     p.add_argument("--budget-s", type=float, default=None, metavar="S",
                    help="per-solve wall-clock budget in seconds")
 
@@ -62,8 +61,7 @@ def _effective_j(args) -> int:
 
 
 def _solver_command(args) -> tuple[str, ...] | None:
-    line = os.environ.get("SCHUR_SOLVER") if args.solver_cmd is None else args.solver_cmd
-    command = split_command(line) if line else None
+    command = split_command(args.solver_cmd) if args.solver_cmd else None
     if command and shutil.which(command[0]) is None:
         raise InputError(f"solver program {command[0]!r} not found")
     return command

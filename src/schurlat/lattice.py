@@ -42,10 +42,10 @@ SIZE_CEILING = 1 << 24
 
 
 def _power_at_most(base: int, exp: int, cap: int) -> int | None:
-    """base**exp for base >= 1, exp >= 0 when it is at most cap, else None;
+    """base**exp for base >= 0, exp >= 0 when it is at most cap, else None;
     no partial product exceeds cap * base."""
-    if base == 1:
-        return 1
+    if base <= 1:
+        return base if exp else 1
     value = 1
     for _ in range(exp):
         value *= base

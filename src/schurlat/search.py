@@ -207,9 +207,9 @@ class _Box:
         total, its summand tuples (lattice._family); and per batch of
         encoder._BATCH tuples, their clauses until the engine has copied
         them. A failure mid-shell leaves the shell's points numbered and part
-        of its clauses added while N stays put, so the box is unusable
-        afterwards, as after a failure inside Engine.add_clauses before; a
-        deadline on growth must discard the box.
+        of its clauses added while N stays put, so every later growth refuses
+        (InputError: the points numbered are not those of [N]^d); a deadline
+        on growth must discard the box.
 
         Growth allocates far more container objects than it frees: point and
         clause tuples and the engine's clause lists. Those allocations set off
@@ -219,6 +219,9 @@ class _Box:
         of such lists), so reference counting frees all it discards; the
         pause only defers what the collector would have found.
         """
+        if _power_at_most(self.n, self.d, len(self.bases)) != len(self.bases):
+            raise InputError(f"cannot grow the box past N={self.n}: its last growth "
+                             f"failed partway, so a new box is needed")
         with sat._collector_paused():
             for s in range(self.n + 1, n + 1):
                 clauses = self._shell(s, self.bases)

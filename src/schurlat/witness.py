@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .bounds import ramsey_number
+from .bounds import schur_upper_bound
 from .errors import InputError, IntegrityError, shown
 from .lattice import Coloring, Point, det, rank, vector_sum
 
@@ -67,23 +67,22 @@ def guarantee(d: int, r: int, k: int, n: int | None = None,
     x_1 + ... + x_(k-1) = x_k whose first d summands are independent.
 
     Returns (m, n): m = R_r(k), the vertex count of the Ramsey graph, and the
-    box size n, which defaults to the threshold m^d - 1. Refuses k < d+1, an
-    R_r(k) that is not known exactly (the threshold would be a guess), and an
-    n below the threshold."""
+    box size n, which defaults to the threshold (bounds.schur_upper_bound, j =
+    d). Refuses k < d+1 or d < 1, an R_r(k) not known exactly (the threshold
+    would be a guess), and an n below the threshold."""
     if k < d + 1:
         raise InputError(f"need k >= d+1 = {shown(d + 1)}, got k={shown(k)}")
-    entry = ramsey_number(r, k, table)
+    bound = schur_upper_bound(d, d, r, k, table)
+    entry = bound.ramsey
     if not entry.is_exact:
         raise InputError(
             f"Ramsey number R_{r}({k}) is not exactly known (only in "
             f"[{entry.lower}, {entry.upper}]); cannot pick a sound threshold"
         )
-    m = entry.lower
-    threshold = m**d - 1
-    if n is not None and n < threshold:
+    if n is not None and n < bound.value:
         raise InputError(f"box [{shown(n)}]^{shown(d)} below the guarantee threshold "
-                         f"[{shown(threshold)}]^{shown(d)}")
-    return m, threshold if n is None else n
+                         f"[{shown(bound.value)}]^{shown(d)}")
+    return entry.lower, bound.value if n is None else n
 
 
 def graph_from_lattice_coloring(chi: Coloring, m: int, d: int) -> EdgeColoredGraph:

@@ -83,14 +83,6 @@ def make_tuple(summands, total) -> SchurTuple:
     return SchurTuple(tuple(sorted(summands)), tuple(total))
 
 
-@pytest.fixture(autouse=True)
-def no_exported_solver(monkeypatch):
-    """schurlat search reads $SCHUR_SOLVER as the default of --solver-cmd, so
-    a value exported in the calling shell would change every CLI search; a
-    test that wants it sets it with monkeypatch."""
-    monkeypatch.delenv("SCHUR_SOLVER", raising=False)
-
-
 def _after_each_solve(monkeypatch, read):
     """read(engine) after every Engine.solve call, in call order."""
     from schurlat import cdcl

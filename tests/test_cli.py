@@ -250,18 +250,12 @@ class TestSearch:
         assert "--engine" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_missing_solver_program_exits_4(self, tmp_path, capsys, monkeypatch, source):
+    def test_missing_solver_program_exits_4(self, tmp_path, capsys):
         # The named solver decides first, so a program that is not there
         # would hand every level to the fallback unnoticed.
-        missing = str(tmp_path / "no-such-solver")
-        if source == "flag":
-            flags = ["--solver-cmd", missing]
-        else:
-            flags = []
-            monkeypatch.setenv("SCHUR_SOLVER", missing)
         out_dir = tmp_path / "certs"
-        code, out, err = run(["search", "--d", "2", "--r", "2", *flags,
+        code, out, err = run(["search", "--d", "2", "--r", "2",
+                              "--solver-cmd", str(tmp_path / "no-such-solver"),
                               "--out", str(out_dir), "-q"], capsys)
         assert code == EXIT_INVALID_INPUT
         assert out == ""
@@ -327,54 +321,31 @@ class TestSearch:
         assert code == EXIT_INVALID_INPUT
         assert "solver command" in err
 
-    def test_unbalanced_quote_in_solver_env_exits_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SCHUR_SOLVER", "kissat '-q")
-        code, _, err = run(
-            ["search", "--d", "1", "--r", "2",
-             "--out", str(tmp_path), "-q"],
-            capsys,
-        )
-        assert code == EXIT_INVALID_INPUT
-        assert "solver command" in err
-
     @pytest.mark.parametrize("flags", [[], ["--budget-s", "1e-9"]],
                              ids=["no-budget", "budget"])
-    def test_unparsable_solver_env_exits_4_before_any_level(self, tmp_path, capsys,
-                                                            monkeypatch, flags):
-        # $SCHUR_SOLVER is the default of --solver-cmd, so it is checked even
-        # when the internal engine might never need it.
-        monkeypatch.setenv("SCHUR_SOLVER", "kissat '-q")
+    def test_unparsable_solver_cmd_exits_4_before_any_level(self, tmp_path, capsys,
+                                                            flags):
+        # The command is split before the first level, even when the internal
+        # engine might answer every level without it.
         code, out, err = run(["search", "--d", "1", "--r", "3", *flags,
+                              "--solver-cmd", "kissat '-q",
                               "--out", str(tmp_path / "certs"), "-q"], capsys)
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert "cannot parse solver command" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_solver_env_is_the_default_solver_cmd(self, tmp_path, capsys, monkeypatch,
-                                                  internal_solver_cmd):
-        monkeypatch.setenv("SCHUR_SOLVER", shlex.join(internal_solver_cmd))
-        out_dir = tmp_path / "certs"
-        code, out, _ = run(["search", "--d", "1", "--r", "2",
-                            "--out", str(out_dir), "-q"], capsys)
-        assert code == EXIT_OK
-        assert out.startswith("Exact 5")
-        doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
-        assert doc["provenance"]["solver"] == "external:" + shlex.join(internal_solver_cmd)
-
-    def test_solver_cmd_wins_over_the_env(self, tmp_path, capsys, monkeypatch,
-                                          internal_solver_cmd):
-        # Were the exported command the one in use, the CLI would refuse it as
-        # not found (exit 4); the provenance names the flag's solver.
+    def test_exported_solver_is_not_read(self, tmp_path, capsys, monkeypatch):
+        # --solver-cmd is the only way to name a solver. Were an exported
+        # $SCHUR_SOLVER read, this missing program would be refused (exit 4).
         monkeypatch.setenv("SCHUR_SOLVER", str(tmp_path / "no-such-solver"))
         out_dir = tmp_path / "certs"
         code, out, _ = run(["search", "--d", "1", "--r", "2",
-                            "--solver-cmd", shlex.join(internal_solver_cmd),
                             "--out", str(out_dir), "-q"], capsys)
         assert code == EXIT_OK
         assert out.startswith("Exact 5")
         doc = json.loads((out_dir / "S_d1_j1_k3_r2_N4.cert.json").read_text())
-        assert doc["provenance"]["solver"] == "external:" + shlex.join(internal_solver_cmd)
+        assert doc["provenance"]["solver"] == "schurlat-cdcl"
 
     def test_provenance_names_the_whole_solver_command(self, tmp_path, capsys,
                                                        internal_solver_cmd):

@@ -292,8 +292,46 @@ class TestShellFormula:
                 box._grow(6)
             assert gc.isenabled() is enabled
             assert box.n == 5
+            # Nothing of shell 6 was numbered, so the box can still grow.
+            monkeypatch.setattr(search, "encode_points", encode_points)
+            box._grow(6)
+            assert box.n == 6
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    def test_growth_after_a_failure_mid_shell_is_refused(self, monkeypatch):
+        # The failure leaves shell 6's points numbered and part of its clauses
+        # in the engine, so the box refuses to grow again rather than number
+        # those points a second time.
+        class Stop(Exception):
+            pass
+
+        walk = search._points
+
+        def failing(*args):
+            for i, t in enumerate(walk(*args), 1):
+                if i == 11:
+                    raise Stop
+                yield t
+
+        box = _Box(2, 3, 2, 3)
+        box._grow(5)
+        monkeypatch.setattr(search, "_points", failing)
+        with pytest.raises(Stop):
+            box.decide(6)
+        monkeypatch.undo()
+        assert box.n == 5 and len(box.bases) == 36
+        for n in (6, 7):
+            with pytest.raises(InputError, match=r"past N=5: its last growth failed"):
+                box.decide(n)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_decide_at_or_below_the_box_refused(self, n):
+        box = _Box(2, 3, 2, 3)
+        box._grow(5)
+        with pytest.raises(InputError, match=f"cannot decide N={n}: the box is at N=5"):
+            box.decide(n)
+        assert box.n == 5 and len(box.bases) == 25
 
 
 class TestLatticeChecksCoverTheFormula:
@@ -448,6 +486,7 @@ BIG = 10**5000
     (lambda: witness.vandermonde_points(3, -BIG), InputError),
     (lambda: witness.EdgeColoredGraph(-BIG, {}), InputError),
     (lambda: witness.difference_matrix((BIG, 1)), InputError),
+    (lambda: witness.difference_matrix([BIG, 1]), InputError),
     (lambda: witness.graph_from_lattice_coloring(Coloring(1, BIG, 2, (1,)), 6, 2),
      InputError),
     (lambda: SchurTuple(((BIG,),), (1,)), InputError),
@@ -465,9 +504,10 @@ BIG = 10**5000
         "schur-upper-bound-k", "encode-r", "var-index-m", "probe-r", "search-n-max",
         "guarantee-d", "guarantee-threshold", "var-point-color-num-vars",
         "clique-k", "vandermonde-m", "vandermonde-d", "graph-m",
-        "difference-matrix-indices", "lattice-graph-d", "schur-tuple-summands",
-        "lift-summands", "render-ascii-d", "schur-3k-k", "ramsey-entry-lower",
-        "verify-free-point", "cnf-literal", "engine-literal", "add-clauses-literal"])
+        "difference-matrix-indices", "difference-matrix-list", "lattice-graph-d",
+        "schur-tuple-summands", "lift-summands", "render-ascii-d", "schur-3k-k",
+        "ramsey-entry-lower", "verify-free-point", "cnf-literal", "engine-literal",
+        "add-clauses-literal"])
 def test_refusal_of_a_huge_integer_does_not_format_it(call, error):
     # str() refuses an integer of more than 4,300 digits with a bare
     # ValueError; the refusal must stay the documented type.
@@ -538,8 +578,8 @@ class TestFindSchurNumber:
         assert out.statuses[-1][1].startswith("unknown")
 
     def test_exported_solver_is_not_read(self, tmp_path, monkeypatch):
-        # Only the CLI reads $SCHUR_SOLVER. The library has no external engine
-        # to escalate to, so the first Unknown ends the search, on record.
+        # Nothing reads $SCHUR_SOLVER. The search has no external solver to
+        # escalate to, so the first Unknown ends the search, on record.
         monkeypatch.setenv("SCHUR_SOLVER", "kissat '-q")
         ledger = tmp_path / "results.csv"
         out = find_schur_number(1, 3, 1, 3, budget=Budget(conflicts=1),

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import oracle_det
+from schurlat import witness
 from schurlat.errors import InputError, IntegrityError
 from schurlat.lattice import Coloring, det, rank, vector_sum
 from schurlat.witness import (
@@ -155,6 +156,12 @@ class TestExtractSchurWitness:
         with pytest.raises(InputError, match="threshold"):
             guarantee(2, 2, 3, 34)
 
+    def test_guarantee_refuses_dimension_zero(self):
+        # The threshold is schur_upper_bound's with j = d, whose range check
+        # refuses d = 0 (R_r(k)^0 - 1 = 0 would be no threshold at all).
+        with pytest.raises(InputError, match=r"j=0 outside \[1, min\(d=0"):
+            guarantee(0, 2, 3)
+
     def test_k_must_exceed_dimension(self):
         with pytest.raises(InputError):
             extract_schur_witness(Coloring.constant(35, 3, 2), 3)
@@ -172,6 +179,29 @@ class TestExtractSchurWitness:
         chi = Coloring.from_function(24, 1, 2, color)
         with pytest.raises(IntegrityError):
             extract_schur_witness(chi, 3, table=fake)
+
+    @pytest.mark.parametrize("broken, message", [
+        ("clique", "not monochromatic"),
+        ("vector_sum", "telescoping identity"),
+        ("rank", "dependent"),
+    ])
+    def test_cross_check_failure_is_integrity_error(self, monkeypatch, broken, message):
+        # Each check guards a fact of the construction, so each is forced
+        # here by breaking what it reads: a clique whose edges are not one
+        # color, a sum that is off by one, a rank one short.
+        def mixed_clique(g, k):
+            return next(v for v in itertools.combinations(range(1, g.m + 1), k)
+                        if len({g.color(a, b) for a, b in itertools.combinations(v, 2)}) > 1)
+
+        patches = {
+            "clique": mixed_clique,
+            "vector_sum": lambda vs: tuple(c + 1 for c in vector_sum(vs)),
+            "rank": lambda rows: rank(rows) - 1,
+        }
+        name = "find_monochromatic_clique" if broken == "clique" else broken
+        monkeypatch.setattr(witness, name, patches[broken])
+        with pytest.raises(IntegrityError, match=message):
+            extract_schur_witness(random_coloring(35, 2, 2, 0), 3)
 
 
 class TestVandermondeDet:
@@ -211,3 +241,9 @@ class TestVandermondeDet:
             d = len(indices) - 1
             full = [[i**e for e in range(d + 1)] for i in indices]
             assert oracle_det(full) == vandermonde_det(indices)
+
+    def test_elimination_disagreeing_with_the_product_is_integrity_error(self, monkeypatch):
+        monkeypatch.setattr(witness, "det", lambda matrix: det(matrix) + 1)
+        with pytest.raises(IntegrityError, match=r"cross-check failed for \(1, 2, 3\): "
+                                                 r"elimination gives 3, product formula gives 2"):
+            vandermonde_det((1, 2, 3))
