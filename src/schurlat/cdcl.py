@@ -22,19 +22,20 @@ Everything is deterministic for a fixed sequence of calls: ties in the
 decision heap break on variable index, restarts follow the Luby sequence, and
 wall-clock budgets can only turn a would-be answer into Unknown, never
 change it. Every clause, whether given to the constructor or added between
-solves, is loaded by add_clauses, which looks its literals' codes up in the
-engine's code table and sorts them once.
+solves, is loaded by add_clauses, which sorts its literals by variable once.
 
-A clause is a plain list of literal codes; the watch lists, the reasons and the
+A clause is a plain list of literals; the watch lists, the reasons and the
 clause store all hold that list itself, and a learnt clause is kept beside its
 LBD as an (lbd, literals) pair. A learnt clause that is dropped leaves the
 watch lists at once, so propagation never meets a dead clause.
 
-Literal coding: variable v (1-based) maps to literal codes 2v (positive) and
-2v+1 (negative); code^1 negates. The code table, a dict from each signed
-literal +-v to its code, holds one int object per code, which every loaded
-clause shares; a literal that is not in it (0, or beyond +-n) is an
-InputError.
+Literal coding: a literal is its signed DIMACS integer, v or -v for variable
+v (1-based); -lit negates it and abs(lit) is its variable. val and watches
+are indexed by the literal itself: they hold 2n+1 slots, v's at index v and
+-v's read from the end by Python's negative index, at 2n+1-v, so slot 0 is
+unused. add_vars inserts its new slots at n+1, between those of v = n and
+-n, so every existing literal keeps its slot. A literal outside +-1..n (0
+included) or not an int is an InputError.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def _luby(i: int) -> int:
 
 
 class Engine:
-    """CDCL solver over integer-coded clauses; solve(budget) answers Sat,
-    Unsat or Unknown.
+    """CDCL solver over clauses of signed DIMACS literals; solve(budget)
+    answers Sat, Unsat or Unknown.
 
     A formula can grow between solves: add_vars and add_clauses extend it at
     decision level 0, which is how a search reuses one engine for every box
@@ -122,8 +123,8 @@ class Engine:
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]) -> None:
         self.n = 0
-        self.val = bytearray(2)
-        self.watches: list[list[list[int]]] = [[], []]
+        self.val = bytearray(1)
+        self.watches: list[list[list[int]]] = [[]]
         self.level = [0]
         self.reason: list[list[int] | None] = [None]
         self.trail: list[int] = []
@@ -136,7 +137,6 @@ class Engine:
         self.learnts: list[tuple[int, list[int]]] = []  # (lbd, literals)
         self.ok = True
         self._seen = bytearray(1)
-        self.code: dict[int, int] = {}  # signed literal -> literal code
         self._start_solve()
         self.add_vars(num_vars)
         self.add_clauses(clauses)
@@ -144,14 +144,16 @@ class Engine:
     # -- growing the formula -----------------------------------------------
 
     def add_vars(self, count: int) -> None:
-        """Append count fresh variables, numbered after the existing ones."""
-        code = self.code
-        for v in range(self.n + 1, self.n + count + 1):
-            code[v] = 2 * v
-            code[-v] = 2 * v + 1
-        self.n += count
-        self.val.extend(bytes(2 * count))
-        self.watches.extend([] for _ in range(2 * count))
+        """Append count fresh variables, numbered after the existing ones; a
+        count that is not an int >= 0 is an InputError, raised before anything
+        changes. Their 2*count literal slots go in at n+1, so every existing
+        literal keeps its slot."""
+        if not isinstance(count, int) or count < 0:
+            raise InputError(f"variable count {shown(count)} is not an int >= 0")
+        n = self.n
+        self.n = n + count
+        self.val[n + 1:n + 1] = bytes(2 * count)
+        self.watches[n + 1:n + 1] = [[] for _ in range(2 * count)]
         self.level.extend([0] * count)
         self.reason.extend([None] * count)
         self.activity.extend([0.0] * count)
@@ -166,39 +168,44 @@ class Engine:
         follow from the clauses, which only grow, so a literal false at level 0
         is dropped, a repeated literal is kept once, and a clause already true
         at level 0 or holding a literal and its negation is not stored. Sorting
-        a clause's codes once puts a repeat next to its first copy and a
-        negation (codes 2v, 2v+1) next to its partner, so one pass over the
-        sorted codes finds whether some variable repeats or is assigned at
-        level 0. Most clauses have neither, and the clause is then an
-        exact-size copy of the sorted codes (sorted over-allocates: 120 bytes
-        against 80 for three literals); any other clause goes through
-        _simplify. Codes come from the code table, so the stored clauses share
-        one int object per code. A literal outside +-1..n raises InputError;
-        the clauses before it stay added.
+        a clause by variable once, sorted(clause, key=abs), puts a repeat next
+        to its first copy and a negation next to its partner, so one pass over
+        the sorted clause finds whether some variable repeats or is assigned
+        at level 0. Most clauses have neither, and the clause is then stored
+        as the list sorted returns, with no copy: from a tuple or a list,
+        sorted sizes it at once, rounded up to four slots (88 bytes for three
+        literals, 80 exact). Any other clause goes through _simplify. Either
+        way the literals stored are in variable order.
+
+        The sorted clause's first and last literals bound all of its
+        variables, so 0 or a literal beyond +-n is found without a pass, and
+        a literal that is not an int (a float, say) fails its index into val
+        in the one pass. Either way InputError names the clause's first bad
+        literal in input order; the clauses before it stay added.
         """
         self._backtrack(0)
+        n = self.n
         val = self.val
         watches = self.watches
-        code = self.code.__getitem__
-        for signed in clauses:
+        for clause in clauses:
             if not self.ok:
                 return
             try:
-                codes = sorted(map(code, signed))
-            except KeyError as e:
-                lit = e.args[0]
-                shown_lit = shown(lit) if isinstance(lit, int) else repr(lit)
-                raise InputError(f"literal {shown_lit} outside [1, {self.n}]") from None
-            prev = 1
-            for lit in codes:
-                if val[lit] or lit | 1 == prev:
-                    lits = self._simplify(codes)
-                    break
-                prev = lit | 1
-            else:
-                lits = codes[:]
-            if lits is None:
-                continue
+                lits = sorted(clause, key=abs)
+                if lits and (not lits[0] or abs(lits[-1]) > n):
+                    raise self._refusal(clause)
+                plain = True
+                prev = 0
+                for lit in lits:
+                    if val[lit] or lit == prev or lit == -prev:
+                        plain = False
+                    prev = lit
+            except TypeError:
+                raise self._refusal(clause) from None
+            if not plain:
+                lits = self._simplify(lits)
+                if lits is None:
+                    continue
             if not lits:
                 self.ok = False
             elif len(lits) == 1:
@@ -208,17 +215,27 @@ class Engine:
                 watches[lits[0]].append(lits)
                 watches[lits[1]].append(lits)
 
-    def _simplify(self, codes: list[int]) -> list[int] | None:
-        """The literals of sorted codes that are unassigned at level 0, each
-        once; None when the clause is true at level 0 or holds a literal and
-        its negation."""
+    def _refusal(self, clause: Sequence[int]) -> InputError:
+        """The InputError naming clause's first literal, in input order, that
+        is not an int in +-1..n."""
+        for lit in clause:
+            if not isinstance(lit, int):
+                return InputError(f"literal {shown(lit)} is not an int")
+            if not 1 <= abs(lit) <= self.n:
+                return InputError(f"literal {shown(lit)} outside [1, {self.n}]")
+        return InputError(f"a clause holds a literal outside [1, {self.n}] or not an int")
+
+    def _simplify(self, clause: list[int]) -> list[int] | None:
+        """The literals of a clause sorted by variable that are unassigned at
+        level 0, each once; None when the clause is true at level 0 or holds a
+        literal and its negation."""
         val = self.val
         lits: list[int] = []
         prev = 0
-        for lit in codes:
+        for lit in clause:
             if lit == prev:
                 continue
-            if val[lit] == _TRUE or lit == prev ^ 1:
+            if val[lit] == _TRUE or lit == -prev:
                 return None
             if val[lit] == _UNDEF:
                 lits.append(lit)
@@ -253,8 +270,8 @@ class Engine:
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         self.val[lit] = _TRUE
-        self.val[lit ^ 1] = _FALSE
-        v = lit >> 1
+        self.val[-lit] = _FALSE
+        v = abs(lit)
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -275,10 +292,10 @@ class Engine:
         trail = self.trail
         for i in range(len(trail) - 1, limit - 1, -1):
             lit = trail[i]
-            v = lit >> 1
-            phase[v] = 1 - (lit & 1)
+            v = abs(lit)
+            phase[v] = lit > 0
             val[lit] = _UNDEF
-            val[lit ^ 1] = _UNDEF
+            val[-lit] = _UNDEF
             reason[v] = None
             if not in_heap[v]:
                 in_heap[v] = 1
@@ -309,7 +326,7 @@ class Engine:
         depth = len(self.trail_lim)
         start = qhead = self.qhead
         while qhead < len(trail):
-            flit = trail[qhead] ^ 1
+            flit = -trail[qhead]
             qhead += 1
             ws = watches[flit]
             j = 0
@@ -344,8 +361,8 @@ class Engine:
                         self.propagations += qhead - start
                         return lits
                     val[first] = _TRUE
-                    val[first ^ 1] = _FALSE
-                    v = first >> 1
+                    val[-first] = _FALSE
+                    v = abs(first)
                     level[v] = depth
                     reason[v] = lits
                     push(first)
@@ -380,7 +397,7 @@ class Engine:
         in_heap = self.in_heap = bytearray(self.n + 1)
         heap = self.heap = []
         for v in range(1, self.n + 1):
-            if val[2 * v] == _UNDEF:
+            if val[v] == _UNDEF:
                 heap.append((-activity[v], v))
                 in_heap[v] = 1
         heapq.heapify(heap)
@@ -395,13 +412,13 @@ class Engine:
         current = len(self.trail_lim)
         learnt: list[int] = [0]
         counter = 0
-        p = -1  # trail literal being resolved; -1 on the first pass
+        p = 0  # trail literal being resolved; 0, no literal, on the first pass
         index = len(trail) - 1
         while True:
             for q in confl:
                 if q == p:
                     continue
-                v = q >> 1
+                v = abs(q)
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     self._bump(v)
@@ -409,36 +426,36 @@ class Engine:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[trail[index] >> 1]:
+            while not seen[abs(trail[index])]:
                 index -= 1
             p = trail[index]
-            v = p >> 1
+            v = abs(p)
             seen[v] = 0
             counter -= 1
             index -= 1
             if counter == 0:
                 break
             confl = reason[v]  # type: ignore[assignment]
-        learnt[0] = p ^ 1
+        learnt[0] = -p
 
         marked: list[int] = []
         kept = [learnt[0]]
         for q in learnt[1:]:
-            if reason[q >> 1] is None or not self._redundant(q, marked):
+            if reason[abs(q)] is None or not self._redundant(q, marked):
                 kept.append(q)
         for q in learnt[1:]:
-            seen[q >> 1] = 0
+            seen[abs(q)] = 0
         for v in marked:
             seen[v] = 0
         learnt = kept
 
-        lbd = len({level[q >> 1] for q in learnt})
+        lbd = len({level[abs(q)] for q in learnt})
         if len(learnt) == 1:
             bj = 0
         else:
-            mi = max(range(1, len(learnt)), key=lambda i: level[learnt[i] >> 1])
+            mi = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
-            bj = level[learnt[1] >> 1]
+            bj = level[abs(learnt[1])]
         return learnt, bj, lbd
 
     def _redundant(self, lit: int, marked: list[int]) -> bool:
@@ -451,8 +468,8 @@ class Engine:
         stack = [lit]
         added_from = len(marked)
         while stack:
-            for q in reason[stack.pop() >> 1]:  # type: ignore[union-attr]
-                v = q >> 1
+            for q in reason[abs(stack.pop())]:  # type: ignore[union-attr]
+                v = abs(q)
                 if not seen[v] and level[v] > 0:
                     if reason[v] is None:
                         for u in marked[added_from:]:
@@ -478,7 +495,7 @@ class Engine:
         drop: list[tuple[int, list[int]]] = []
         for entry in self.learnts:
             lbd, lits = entry
-            if lbd <= 2 or reason[lits[0] >> 1] is lits or reason[lits[1] >> 1] is lits:
+            if lbd <= 2 or reason[abs(lits[0])] is lits or reason[abs(lits[1])] is lits:
                 keep.append(entry)
             else:
                 drop.append(entry)
@@ -511,8 +528,8 @@ class Engine:
             negact, v = heapq.heappop(heap)
             if -negact == activity[v]:
                 in_heap[v] = 0
-                if val[2 * v] == _UNDEF:
-                    return 2 * v + (0 if self.phase[v] else 1)
+                if val[v] == _UNDEF:
+                    return v if self.phase[v] else -v
         return 0
 
     # -- main loop --------------------------------------------------------------------
@@ -578,7 +595,7 @@ class Engine:
             lit = self._decide()
             if lit == 0:
                 val = self.val
-                return Sat({v: val[2 * v] == _TRUE for v in range(1, self.n + 1)})
+                return Sat({v: val[v] == _TRUE for v in range(1, self.n + 1)})
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)

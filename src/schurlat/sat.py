@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
 import re
 import shlex
 import subprocess
@@ -67,8 +68,13 @@ def write_dimacs(formula: CnfFormula) -> bytes:
     """Serialize to DIMACS CNF, byte-exact and stable across runs.
 
     Header "p cnf <vars> <clauses>", one clause per line terminated by " 0".
-    A formula with a comment gets it as a single leading "c" line.
+    A formula with a comment gets it as a single leading "c" line. A literal
+    whose type is not int, bool included, is an InputError: read_dimacs would
+    refuse its text ("1.0", "True").
     """
+    if not {int}.issuperset(map(type, itertools.chain.from_iterable(formula.clauses))):
+        bad = next(lit for c in formula.clauses for lit in c if type(lit) is not int)
+        raise InputError(f"literal {shown(bad)} is not an int")
     lines: list[str] = []
     if formula.comment is not None:
         lines.append(f"c {formula.comment}\n")

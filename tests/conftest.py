@@ -117,9 +117,11 @@ def solve_stats(monkeypatch) -> list[tuple[int, int, int, int, int]]:
 @pytest.fixture
 def decision_digest(monkeypatch):
     """A sha256 over every value Engine._decide returns, in call order, each
-    written as its decimal literal code and a newline; 0 marks a search that
-    found every variable assigned. Read it with .hexdigest() after the run:
-    a change not meant to alter the search leaves it as it is."""
+    written in decimal and a newline as the code 2v for literal v and 2v+1
+    for -v, the coding the pinned digests were taken in; 0 stays 0 and marks
+    a search that found every variable assigned. Read it with .hexdigest()
+    after the run: a change not meant to alter the search leaves it as it
+    is."""
     from schurlat import cdcl
 
     digest = hashlib.sha256()
@@ -127,7 +129,7 @@ def decision_digest(monkeypatch):
 
     def recording_decide(engine):
         lit = decide(engine)
-        digest.update(b"%d\n" % lit)
+        digest.update(b"%d\n" % (2 * abs(lit) + (lit < 0)))
         return lit
 
     monkeypatch.setattr(cdcl.Engine, "_decide", recording_decide)

@@ -185,8 +185,7 @@ class TestSolveInternal:
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
         assert engine.ok
-        assert engine.clauses == [  # the tautology is dropped
-            [2 * v for v in clause], [2 * v + 1 for v in clause]]
+        assert engine.clauses == [list(clause), list(negation)]  # the tautology is dropped
 
     def test_near_phase_transition_fuzz(self):
         # 3-SAT around clause/variable ratio 4.3, checked against truth tables
@@ -290,8 +289,9 @@ class TestIncrementalEngine:
 
 
 class ReferenceLoader(cdcl.Engine):
-    """The engine with the loader it had before the code table: a list
-    comprehension per clause for the codes, a sort, and the one pass."""
+    """The engine with a loader that sorts another way: each literal coded as
+    2v for v and 2v+1 for -v, a list comprehension per clause for the codes,
+    a sort, and one pass that decodes each code it keeps."""
 
     def add_clauses(self, clauses):
         self._backtrack(0)
@@ -302,14 +302,15 @@ class ReferenceLoader(cdcl.Engine):
             codes.sort()
             lits = []
             prev = 0
-            for lit in codes:
-                if lit == prev:
+            for code in codes:
+                if code == prev:
                     continue
-                if self.val[lit] == cdcl._TRUE or lit == prev ^ 1:
+                lit = code >> 1 if code & 1 == 0 else -(code >> 1)
+                if self.val[lit] == cdcl._TRUE or code == prev ^ 1:
                     break
                 if self.val[lit] == cdcl._UNDEF:
                     lits.append(lit)
-                prev = lit
+                prev = code
             else:
                 if not lits:
                     self.ok = False
@@ -322,10 +323,13 @@ class ReferenceLoader(cdcl.Engine):
 
 
 def loaded_state(engine: cdcl.Engine):
-    """The stored clauses, each watch list as the positions of its clauses in
-    the store, the trail and ok."""
+    """The stored clauses, the watch list of each literal -n..n (0 being the
+    unused slot) as the positions of its clauses in the store, the trail and
+    ok."""
+    assert len(engine.watches) == 2 * engine.n + 1
     position = {id(c): i for i, c in enumerate(engine.clauses)}
-    watches = [[position[id(c)] for c in ws] for ws in engine.watches]
+    watches = {lit: [position[id(c)] for c in engine.watches[lit]]
+               for lit in range(-engine.n, engine.n + 1)}
     return engine.clauses, watches, engine.trail, engine.ok
 
 
@@ -367,6 +371,44 @@ class TestLoader:
         with pytest.raises(InputError, match=rf"^literal {lit} outside"):
             engine.add_clauses([(lit,)])
 
+    def test_float_literal_is_input_error(self):
+        # A float indexes no slot; it is named even in a clause the loader
+        # would drop as a tautology, and before a later literal out of range.
+        with pytest.raises(InputError, match=r"^literal 1\.0 is not an int$"):
+            cdcl.Engine(2, [(1.0, -2)])
+        engine = cdcl.Engine(3, [(1, 2)])
+        for clause, shown in [((1, -1, 2.0), r"2\.0"), ((3, 2.5, 9), r"2\.5")]:
+            with pytest.raises(InputError, match=rf"^literal {shown} is not an int$"):
+                engine.add_clauses([(-1, -2), clause])
+        assert engine.clauses == [[1, 2], [-1, -2], [-1, -2]]
+
+    @pytest.mark.parametrize("count", [-1, 1.0, "2"])
+    def test_bad_variable_count_changes_nothing(self, count):
+        with pytest.raises(InputError, match=r"^variable count .* is not an int >= 0$"):
+            cdcl.Engine(count, [])
+        engine = cdcl.Engine(3, [(-1, 2), (-2, -3)])
+        before = loaded_state(engine)
+        with pytest.raises(InputError, match=r"^variable count"):
+            engine.add_vars(count)
+        assert engine.n == 3 and len(engine.val) == 7
+        assert loaded_state(engine) == before
+        assert engine.solve() == Sat({1: False, 2: False, 3: False})
+
+    def test_new_variables_leave_every_literal_its_slot(self):
+        # add_vars inserts the new slots between +n and -n; an engine grown
+        # that way must load and solve exactly like one built at full size.
+        a = [(-1, 2, -3), (-2, 3), (1, -3), (-1, -2, 3), (2, 3)]
+        b = [(-4, 5, -1), (4, -5, 3), (-5, -3, 2), (-4, -2), (5, 1), (-5, -4, -3)]
+        grown = cdcl.Engine(3, a)
+        grown.add_vars(2)
+        grown.add_clauses(b)
+        whole = cdcl.Engine(5, a + b)
+        assert loaded_state(grown) == loaded_state(whole)
+        assert grown.solve() == whole.solve()
+        assert grown.trail == whole.trail
+        assert (grown.conflicts, grown.decisions, grown.propagations) == \
+            (whole.conflicts, whole.decisions, whole.propagations)
+
 
 def random_3sat(seed: int, num_vars: int, num_clauses: int) -> list[tuple[int, ...]]:
     rng = random.Random(seed)
@@ -394,8 +436,9 @@ def assert_watches_consistent(engine: cdcl.Engine) -> None:
     live = {id(c): c for c in engine.clauses}
     live.update((id(lits), lits) for _, lits in engine.learnts)
     placed = Counter()
-    for lit, ws in enumerate(engine.watches):
-        for c in ws:
+    assert len(engine.watches) == 2 * engine.n + 1
+    for lit in range(-engine.n, engine.n + 1):  # every slot once
+        for c in engine.watches[lit]:
             assert live.get(id(c)) is c
             placed[id(c), lit] += 1
     for c in live.values():
@@ -491,15 +534,15 @@ def checked_heap(monkeypatch) -> list[int]:
     def checked_decide(engine):
         live = set(engine.heap)
         unassigned = [
-            v for v in range(1, engine.n + 1) if engine.val[2 * v] == cdcl._UNDEF
+            v for v in range(1, engine.n + 1) if engine.val[v] == cdcl._UNDEF
         ]
         for v in unassigned:
             assert (-engine.activity[v], v) in live
         assert_flags_match_heap(engine)
         lit = decide(engine)
-        assert lit or all(engine.val[2 * v] for v in range(1, engine.n + 1))
+        assert lit or all(engine.val[v] for v in range(1, engine.n + 1))
         if unassigned:
-            assert lit >> 1 == min(unassigned, key=lambda v: (-engine.activity[v], v))
+            assert abs(lit) == min(unassigned, key=lambda v: (-engine.activity[v], v))
         assert_flags_match_heap(engine)
         return lit
 
@@ -672,6 +715,15 @@ class TestDimacs:
     def test_empty_clause_serializes(self):
         f = CnfFormula(0, ((),))
         assert write_dimacs(f) == b"p cnf 0 1\n0\n"
+
+    @pytest.mark.parametrize("clauses, shown", [
+        (((1, -2), (1.0, -2)), "1.0"),
+        (((True,), (1.0,)), "True"),
+    ], ids=["float", "bool"])
+    def test_literal_that_is_not_an_int_is_not_written(self, clauses, shown):
+        # Its text ("1.0", "True") is a line read_dimacs refuses.
+        with pytest.raises(InputError, match=rf"^literal {shown} is not an int$"):
+            write_dimacs(CnfFormula(2, clauses))
 
     def test_read_write_identity(self):
         rng = random.Random(555)

@@ -236,9 +236,10 @@ class TestShellFormula:
     def test_box_keeps_no_clause_list(self):
         # The engine's clause lists are the box's one copy of the formula:
         # grown to N=14, d2 r4 holds 70,308 stored literals and the box
-        # retains about 30 bytes per literal, each clause an exact-size list.
-        # Storing the over-allocated list sorted returns gives about 34, and a
-        # second copy of the clauses as tuples adds about 20 more.
+        # retains about 31.7 bytes per literal, each clause the list sorted
+        # builds from the encoder's tuple, rounded up to four slots. Exact-size
+        # copies give about 29.7, the lists sorted builds from a map about
+        # 34, and a second copy of the clauses as tuples adds about 20 more.
         tracemalloc.start()
         try:
             box = _Box(2, 3, 2, 4)
